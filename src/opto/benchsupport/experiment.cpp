@@ -74,6 +74,8 @@ TrialAggregate run_trials(const CollectionFactory& factory,
       outcome.rounds = static_cast<double>(result.rounds_used);
       outcome.charged_time = static_cast<double>(result.total_charged_time);
       outcome.actual_time = static_cast<double>(result.total_actual_time);
+      // C̃ is cached on the collection: when the schedule factory sized
+      // the schedule from it, this reads the value rather than recomputing.
       outcome.path_congestion =
           static_cast<double>(collection.path_congestion());
       outcome.dilation = static_cast<double>(collection.dilation());

@@ -4,7 +4,9 @@
 // trial, runs the Trial-and-Failure protocol, and aggregates rounds /
 // charged time / actual time over the trials. Trials run in parallel on
 // the global thread pool; every trial is deterministic in (base seed,
-// trial index).
+// trial index). A trial's collection stats are computed once: C̃ is
+// cached on the collection, so the schedule factory's measurement is the
+// one the aggregate reports.
 //
 // Output goes through util::Table so all benches print uniform,
 // greppable series. REPRO_SCALE (float env var, default 1) scales trial

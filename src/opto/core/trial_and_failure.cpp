@@ -32,15 +32,6 @@ SimConfig protocol_sim_config(const ProtocolConfig& config,
   return sim;
 }
 
-/// Path congestion of the active subset (Lemma 2.4 / 2.10 tracking).
-std::uint32_t active_path_congestion(const PathCollection& collection,
-                                     const std::vector<PathId>& active) {
-  PathCollection subset(collection.graph_ptr());
-  subset.reserve(active.size());
-  for (PathId id : active) subset.add(collection.path(id));
-  return subset.path_congestion();
-}
-
 /// Protocol-level obs: run/round totals and the fault-vs-contention loss
 /// split, recorded once per run (see obs/bench_record.hpp for how these
 /// surface in the BenchRecord metrics).
@@ -156,8 +147,9 @@ const RoundReport& ProtocolSession::step() {
   report_.active_before = static_cast<std::uint32_t>(active_.size());
   report_.charged_time =
       delta + 2 * static_cast<SimTime>(dilation_ + config_.worm_length);
+  // Path congestion of the active subset (Lemma 2.4 / 2.10 tracking).
   if (config_.track_congestion)
-    report_.active_congestion = active_path_congestion(collection_, active_);
+    report_.active_congestion = collection_.path_congestion_of(active_);
 
   const auto ranks = assign_priorities(config_.priorities, active_,
                                        static_cast<std::uint32_t>(

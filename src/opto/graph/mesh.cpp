@@ -26,6 +26,7 @@ MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
 
   const std::uint32_t dims = topo.dimensions();
   std::vector<std::uint32_t> coords(dims, 0);
+  std::vector<std::uint32_t> next(dims, 0);
   for (NodeId node = 0; node < total; ++node) {
     // Connect each node to its +1 neighbor in every dimension (the -1
     // neighbor is covered by the neighbor's own +1 edge).
@@ -33,11 +34,11 @@ MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
       const std::uint32_t side = topo.sides[d];
       if (side == 1) continue;
       if (coords[d] + 1 < side) {
-        std::vector<std::uint32_t> next(coords.begin(), coords.end());
+        next = coords;
         ++next[d];
         topo.graph.add_edge(node, topo.node_at(next));
       } else if (wrap) {
-        std::vector<std::uint32_t> next(coords.begin(), coords.end());
+        next = coords;
         next[d] = 0;
         topo.graph.add_edge(node, topo.node_at(next));
       }

@@ -1,11 +1,31 @@
 #include "opto/paths/path.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "opto/util/assert.hpp"
 
 namespace opto {
+
+namespace {
+
+/// Asserts that the node sequence in `nodes` has no repeat. Sorts in
+/// place: callers pass the thread's scratch buffer, never the path's own
+/// node order. Sorting a reused buffer costs no allocation once the buffer
+/// has grown to the longest path seen, where a per-path hash set costs one
+/// per node.
+void assert_simple(std::vector<NodeId>& nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  OPTO_ASSERT_MSG(std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end(),
+                  "path revisits a node (paths must be simple)");
+}
+
+std::vector<NodeId>& node_scratch() {
+  thread_local std::vector<NodeId> scratch;
+  scratch.clear();
+  return scratch;
+}
+
+}  // namespace
 
 Path Path::from_nodes(const Graph& graph, std::span<const NodeId> nodes) {
   OPTO_ASSERT_MSG(!nodes.empty(), "path needs at least one node");
@@ -13,15 +33,14 @@ Path Path::from_nodes(const Graph& graph, std::span<const NodeId> nodes) {
   path.source_ = nodes.front();
   path.destination_ = nodes.back();
   path.links_.reserve(nodes.size() - 1);
-  std::unordered_set<NodeId> seen;
-  seen.insert(nodes.front());
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
     const EdgeId link = graph.find_link(nodes[i], nodes[i + 1]);
     OPTO_ASSERT_MSG(link != kInvalidEdge, "consecutive nodes not adjacent");
-    OPTO_ASSERT_MSG(seen.insert(nodes[i + 1]).second,
-                    "path revisits a node (paths must be simple)");
     path.links_.push_back(link);
   }
+  std::vector<NodeId>& seen = node_scratch();
+  seen.assign(nodes.begin(), nodes.end());
+  assert_simple(seen);
   return path;
 }
 
@@ -30,15 +49,15 @@ Path Path::from_links(const Graph& graph, std::vector<EdgeId> links) {
   Path path;
   path.source_ = graph.source(links.front());
   path.destination_ = graph.target(links.back());
-  std::unordered_set<NodeId> seen;
-  seen.insert(path.source_);
+  std::vector<NodeId>& seen = node_scratch();
+  seen.push_back(path.source_);
   for (std::size_t i = 0; i < links.size(); ++i) {
     if (i > 0)
       OPTO_ASSERT_MSG(graph.source(links[i]) == graph.target(links[i - 1]),
                       "links are not consecutive");
-    OPTO_ASSERT_MSG(seen.insert(graph.target(links[i])).second,
-                    "path revisits a node (paths must be simple)");
+    seen.push_back(graph.target(links[i]));
   }
+  assert_simple(seen);
   path.links_ = std::move(links);
   return path;
 }

@@ -8,6 +8,80 @@
 
 namespace opto {
 
+namespace {
+
+/// Directed links inverted to the members (paths) using them, in CSR form:
+/// link e's users are users[offsets[e], offsets[e + 1]), in increasing
+/// member order. Two flat arrays, however many links there are.
+struct LinkUsers {
+  std::vector<std::uint32_t> offsets;  ///< link_count + 1 entries
+  std::vector<std::uint32_t> users;
+
+  std::span<const std::uint32_t> of(EdgeId link) const {
+    return {users.data() + offsets[link], users.data() + offsets[link + 1]};
+  }
+};
+
+/// Counting-sort inversion of members 0..members-1, whose links are
+/// `links_of(m)`. Counts land two slots up, so after the prefix sum
+/// offsets[e + 1] is link e's first slot; the fill advances it to e's end,
+/// which leaves offsets[e] and offsets[e + 1] bracketing e's users.
+template <class LinksOf>
+LinkUsers invert_links(std::size_t link_count, std::uint32_t members,
+                       const LinksOf& links_of) {
+  LinkUsers inv;
+  inv.offsets.assign(link_count + 2, 0);
+  for (std::uint32_t m = 0; m < members; ++m)
+    for (EdgeId link : links_of(m)) ++inv.offsets[link + 2];
+  std::partial_sum(inv.offsets.begin(), inv.offsets.end(),
+                   inv.offsets.begin());
+  inv.users.resize(inv.offsets.back());
+  for (std::uint32_t m = 0; m < members; ++m)
+    for (EdgeId link : links_of(m)) inv.users[inv.offsets[link + 1]++] = m;
+  inv.offsets.pop_back();
+  return inv;
+}
+
+/// Members other than `member` sharing a directed link with it, each
+/// counted once: a sharer is stamped with `stamp` in `marks` when first
+/// seen, so callers with distinct stamps never clear `marks`.
+template <class LinksOf>
+std::uint32_t count_sharers(const LinkUsers& users, const LinksOf& links_of,
+                            std::uint32_t member, std::uint32_t stamp,
+                            std::vector<std::uint32_t>& marks) {
+  std::uint32_t sharers = 0;
+  for (EdgeId link : links_of(member)) {
+    for (std::uint32_t other : users.of(link)) {
+      if (other == member || marks[other] == stamp) continue;
+      marks[other] = stamp;
+      ++sharers;
+    }
+  }
+  return sharers;
+}
+
+/// Every member's congestion (sharers among the members), stamping each
+/// member's count with its own index.
+template <class LinksOf>
+std::vector<std::uint32_t> member_congestions(std::size_t link_count,
+                                              std::uint32_t members,
+                                              const LinksOf& links_of) {
+  const LinkUsers users = invert_links(link_count, members, links_of);
+  std::vector<std::uint32_t> result(members, 0);
+  std::vector<std::uint32_t> marks(members, ~0u);
+  for (std::uint32_t m = 0; m < members; ++m)
+    result[m] = count_sharers(users, links_of, m, m, marks);
+  return result;
+}
+
+std::uint32_t max_of(const std::vector<std::uint32_t>& values) {
+  std::uint32_t best = 0;
+  for (std::uint32_t value : values) best = std::max(best, value);
+  return best;
+}
+
+}  // namespace
+
 PathCollection& PathCollection::operator=(const PathCollection& other) {
   if (this == &other) return *this;
   graph_ = other.graph_;
@@ -21,6 +95,7 @@ PathCollection& PathCollection::operator=(PathCollection&& other) noexcept {
   graph_ = std::move(other.graph_);
   paths_ = std::move(other.paths_);
   invalidate_caches();
+  other.invalidate_caches();
   return *this;
 }
 
@@ -28,6 +103,7 @@ void PathCollection::invalidate_caches() {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   flat_cache_.reset();
   component_cache_.reset();
+  congestion_cache_.reset();
 }
 
 void PathCollection::add(Path path) {
@@ -126,40 +202,28 @@ std::vector<std::uint32_t> PathCollection::link_loads() const {
 }
 
 std::uint32_t PathCollection::edge_congestion() const {
-  const auto loads = link_loads();
-  std::uint32_t best = 0;
-  for (std::uint32_t load : loads) best = std::max(best, load);
-  return best;
+  return max_of(link_loads());
 }
 
 std::vector<std::uint32_t> PathCollection::path_congestions() const {
-  // Invert: per-link list of path ids, then per path mark every sharer once
-  // (epoch-stamped marks avoid clearing between paths).
-  std::vector<std::vector<PathId>> users(graph_ ? graph_->link_count() : 0);
-  for (PathId id = 0; id < size(); ++id)
-    for (EdgeId link : paths_[id].links()) users[link].push_back(id);
-
-  std::vector<std::uint32_t> result(size(), 0);
-  std::vector<PathId> last_marked(size(), kInvalidPath);
-  for (PathId id = 0; id < size(); ++id) {
-    std::uint32_t sharers = 0;
-    for (EdgeId link : paths_[id].links()) {
-      for (PathId other : users[link]) {
-        if (other == id || last_marked[other] == id) continue;
-        last_marked[other] = id;
-        ++sharers;
-      }
-    }
-    result[id] = sharers;
-  }
-  return result;
+  return member_congestions(
+      graph_ ? graph_->link_count() : 0, size(),
+      [this](std::uint32_t id) { return paths_[id].links(); });
 }
 
 std::uint32_t PathCollection::path_congestion() const {
-  const auto per_path = path_congestions();
-  std::uint32_t best = 0;
-  for (std::uint32_t value : per_path) best = std::max(best, value);
-  return best;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (!congestion_cache_) congestion_cache_ = max_of(path_congestions());
+  return *congestion_cache_;
+}
+
+std::uint32_t PathCollection::path_congestion_of(
+    std::span<const PathId> ids) const {
+  for (PathId id : ids) OPTO_ASSERT_MSG(id < size(), "path id out of range");
+  return max_of(member_congestions(
+      graph_ ? graph_->link_count() : 0,
+      static_cast<std::uint32_t>(ids.size()),
+      [this, ids](std::uint32_t m) { return paths_[ids[m]].links(); }));
 }
 
 std::uint32_t PathCollection::path_congestion_sampled(
@@ -167,10 +231,9 @@ std::uint32_t PathCollection::path_congestion_sampled(
   if (empty()) return 0;
   if (samples >= size()) return path_congestion();
 
-  std::vector<std::vector<PathId>> users(graph_ ? graph_->link_count() : 0);
-  for (PathId id = 0; id < size(); ++id)
-    for (EdgeId link : paths_[id].links()) users[link].push_back(id);
-
+  const auto links_of = [this](std::uint32_t id) { return paths_[id].links(); };
+  const LinkUsers users =
+      invert_links(graph_ ? graph_->link_count() : 0, size(), links_of);
   Rng rng(seed);
   // Marks are stamped with the probe index so repeated probes of one path
   // recount from scratch.
@@ -178,15 +241,7 @@ std::uint32_t PathCollection::path_congestion_sampled(
   std::uint32_t best = 0;
   for (std::uint32_t sample = 0; sample < samples; ++sample) {
     const auto id = static_cast<PathId>(rng.next_below(size()));
-    std::uint32_t sharers = 0;
-    for (EdgeId link : paths_[id].links()) {
-      for (PathId other : users[link]) {
-        if (other == id || stamp[other] == sample) continue;
-        stamp[other] = sample;
-        ++sharers;
-      }
-    }
-    best = std::max(best, sharers);
+    best = std::max(best, count_sharers(users, links_of, id, sample, stamp));
   }
   return best;
 }

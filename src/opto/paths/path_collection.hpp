@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -62,11 +63,14 @@ class PathCollection {
 
   // Copies and moves transfer the graph and paths but not the derived
   // caches (they rebuild on demand); required because the cache mutex is
-  // neither copyable nor movable.
+  // neither copyable nor movable. A moved-from collection drops its caches
+  // too, so it never reports the stats of paths it no longer holds.
   PathCollection(const PathCollection& other)
       : graph_(other.graph_), paths_(other.paths_) {}
   PathCollection(PathCollection&& other) noexcept
-      : graph_(std::move(other.graph_)), paths_(std::move(other.paths_)) {}
+      : graph_(std::move(other.graph_)), paths_(std::move(other.paths_)) {
+    other.invalidate_caches();
+  }
   PathCollection& operator=(const PathCollection& other);
   PathCollection& operator=(PathCollection&& other) noexcept;
 
@@ -92,11 +96,20 @@ class PathCollection {
   /// Exact path congestion C̃ (counts *other* paths; a path sharing a link
   /// with k identical copies of itself counts those copies).
   /// O(Σ_e load(e)²) worst case — fine at experiment scale; the bundle
-  /// structures report their C̃ analytically instead.
+  /// structures report their C̃ analytically instead. Cached: computed on
+  /// the first call, with the same lifetime and invalidation rules as
+  /// flat_paths(), so a schedule factory and the experiment harness asking
+  /// for C̃ of one trial's collection pay for it once.
   std::uint32_t path_congestion() const;
 
   /// Per-path congestion values (same definition as above).
   std::vector<std::uint32_t> path_congestions() const;
+
+  /// C̃ of the sub-multiset `ids` — sharing counted among those paths only,
+  /// as a collection holding copies of them would report — without copying
+  /// any path. Not cached (the protocol asks once per round, for a
+  /// different active set each time).
+  std::uint32_t path_congestion_of(std::span<const PathId> ids) const;
 
   /// Estimated C̃ from a uniform sample of `samples` paths: the max of the
   /// sampled paths' exact congestions. A lower bound on the true C̃ that
@@ -129,6 +142,7 @@ class PathCollection {
   mutable std::mutex cache_mutex_;
   mutable std::unique_ptr<FlatPaths> flat_cache_;
   mutable std::unique_ptr<ComponentDecomposition> component_cache_;
+  mutable std::optional<std::uint32_t> congestion_cache_;
 };
 
 /// Builds a single-graph collection from explicit node sequences
