@@ -2,21 +2,20 @@
 # Interleaved paired A/B runs of one optobench workload on two checkouts:
 #
 #   scripts/paired_ab.sh --base DIR --change DIR --workload W
-#                        [--pairs N] [--seed S] [--seconds T] [--out DIR]
+#                        [--pairs N] [--seed S] [--out DIR]
 #
 #   --base DIR     checkout of the parent commit (side A)
 #   --change DIR   checkout of the change (side B)
 #   --workload W   mesh_trials | stream_ring | dc_rwa
 #   --pairs N      pairs to run (default 10)
 #   --seed S       workload seed, the same on both sides (default 1)
-#   --seconds T    run length per side (default: run_seconds of the
-#                  change's BENCHMARK.json)
 #   --out DIR      where each run's result line is kept
 #                  (default: paired-ab/<workload>)
 #
-# Each checkout runs its own optobench/run.py with --trace 0 (each builds
-# its driver once, untimed, before the first pair). Pairs alternate which
-# side runs first. The summary gives, for every end-to-end metric of
+# Each checkout runs its own optobench/run.py with --trace 0 for the
+# run_seconds of the change's BENCHMARK.json (each builds its driver once,
+# untimed, before the first pair). Pairs alternate which side runs first.
+# The summary gives, for every end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles, the change's win
 # fraction (ties count for neither side) and a verdict: "gain" when the
 # change wins at least 9/10 of the pairs and the medians differ by more
@@ -29,7 +28,6 @@ CHANGE=""
 WORKLOAD=""
 PAIRS=10
 SEED=1
-SECONDS_PER_RUN=""
 OUT=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -38,14 +36,13 @@ while [ $# -gt 0 ]; do
     --workload) WORKLOAD="$2"; shift 2 ;;
     --pairs)    PAIRS="$2"; shift 2 ;;
     --seed)     SEED="$2"; shift 2 ;;
-    --seconds)  SECONDS_PER_RUN="$2"; shift 2 ;;
     --out)      OUT="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
 if [ -z "$BASE" ] || [ -z "$CHANGE" ] || [ -z "$WORKLOAD" ]; then
   echo "usage: $0 --base DIR --change DIR --workload W [--pairs N]" \
-       "[--seed S] [--seconds T] [--out DIR]" >&2
+       "[--seed S] [--out DIR]" >&2
   exit 2
 fi
 BASE=$(cd "$BASE" && pwd)
@@ -57,9 +54,7 @@ for side in "$BASE" "$CHANGE"; do
     exit 1
   fi
 done
-if [ -z "$SECONDS_PER_RUN" ]; then
-  SECONDS_PER_RUN=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$SPEC")
-fi
+SECONDS_PER_RUN=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$SPEC")
 OUT=${OUT:-paired-ab/$WORKLOAD}
 mkdir -p "$OUT"
 

@@ -10,9 +10,7 @@ namespace {
 
 /// Asserts that the node sequence in `nodes` has no repeat. Sorts in
 /// place: callers pass the thread's scratch buffer, never the path's own
-/// node order. Sorting a reused buffer costs no allocation once the buffer
-/// has grown to the longest path seen, where a per-path hash set costs one
-/// per node.
+/// node order.
 void assert_simple(std::vector<NodeId>& nodes) {
   std::sort(nodes.begin(), nodes.end());
   OPTO_ASSERT_MSG(std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end(),

@@ -2,14 +2,18 @@
 // mesh random function and measuring its C̃. Counted with the obs
 // allocation hook, so a per-path hash set or a per-link vector creeping
 // back into paths/ fails here rather than only in a benchmark profile.
+// The same count shows whether a collection's C̃ is cached: a cached read
+// allocates nothing, a recomputation allocates its inversion.
 // Skipped when observation is compiled out (OPTO_OBS_ENABLED=0), where
 // the hook counts nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "opto/graph/graph.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/obs/obs.hpp"
 #include "opto/paths/workloads.hpp"
@@ -28,6 +32,7 @@ constexpr std::uint64_t kAllocsPerCongestion = 8;
 class AllocBudget : public ::testing::Test {
  protected:
   void SetUp() override {
+    was_enabled_ = obs::enabled();
 #if !OPTO_OBS_ENABLED
     GTEST_SKIP() << "observation compiled out: allocations are not counted";
 #endif
@@ -38,7 +43,7 @@ class AllocBudget : public ::testing::Test {
     if (obs::alloc_count() == before)
       GTEST_SKIP() << "the allocation hook is not counting";
   }
-  void TearDown() override { obs::set_enabled(true); }
+  void TearDown() override { obs::set_enabled(was_enabled_); }
 
   template <class Fn>
   static std::uint64_t allocations(Fn&& fn) {
@@ -46,6 +51,9 @@ class AllocBudget : public ::testing::Test {
     fn();
     return obs::alloc_count() - before;
   }
+
+ private:
+  bool was_enabled_ = false;
 };
 
 std::shared_ptr<const MeshTopology> mesh(std::uint32_t side) {
@@ -88,6 +96,26 @@ TEST_F(AllocBudget, PathCongestionIsConstantPerCall) {
     EXPECT_LE(allocations([&] { (void)c.path_congestion_of(half); }),
               kAllocsPerCongestion);
   }
+}
+
+TEST_F(AllocBudget, CongestionCacheNotCarriedByCopyOrMoveConstruction) {
+  auto graph = std::make_shared<Graph>(3);
+  graph->add_edge(0, 1);
+  graph->add_edge(1, 2);
+  PathCollection original(graph);
+  for (int i = 0; i < 4; ++i)
+    original.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
+  ASSERT_EQ(original.path_congestion(), 3u);
+  EXPECT_EQ(allocations([&] { (void)original.path_congestion(); }), 0u)
+      << "cached C̃ reread allocates";
+
+  // A fresh cache recomputes (allocates its inversion) on the first read.
+  PathCollection copy(original);
+  EXPECT_GT(allocations([&] { EXPECT_EQ(copy.path_congestion(), 3u); }), 0u);
+  PathCollection moved(std::move(copy));
+  EXPECT_GT(allocations([&] { EXPECT_EQ(moved.path_congestion(), 3u); }), 0u);
+  // The moved-from collection holds no paths and no stale C̃.
+  EXPECT_EQ(copy.path_congestion(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Collection metrics — in particular the paper's path congestion C̃
 // (paths sharing a directed link), which differs from edge congestion —
 // checked against a brute-force pairwise oracle, plus the lifetime of the
-// collection's cached C̃.
+// collection's cached C̃ (what construction does to it is checked by
+// allocation count in test_alloc_budget).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -15,7 +15,6 @@
 
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/random_regular.hpp"
-#include "opto/obs/obs.hpp"
 #include "opto/paths/bfs_shortest.hpp"
 #include "opto/paths/path_collection.hpp"
 #include "opto/paths/workloads.hpp"
@@ -317,39 +316,6 @@ TEST(PathCongestionCache, ConcurrentFirstReadsAgree) {
     readers.emplace_back([&c, &seen, t] { seen[t] = c.path_congestion(); });
   for (std::thread& reader : readers) reader.join();
   for (std::uint32_t value : seen) EXPECT_EQ(value, expected);
-}
-
-/// Allocations made by `fn`, or nullopt when the allocation hook is not
-/// counting (observation compiled out or switched off).
-template <class Fn>
-std::optional<std::uint64_t> allocations_during(Fn&& fn) {
-  obs::set_enabled(true);
-  const std::uint64_t probe = obs::alloc_count();
-  int* volatile sentinel = new int(0);
-  delete sentinel;
-  if (obs::alloc_count() == probe) return std::nullopt;
-  const std::uint64_t before = obs::alloc_count();
-  fn();
-  return obs::alloc_count() - before;
-}
-
-TEST(PathCongestionCache, NotCarriedByCopyOrMoveConstruction) {
-  const auto graph = chain(3);
-  const PathCollection original = bundle(graph, 4);
-  ASSERT_EQ(original.path_congestion(), 3u);
-  const auto cached = allocations_during([&] { (void)original.path_congestion(); });
-  if (!cached) GTEST_SKIP() << "allocation counting is compiled out";
-  EXPECT_EQ(*cached, 0u);
-
-  // A fresh cache recomputes (allocates its inversion) on the first read.
-  PathCollection copy(original);
-  EXPECT_GT(*allocations_during([&] { EXPECT_EQ(copy.path_congestion(), 3u); }),
-            0u);
-  PathCollection moved(std::move(copy));
-  EXPECT_GT(*allocations_during([&] { EXPECT_EQ(moved.path_congestion(), 3u); }),
-            0u);
-  // The moved-from collection holds no paths and no stale C̃.
-  EXPECT_EQ(copy.path_congestion(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 }  // namespace
