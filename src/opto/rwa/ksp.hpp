@@ -27,4 +27,11 @@ std::vector<std::vector<NodeId>> k_shortest_routes(const Graph& graph,
                                                    NodeId destination,
                                                    std::uint32_t k);
 
+/// The first route of that order, exactly
+/// `k_shortest_routes(graph, source, destination, k).front()` for any
+/// k >= 1, or an empty route when `destination` is unreachable.
+/// Allocates only the returned route.
+std::vector<NodeId> shortest_route(const Graph& graph, NodeId source,
+                                   NodeId destination);
+
 }  // namespace opto::rwa

@@ -182,12 +182,14 @@ class RandomFitStrategy final : public SingleRouteStrategy {
   /// independent of assignment order, thread count, and batch shape.
   std::optional<Wavelength> pick(const Path& route,
                                  std::uint32_t uid) override {
-    std::vector<Wavelength> free;
+    std::uint64_t free = 0;
     for (Wavelength lambda = 0; lambda < config_.bandwidth; ++lambda)
-      if (channel_free(route, lambda)) free.push_back(lambda);
-    if (free.empty()) return std::nullopt;
+      if (channel_free(route, lambda)) ++free;
+    if (free == 0) return std::nullopt;
     const CounterRng rng(config_.seed, round_);
-    return free[rng.below(free.size(), uid, kSlotRwaWavelength)];
+    std::uint64_t rank = rng.below(free, uid, kSlotRwaWavelength);
+    for (Wavelength lambda = 0;; ++lambda)
+      if (channel_free(route, lambda) && rank-- == 0) return lambda;
   }
 };
 
@@ -205,23 +207,31 @@ class MultipathStrategy final : public Strategy {
       return accept(*graph_, routes.front(), 0);
 
     RwaDecision decision;
-    std::vector<char> used(graph_->link_count(), 0);
     for (const auto& route_nodes : routes) {
       if (decision.routes.size() >= config_.split_ways) break;
       const Path route = Path::from_nodes(*graph_, route_nodes);
-      const bool disjoint =
-          std::none_of(route.links().begin(), route.links().end(),
-                       [&](EdgeId link) { return used[link]; });
-      if (!disjoint) continue;
+      if (!disjoint_from_stripes(route, decision.routes)) continue;
       const auto lambda = first_fit(route);
       if (!lambda) continue;
       claim(route, *lambda);
-      for (EdgeId link : route.links()) used[link] = 1;
       decision.routes.push_back(route);
       decision.lambdas.push_back(*lambda);
     }
     decision.accepted = !decision.routes.empty();
     return decision;
+  }
+
+ private:
+  /// True when `route` shares no link with any stripe already placed;
+  /// there are at most split_ways of them, each a handful of links.
+  static bool disjoint_from_stripes(const Path& route,
+                                    const std::vector<Path>& stripes) {
+    for (const Path& stripe : stripes)
+      for (EdgeId link : route.links())
+        if (std::find(stripe.links().begin(), stripe.links().end(), link) !=
+            stripe.links().end())
+          return false;
+    return true;
   }
 };
 
@@ -236,9 +246,10 @@ class ValiantStrategy final : public Strategy {
   /// fallback. Waypoint choice never depends on occupancy: the route is
   /// oblivious, only the wavelength reacts to load.
   RwaDecision assign(const RwaRequest& request, std::uint32_t uid) override {
-    const auto& direct = candidates(request.source, request.destination);
+    std::vector<NodeId> direct =
+        shortest_route(*graph_, request.source, request.destination);
     if (direct.empty()) return {};
-    if (direct.front().size() == 1) return accept(*graph_, direct.front(), 0);
+    if (direct.size() == 1) return accept(*graph_, direct, 0);
 
     const CounterRng rng(config_.seed, round_);
     std::vector<NodeId> route_nodes;
@@ -246,18 +257,16 @@ class ValiantStrategy final : public Strategy {
       const NodeId mid = static_cast<NodeId>(rng.below(
           graph_->node_count(), uid, kSlotRwaWaypoint + attempt));
       if (mid == request.source || mid == request.destination) continue;
-      // unordered_map references are rehash-stable, so holding both
-      // cache entries across the second lookup is safe.
-      const auto& leg1 = candidates(request.source, mid);
-      const auto& leg2 = candidates(mid, request.destination);
-      if (leg1.empty() || leg2.empty()) continue;
-      if (!disjoint_legs(leg1.front(), leg2.front())) continue;
-      route_nodes = leg1.front();
-      route_nodes.insert(route_nodes.end(), leg2.front().begin() + 1,
-                         leg2.front().end());
+      std::vector<NodeId> leg1 = shortest_route(*graph_, request.source, mid);
+      if (leg1.empty()) continue;
+      const std::vector<NodeId> leg2 =
+          shortest_route(*graph_, mid, request.destination);
+      if (leg2.empty() || !disjoint_legs(leg1, leg2)) continue;
+      leg1.insert(leg1.end(), leg2.begin() + 1, leg2.end());
+      route_nodes = std::move(leg1);
       break;
     }
-    if (route_nodes.empty()) route_nodes = direct.front();
+    if (route_nodes.empty()) route_nodes = std::move(direct);
 
     const Path route = Path::from_nodes(*graph_, route_nodes);
     const auto lambda = first_fit(route);

@@ -1,8 +1,9 @@
-// Allocation budgets for the per-trial instance pipeline: building a
-// mesh random function and measuring its C̃. Counted with the obs
-// allocation hook, so a per-path hash set or a per-link vector creeping
-// back into paths/ fails here rather than only in a benchmark profile.
-// The same count shows whether a collection's C̃ is cached: a cached read
+// Allocation budgets for the per-trial instance pipeline (building a
+// mesh random function and measuring its C̃) and for RWA route search.
+// Counted with the obs allocation hook, so a per-path hash set, a
+// per-link vector or a per-search BFS buffer creeping back into paths/
+// or rwa/ fails here rather than only in a benchmark profile. The same
+// count shows whether a collection's C̃ is cached: a cached read
 // allocates nothing, a recomputation allocates its inversion.
 // Skipped when observation is compiled out (OPTO_OBS_ENABLED=0), where
 // the hook counts nothing.
@@ -13,11 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "opto/graph/fattree.hpp"
 #include "opto/graph/graph.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/obs/obs.hpp"
 #include "opto/paths/workloads.hpp"
 #include "opto/rng/rng.hpp"
+#include "opto/rwa/ksp.hpp"
 
 namespace opto {
 namespace {
@@ -28,6 +31,11 @@ constexpr std::uint64_t kAllocsPerPath = 12;
 // One C̃ computation: the CSR offsets and users arrays, the per-path
 // results and the sharer marks — independent of the collection's size.
 constexpr std::uint64_t kAllocsPerCongestion = 8;
+// k=3 shortest routes between two radix-8 fat-tree hosts in different
+// pods: the three routes and the result vector's growth (6), plus a set
+// node and a vector per distinct Yen candidate (7 for this pair; 20 in
+// all). A BFS buffer allocated per spur search would add 13 or more.
+constexpr std::uint64_t kAllocsPerKsp = 24;
 
 class AllocBudget : public ::testing::Test {
  protected:
@@ -116,6 +124,23 @@ TEST_F(AllocBudget, CongestionCacheNotCarriedByCopyOrMoveConstruction) {
   EXPECT_GT(allocations([&] { EXPECT_EQ(moved.path_congestion(), 3u); }), 0u);
   // The moved-from collection holds no paths and no stale C̃.
   EXPECT_EQ(copy.path_congestion(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST_F(AllocBudget, RouteSearchAllocatesOnlyItsResults) {
+  const FatTreeTopology topo = make_fat_tree(8);
+  const NodeId source = topo.hosts.front(), destination = topo.hosts.back();
+  // The first call grows the thread's search workspace.
+  (void)rwa::k_shortest_routes(topo.graph, source, destination, 3);
+  std::size_t found = 0;
+  const std::uint64_t ksp = allocations([&] {
+    found = rwa::k_shortest_routes(topo.graph, source, destination, 3).size();
+  });
+  const std::uint64_t one = allocations([&] {
+    EXPECT_EQ(rwa::shortest_route(topo.graph, source, destination).size(), 7u);
+  });
+  ASSERT_EQ(found, 3u);
+  EXPECT_LE(ksp, kAllocsPerKsp);
+  EXPECT_EQ(one, 1u) << "shortest_route allocates more than its route";
 }
 
 }  // namespace

@@ -2,16 +2,19 @@
 // Least-Used / Random-Fit assignments on small named topologies, and a
 // brute-force k-shortest-path oracle (exhaustive simple-path enumeration
 // in the canonical (length, lexicographic) order) cross-checked against
-// the Yen implementation over a few hundred generated graphs.
+// the Yen implementation and shortest_route over a few hundred generated
+// graphs, and an independent recomputation of Valiant's routes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "opto/graph/fattree.hpp"
 #include "opto/graph/graph.hpp"
+#include "opto/graph/graph_algo.hpp"
 #include "opto/graph/ring.hpp"
 #include "opto/rng/philox.hpp"
 #include "opto/rng/rng.hpp"
@@ -161,13 +164,12 @@ TEST(RwaOracle, FatTreeHostsInOnePodStayBelowTheCore) {
   EXPECT_EQ(cross_pod.front().size(), 7u);
 }
 
-/// Exhaustive oracle: every simple path source→destination by DFS, in
-/// the same canonical (length, lexicographic node sequence) order the
-/// Yen enumeration promises.
-std::vector<std::vector<NodeId>> brute_force_routes(const Graph& graph,
-                                                    NodeId source,
-                                                    NodeId destination,
-                                                    std::uint32_t k) {
+/// Exhaustive oracle: every simple path source→destination of at most
+/// `max_hops` links by DFS, in the same canonical (length, lexicographic
+/// node sequence) order the Yen enumeration promises.
+std::vector<std::vector<NodeId>> brute_force_routes(
+    const Graph& graph, NodeId source, NodeId destination, std::uint32_t k,
+    std::size_t max_hops = ~std::size_t{0}) {
   std::vector<std::vector<NodeId>> all;
   std::vector<NodeId> walk{source};
   std::vector<char> visited(graph.node_count(), 0);
@@ -177,6 +179,7 @@ std::vector<std::vector<NodeId>> brute_force_routes(const Graph& graph,
       all.push_back(walk);
       return;
     }
+    if (walk.size() > max_hops) return;
     for (const EdgeId link : graph.out_links(at)) {
       const NodeId next = graph.target(link);
       if (visited[next]) continue;
@@ -197,11 +200,57 @@ std::vector<std::vector<NodeId>> brute_force_routes(const Graph& graph,
   return all;
 }
 
+/// Probe counts of one band of generated graphs.
+struct ProbeTally {
+  std::uint64_t probes = 0;
+  std::uint64_t nonempty = 0;
+  std::uint64_t truncated = 0;
+  std::uint64_t early_exit = 0;  ///< reachable nodes lie beyond the source
+};
+
+/// Four (source, destination, k) probes on `graph`: the Yen enumeration
+/// must equal the exhaustive oracle sequence-for-sequence, and
+/// shortest_route its first route (or nothing).
+void probe_against_brute_force(const Graph& graph, Rng& rng,
+                               std::uint64_t g, ProbeTally& tally) {
+  const NodeId nodes = graph.node_count();
+  for (std::uint32_t probe = 0; probe < 4; ++probe) {
+    const NodeId source = static_cast<NodeId>(rng.next_below(nodes));
+    const NodeId destination = static_cast<NodeId>(rng.next_below(nodes));
+    const std::uint32_t k = 1u << rng.next_below(4);  // 1, 2, 4, 8
+    const auto expected = brute_force_routes(graph, source, destination, k);
+    const auto actual = k_shortest_routes(graph, source, destination, k);
+    ASSERT_EQ(actual, expected)
+        << "graph " << g << " probe " << probe << " (" << source << "→"
+        << destination << ", k=" << k << ")";
+    const auto first = shortest_route(graph, source, destination);
+    if (expected.empty())
+      EXPECT_TRUE(first.empty()) << "graph " << g << " probe " << probe;
+    else
+      EXPECT_EQ(first, expected.front()) << "graph " << g << " probe "
+                                         << probe;
+    ++tally.probes;
+    if (!expected.empty()) ++tally.nonempty;
+    if (expected.size() == k) ++tally.truncated;
+    // A node farther from the destination than the source is never
+    // reached by a reverse BFS that stops once the source has a distance.
+    const auto dist = bfs_distances(graph, destination);
+    if (dist[source] != kUnreachable &&
+        std::any_of(dist.begin(), dist.end(), [&](std::uint32_t d) {
+          return d != kUnreachable && d > dist[source];
+        }))
+      ++tally.early_exit;
+  }
+}
+
 TEST(RwaOracle, YenMatchesBruteForceOnGeneratedGraphs) {
   // ~200 random graphs (2–8 nodes, Bernoulli edges, disconnected pairs
-  // included), several (source, destination, k) probes each: the Yen
-  // enumeration must equal the exhaustive oracle sequence-for-sequence.
-  std::uint64_t probes = 0, nonempty = 0, truncated = 0;
+  // included), several (source, destination, k) probes each. Every other
+  // one is followed by a sparse 9–16-node graph (a mostly-present chain
+  // plus a few chords) whose long routes stop the reverse BFS well
+  // before it has visited every node. The sizes interleave on one
+  // thread, so the search workspace is rebound between graphs.
+  ProbeTally dense, sparse;
   for (std::uint64_t g = 0; g < 200; ++g) {
     Rng rng = Rng::stream(0xac1e, g);
     const NodeId nodes = static_cast<NodeId>(2 + rng.next_below(7));
@@ -209,26 +258,129 @@ TEST(RwaOracle, YenMatchesBruteForceOnGeneratedGraphs) {
     for (NodeId u = 0; u < nodes; ++u)
       for (NodeId v = u + 1; v < nodes; ++v)
         if (rng.next_bernoulli(0.4)) graph.add_edge(u, v);
-    for (std::uint32_t probe = 0; probe < 4; ++probe) {
-      const NodeId source = static_cast<NodeId>(rng.next_below(nodes));
-      const NodeId destination = static_cast<NodeId>(rng.next_below(nodes));
-      const std::uint32_t k = 1u << rng.next_below(4);  // 1, 2, 4, 8
-      const auto expected =
-          brute_force_routes(graph, source, destination, k);
-      const auto actual = k_shortest_routes(graph, source, destination, k);
-      ASSERT_EQ(actual, expected)
-          << "graph " << g << " probe " << probe << " (" << source << "→"
-          << destination << ", k=" << k << ")";
-      ++probes;
-      if (!expected.empty()) ++nonempty;
-      if (expected.size() == k) ++truncated;
-    }
+    probe_against_brute_force(graph, rng, g, dense);
+    if (HasFatalFailure()) return;
+    if (g % 2 != 0) continue;
+
+    Rng sparse_rng = Rng::stream(0x5ba25e, g);
+    const NodeId sparse_nodes =
+        static_cast<NodeId>(9 + sparse_rng.next_below(8));
+    Graph sparse_graph(sparse_nodes);
+    for (NodeId u = 0; u < sparse_nodes; ++u)
+      for (NodeId v = u + 1; v < sparse_nodes; ++v)
+        if (sparse_rng.next_bernoulli(v == u + 1 ? 0.85 : 0.12))
+          sparse_graph.add_edge(u, v);
+    probe_against_brute_force(sparse_graph, sparse_rng, g, sparse);
+    if (HasFatalFailure()) return;
   }
   // The sweep must actually exercise reachable pairs and the k-cutoff,
-  // not vacuously compare empty sets.
-  EXPECT_EQ(probes, 800u);
-  EXPECT_GE(nonempty, 400u);
-  EXPECT_GE(truncated, 50u);
+  // not vacuously compare empty sets, and the sparse band must exercise
+  // the early exit.
+  EXPECT_EQ(dense.probes, 800u);
+  EXPECT_GE(dense.nonempty, 400u);
+  EXPECT_GE(dense.truncated, 50u);
+  EXPECT_EQ(sparse.probes, 400u);
+  EXPECT_GE(sparse.nonempty, 300u);
+  EXPECT_GE(sparse.truncated, 200u);
+  EXPECT_GE(sparse.early_exit, 200u);
+}
+
+TEST(RwaOracle, ValiantMatchesAnIndependentRecomputationOnAFatTree) {
+  // Valiant's route is oblivious. For request uid u, waypoint attempt a
+  // draws CounterRng(seed, round).below(node_count, u, 9 + a) (slot 9 =
+  // kSlotRwaWaypoint in rwa/strategy.cpp, 32 attempts), skips the
+  // request's endpoints, and takes the first waypoint whose shortest legs
+  // meet only at the waypoint; otherwise the direct shortest route. The
+  // wavelength is the lowest one free on that route, given the requests
+  // accepted before it. Recomputed here from the exhaustive oracle over
+  // host permutations of a radix-4 fat tree.
+  const FatTreeTopology topo = make_fat_tree(4);
+  const Graph& graph = topo.graph;
+  RwaConfig config;
+  config.bandwidth = 2;
+  config.seed = 0x7a1ULL;
+  const auto strategy = make_strategy(StrategyKind::Valiant);
+  // The exhaustive first route, found by deepening the hop bound: an
+  // unbounded enumeration of a fat tree's simple paths is too slow.
+  const auto oracle_route = [&](NodeId from, NodeId to) {
+    for (std::size_t hops = 0; hops < graph.node_count(); ++hops) {
+      auto routes = brute_force_routes(graph, from, to, 1, hops);
+      if (!routes.empty()) return routes;
+    }
+    return std::vector<std::vector<NodeId>>{};
+  };
+  std::uint64_t via_waypoint = 0, direct = 0, blocked = 0;
+  for (const std::uint32_t round : {1u, 3u}) {
+    const CounterRng draws(config.seed, round);
+    for (std::uint64_t perm = 0; perm < 3; ++perm) {
+      std::vector<NodeId> destinations = topo.hosts;
+      Rng perm_rng = Rng::stream(0x7a11, perm);
+      perm_rng.shuffle(destinations);
+      strategy->begin(graph, config, round);
+      std::vector<char> busy(
+          static_cast<std::size_t>(graph.link_count()) * config.bandwidth, 0);
+      for (std::uint32_t uid = 0; uid < topo.hosts.size(); ++uid) {
+        const NodeId s = topo.hosts[uid], d = destinations[uid];
+        const auto shortest = oracle_route(s, d);
+        ASSERT_EQ(shortest.size(), 1u);
+        std::vector<NodeId> expected = shortest.front();
+        bool waypoint_found = false;
+        for (std::uint32_t attempt = 0; s != d && attempt < 32; ++attempt) {
+          const auto mid = static_cast<NodeId>(
+              draws.below(graph.node_count(), uid, 9 + attempt));
+          if (mid == s || mid == d) continue;
+          const auto leg1 = oracle_route(s, mid);
+          const auto leg2 = oracle_route(mid, d);
+          if (leg1.empty() || leg2.empty()) continue;
+          std::vector<NodeId> joined = leg1.front();
+          joined.insert(joined.end(), leg2.front().begin() + 1,
+                        leg2.front().end());
+          std::vector<NodeId> sorted = joined;
+          std::sort(sorted.begin(), sorted.end());
+          if (std::adjacent_find(sorted.begin(), sorted.end()) !=
+              sorted.end())
+            continue;  // the legs share more than the waypoint
+          expected = std::move(joined);
+          waypoint_found = true;
+          break;
+        }
+
+        std::vector<EdgeId> links;
+        for (std::size_t i = 0; i + 1 < expected.size(); ++i)
+          links.push_back(graph.find_link(expected[i], expected[i + 1]));
+        std::optional<Wavelength> lambda;
+        for (Wavelength l = 0; l < config.bandwidth && !lambda; ++l)
+          if (std::none_of(links.begin(), links.end(), [&](EdgeId e) {
+                return busy[static_cast<std::size_t>(e) * config.bandwidth +
+                            l];
+              }))
+            lambda = l;
+
+        const RwaDecision decision = strategy->assign(RwaRequest{s, d}, uid);
+        ASSERT_EQ(decision.accepted, lambda.has_value())
+            << "round " << round << " perm " << perm << " uid " << uid;
+        if (!lambda) {
+          ++blocked;
+          continue;
+        }
+        ASSERT_EQ(decision.routes.size(), 1u);
+        const auto actual = decision.routes.front().links();
+        EXPECT_TRUE(std::equal(actual.begin(), actual.end(), links.begin(),
+                               links.end()))
+            << "round " << round << " perm " << perm << " uid " << uid;
+        EXPECT_EQ(decision.lambdas.front(), *lambda)
+            << "round " << round << " perm " << perm << " uid " << uid;
+        for (EdgeId e : links)
+          busy[static_cast<std::size_t>(e) * config.bandwidth + *lambda] = 1;
+        ++(waypoint_found ? via_waypoint : direct);
+      }
+    }
+  }
+  // Every branch is exercised: waypoint routes, the direct fallback
+  // (same-edge-switch pairs can never split), and blocking.
+  EXPECT_GT(via_waypoint, 0u);
+  EXPECT_GT(direct, 0u);
+  EXPECT_GT(blocked, 0u);
 }
 
 TEST(RwaOracle, SourceEqualsDestinationIsTheZeroLengthRoute) {
