@@ -112,66 +112,6 @@ void BM_SimulatorBundleContention(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorBundleContention)->Arg(64)->Arg(512)->Arg(4096);
 
-/// Shared setup for the multi-component scenarios: `structures`
-/// edge-disjoint staircases (one contention component each) under the
-/// priority rule, long worms, dense launches. This is the acceptance
-/// workload for the sharded pass mode — the same collection and specs are
-/// measured with sharding forced Off (sequential baseline) and On.
-struct MultiComponentWorkload {
-  PathCollection collection;
-  std::vector<LaunchSpec> specs;
-
-  explicit MultiComponentWorkload(std::uint32_t structures)
-      : collection(make_staircase_collection(structures, 8, 24, 9)) {
-    specs.resize(collection.size());
-    Rng rng(5);
-    for (PathId id = 0; id < collection.size(); ++id) {
-      specs[id].path = id;
-      specs[id].start_time = static_cast<SimTime>(rng.next_below(8));
-      specs[id].wavelength = static_cast<Wavelength>(rng.next_below(2));
-      specs[id].length = 9;
-      specs[id].priority = id;
-    }
-  }
-};
-
-void run_multi_component(benchmark::State& state, PassSharding sharding) {
-  const auto structures = static_cast<std::uint32_t>(state.range(0));
-  MultiComponentWorkload workload(structures);
-  SimConfig config;
-  config.bandwidth = 2;
-  config.rule = ContentionRule::Priority;
-  config.sharding = sharding;
-  Simulator sim(workload.collection, config);
-  PassResult result;
-  std::uint64_t worm_steps = 0;
-  for (auto _ : state) {
-    sim.run(workload.specs, result);
-    worm_steps += result.metrics.worm_steps;
-    benchmark::DoNotOptimize(result.metrics.delivered);
-  }
-  state.counters["worm_steps/s"] = benchmark::Counter(
-      static_cast<double>(worm_steps), benchmark::Counter::kIsRate);
-  state.counters["components"] =
-      static_cast<double>(workload.collection.components().count);
-}
-
-// Both variants measure wall time (UseRealTime): the sharded pass does
-// its work on pool threads, so main-thread CPU time would flatter it.
-void BM_SimulatorMultiComponentSequential(benchmark::State& state) {
-  run_multi_component(state, PassSharding::Off);
-}
-BENCHMARK(BM_SimulatorMultiComponentSequential)
-    ->Arg(8)->Arg(64)->UseRealTime();
-
-/// Sharded counterpart; thread count comes from OPTO_THREADS (the pool is
-/// ThreadPool::global()), so the perf suite's environment governs the
-/// parallelism actually measured.
-void BM_SimulatorMultiComponentSharded(benchmark::State& state) {
-  run_multi_component(state, PassSharding::On);
-}
-BENCHMARK(BM_SimulatorMultiComponentSharded)->Arg(8)->Arg(64)->UseRealTime();
-
 void BM_PathCongestionMetric(benchmark::State& state) {
   const auto dim = static_cast<std::uint32_t>(state.range(0));
   auto topo = std::make_shared<ButterflyTopology>(make_butterfly(dim));

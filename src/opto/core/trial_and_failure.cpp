@@ -28,7 +28,6 @@ SimConfig protocol_sim_config(const ProtocolConfig& config,
   sim.conversion = config.conversion;
   sim.converters = config.converters;
   sim.faults = plan;
-  sim.sharding = config.sharding;
   return sim;
 }
 

@@ -73,10 +73,6 @@ struct ProtocolConfig {
   FaultConfig faults;
   /// Δ_t backoff applied after fault-caused losses; inert without faults.
   RetryPolicy retry;
-  /// Contention-component pass sharding, forwarded to the simulators
-  /// (sim/simulator.hpp). Auto lets large multi-component passes run on
-  /// the thread pool; model-level results are identical in every mode.
-  PassSharding sharding = PassSharding::Auto;
 };
 
 struct RoundReport {

@@ -9,8 +9,8 @@
 //
 // The result document ("opto.scenario.result/1") contains only
 // deterministic model-level values: no wall-clock fields, no engine
-// instrumentation counters (those differ across PassSharding modes by
-// the DESIGN.md §7 contract).
+// instrumentation counters. Every value is invariant under the pool
+// width (OPTO_THREADS, DESIGN.md §7).
 #pragma once
 
 #include <cstdint>

@@ -333,7 +333,10 @@ class Validator {
                                topo.family == "explicit")) {
         saw_nodes = true;
         const std::uint64_t lo = topo.family == "ring" ? 3 : 2;
-        return get_u32(s, lo, std::uint64_t{1} << 16, topo.nodes) ? 1 : -1;
+        // make_complete caps K_n at 2048 nodes (~2M edges).
+        const std::uint64_t hi =
+            topo.family == "complete" ? 2048 : std::uint64_t{1} << 16;
+        return get_u32(s, lo, hi, topo.nodes) ? 1 : -1;
       }
       if (s.key == "edges" && topo.family == "explicit") {
         saw_edges = true;

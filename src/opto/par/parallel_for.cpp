@@ -63,8 +63,8 @@ void parallel_for_chunked(
   const std::size_t workers = pool->thread_count();
   // Run inline from a worker of the same pool: blocking in wait() while
   // our chunks sit behind other blocked workers' chunks can deadlock the
-  // pool (nested parallel_for, e.g. a sharded simulator pass inside a
-  // parallel trial).
+  // pool (nested parallel_for, e.g. run_many or run_trials called from a
+  // task already running on the pool).
   if (workers <= 1 || count == 1 || pool->on_worker_thread()) {
     body(begin, end);
     return;

@@ -1,8 +1,8 @@
 #include "opto/paths/path_collection.hpp"
 
 #include <algorithm>
-#include <numeric>
 
+#include "opto/paths/link_users.hpp"
 #include "opto/rng/rng.hpp"
 #include "opto/util/assert.hpp"
 
@@ -10,55 +10,9 @@ namespace opto {
 
 namespace {
 
-/// Directed links inverted to the members (paths) using them, in CSR form:
-/// link e's users are users[offsets[e], offsets[e + 1]), in increasing
-/// member order. Two flat arrays, however many links there are.
-struct LinkUsers {
-  std::vector<std::uint32_t> offsets;  ///< link_count + 1 entries
-  std::vector<std::uint32_t> users;
-
-  std::span<const std::uint32_t> of(EdgeId link) const {
-    return {users.data() + offsets[link], users.data() + offsets[link + 1]};
-  }
-};
-
-/// Counting-sort inversion of members 0..members-1, whose links are
-/// `links_of(m)`. Counts land two slots up, so after the prefix sum
-/// offsets[e + 1] is link e's first slot; the fill advances it to e's end,
-/// which leaves offsets[e] and offsets[e + 1] bracketing e's users.
-template <class LinksOf>
-LinkUsers invert_links(std::size_t link_count, std::uint32_t members,
-                       const LinksOf& links_of) {
-  LinkUsers inv;
-  inv.offsets.assign(link_count + 2, 0);
-  for (std::uint32_t m = 0; m < members; ++m)
-    for (EdgeId link : links_of(m)) ++inv.offsets[link + 2];
-  std::partial_sum(inv.offsets.begin(), inv.offsets.end(),
-                   inv.offsets.begin());
-  inv.users.resize(inv.offsets.back());
-  for (std::uint32_t m = 0; m < members; ++m)
-    for (EdgeId link : links_of(m)) inv.users[inv.offsets[link + 1]++] = m;
-  inv.offsets.pop_back();
-  return inv;
-}
-
-/// Members other than `member` sharing a directed link with it, each
-/// counted once: a sharer is stamped with `stamp` in `marks` when first
-/// seen, so callers with distinct stamps never clear `marks`.
-template <class LinksOf>
-std::uint32_t count_sharers(const LinkUsers& users, const LinksOf& links_of,
-                            std::uint32_t member, std::uint32_t stamp,
-                            std::vector<std::uint32_t>& marks) {
-  std::uint32_t sharers = 0;
-  for (EdgeId link : links_of(member)) {
-    for (std::uint32_t other : users.of(link)) {
-      if (other == member || marks[other] == stamp) continue;
-      marks[other] = stamp;
-      ++sharers;
-    }
-  }
-  return sharers;
-}
+using detail::count_sharers;
+using detail::invert_links;
+using detail::LinkUsers;
 
 /// Every member's congestion (sharers among the members), stamping each
 /// member's count with its own index.
@@ -102,7 +56,6 @@ PathCollection& PathCollection::operator=(PathCollection&& other) noexcept {
 void PathCollection::invalidate_caches() {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   flat_cache_.reset();
-  component_cache_.reset();
   congestion_cache_.reset();
 }
 
@@ -130,62 +83,6 @@ const FlatPaths& PathCollection::flat_paths() const {
     flat_cache_ = std::move(flat);
   }
   return *flat_cache_;
-}
-
-const ComponentDecomposition& PathCollection::components() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (!component_cache_) {
-    auto dec = std::make_unique<ComponentDecomposition>();
-    const std::uint32_t n = size();
-    // Union-find with path halving + union by size. Two paths meet iff
-    // they use a common directed link, so unioning every path into the
-    // *first* user of each of its links wires up exactly the "shares a
-    // link" relation in O(Σ lengths · α) without materializing per-link
-    // user lists.
-    std::vector<PathId> parent(n);
-    std::iota(parent.begin(), parent.end(), PathId{0});
-    std::vector<std::uint32_t> tree_size(n, 1);
-    const auto find = [&parent](PathId x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    const auto unite = [&](PathId a, PathId b) {
-      a = find(a);
-      b = find(b);
-      if (a == b) return;
-      if (tree_size[a] < tree_size[b]) std::swap(a, b);
-      parent[b] = a;
-      tree_size[a] += tree_size[b];
-    };
-    std::vector<PathId> first_user(graph_ ? graph_->link_count() : 0,
-                                   kInvalidPath);
-    for (PathId id = 0; id < n; ++id) {
-      for (EdgeId link : paths_[id].links()) {
-        if (first_user[link] == kInvalidPath)
-          first_user[link] = id;
-        else
-          unite(first_user[link], id);
-      }
-    }
-    // Canonical numbering: component c is the c-th distinct root in
-    // path-id order (so a zero-length path is its own singleton).
-    dec->component_of.assign(n, 0);
-    std::vector<std::uint32_t> label(n, ~0u);
-    for (PathId id = 0; id < n; ++id) {
-      const PathId root = find(id);
-      if (label[root] == ~0u) {
-        label[root] = dec->count++;
-        dec->sizes.push_back(0);
-      }
-      dec->component_of[id] = label[root];
-      ++dec->sizes[label[root]];
-    }
-    component_cache_ = std::move(dec);
-  }
-  return *component_cache_;
 }
 
 std::uint32_t PathCollection::dilation() const {

@@ -41,20 +41,6 @@ struct FlatPaths {
   std::vector<EdgeId> links;           ///< all paths' links, concatenated
 };
 
-/// Partition of the paths into *contention components*: the connected
-/// components of the "shares a directed link" relation. Worms on paths in
-/// different components can never interact — not through occupancy,
-/// contention, truncation, witnesses, or wavelength conversion — which is
-/// the independence the simulator's sharded pass mode exploits (and the
-/// same edge-disjointness the paper's witness-tree bounds rest on).
-/// Components are numbered by first appearance in path-id order, so the
-/// labelling is canonical and reproducible.
-struct ComponentDecomposition {
-  std::uint32_t count = 0;
-  std::vector<std::uint32_t> component_of;  ///< per PathId
-  std::vector<std::uint32_t> sizes;         ///< paths per component
-};
-
 class PathCollection {
  public:
   PathCollection() = default;
@@ -125,11 +111,6 @@ class PathCollection {
   /// — stays valid until the next mutation of the collection.
   const FlatPaths& flat_paths() const;
 
-  /// Cached contention-component decomposition (union-find over "first
-  /// path seen per directed link", O(Σ lengths · α)); same lifetime and
-  /// invalidation rules as flat_paths().
-  const ComponentDecomposition& components() const;
-
  private:
   void invalidate_caches();
 
@@ -141,7 +122,6 @@ class PathCollection {
   // collection) build them exactly once.
   mutable std::mutex cache_mutex_;
   mutable std::unique_ptr<FlatPaths> flat_cache_;
-  mutable std::unique_ptr<ComponentDecomposition> component_cache_;
   mutable std::optional<std::uint32_t> congestion_cache_;
 };
 

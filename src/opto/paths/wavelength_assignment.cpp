@@ -3,29 +3,33 @@
 #include <algorithm>
 #include <numeric>
 
+#include "opto/paths/link_users.hpp"
 #include "opto/util/assert.hpp"
 
 namespace opto {
 namespace {
 
+/// Path id → its links: the member view the link inversion walks.
+auto path_links(const PathCollection& collection) {
+  return [&collection](PathId id) { return collection.path(id).links(); };
+}
+
+/// Directed links inverted to the paths using them, in path-id order.
+detail::LinkUsers link_users(const PathCollection& collection) {
+  return detail::invert_links(collection.graph().link_count(),
+                              collection.size(), path_links(collection));
+}
+
 /// Adjacency lists of the path conflict graph, deduplicated.
 std::vector<std::vector<PathId>> conflict_graph(
     const PathCollection& collection) {
-  std::vector<std::vector<PathId>> users(collection.graph().link_count());
-  for (PathId id = 0; id < collection.size(); ++id)
-    for (EdgeId link : collection.path(id).links()) users[link].push_back(id);
-
+  const detail::LinkUsers users = link_users(collection);
   std::vector<std::vector<PathId>> adjacency(collection.size());
-  std::vector<PathId> last_marked(collection.size(), kInvalidPath);
-  for (PathId id = 0; id < collection.size(); ++id) {
-    for (EdgeId link : collection.path(id).links()) {
-      for (PathId other : users[link]) {
-        if (other == id || last_marked[other] == id) continue;
-        last_marked[other] = id;
-        adjacency[id].push_back(other);
-      }
-    }
-  }
+  std::vector<std::uint32_t> marks(collection.size(), kInvalidPath);
+  for (PathId id = 0; id < collection.size(); ++id)
+    detail::for_each_sharer(
+        users, path_links(collection), id, id, marks,
+        [&adjacency, id](PathId other) { adjacency[id].push_back(other); });
   return adjacency;
 }
 
@@ -63,14 +67,14 @@ WavelengthAssignment assign_wavelengths(const PathCollection& collection,
 bool is_valid_assignment(const PathCollection& collection,
                          const WavelengthAssignment& assignment) {
   OPTO_ASSERT(assignment.color.size() == collection.size());
-  std::vector<std::vector<PathId>> users(collection.graph().link_count());
-  for (PathId id = 0; id < collection.size(); ++id)
-    for (EdgeId link : collection.path(id).links()) users[link].push_back(id);
-  for (const auto& list : users)
+  const detail::LinkUsers users = link_users(collection);
+  for (EdgeId link = 0; link < users.link_count(); ++link) {
+    const std::span<const std::uint32_t> list = users.of(link);
     for (std::size_t a = 0; a < list.size(); ++a)
       for (std::size_t b = a + 1; b < list.size(); ++b)
         if (assignment.color[list[a]] == assignment.color[list[b]])
           return false;
+  }
   return true;
 }
 

@@ -11,9 +11,9 @@
 // the fraction of requests the strategy could not place in round 1.
 //
 // Determinism: the driver is sequential over rounds and requests; all
-// randomness inside a strategy is counter-based (strategy.hpp), and the
-// simulated passes are byte-identical across OPTO_THREADS by the
-// DESIGN.md §7 sharding contract — so every result field is a pure
+// randomness inside a strategy is counter-based (strategy.hpp), and each
+// simulated pass runs sequentially on one thread, so its output cannot
+// depend on the pool width (DESIGN.md §7) — every result field is a pure
 // function of (graph, requests, config).
 #pragma once
 

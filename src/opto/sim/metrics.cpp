@@ -1,30 +1,6 @@
 #include "opto/sim/metrics.hpp"
 
-#include <algorithm>
-
 namespace opto {
-
-void PassMetrics::merge(const PassMetrics& other) {
-  launched += other.launched;
-  delivered += other.delivered;
-  killed += other.killed;
-  truncated += other.truncated;
-  truncated_arrivals += other.truncated_arrivals;
-  contentions += other.contentions;
-  retunes += other.retunes;
-  fault_kills += other.fault_kills;
-  pinned_blocks += other.pinned_blocks;
-  corrupted += other.corrupted;
-  corrupted_arrivals += other.corrupted_arrivals;
-  makespan = std::max(makespan, other.makespan);
-  worm_steps += other.worm_steps;
-  link_busy_steps += other.link_busy_steps;
-  steps += other.steps;
-  registry_probes += other.registry_probes;
-  registry_hits += other.registry_hits;
-  peak_inflight = std::max(peak_inflight, other.peak_inflight);
-  wall_ns += other.wall_ns;
-}
 
 double PassMetrics::utilization(std::uint64_t link_count,
                                 std::uint16_t bandwidth) const {

@@ -50,8 +50,6 @@ struct PassMetrics {
   /// OPTO_PROFILE environment variable is set (non-empty).
   std::uint64_t wall_ns = 0;
 
-  void merge(const PassMetrics& other);
-
   /// Fraction of (link, wavelength, step) slots that carried a flit.
   double utilization(std::uint64_t link_count, std::uint16_t bandwidth) const;
 };

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,27 +34,12 @@
 
 namespace opto {
 
-class ThreadPool;
-
-/// Contention-component sharding of a pass (DESIGN.md §7). Paths in
-/// different components share no directed link, so their worms can never
-/// interact; a sharded pass runs each component group on the thread pool
-/// and merges deterministically. Model-level output (worm outcomes, model
-/// metrics, the canonical trace) is identical in every mode and invariant
-/// across pool widths; only the engine-local instrumentation counters
-/// (steps, registry probes, peak_inflight) differ between Off and On.
-enum class PassSharding : std::uint8_t {
-  Auto,  ///< shard large multi-component passes unless OPTO_PASS_SHARDING=0
-  Off,   ///< always the sequential engine
-  On,    ///< shard whenever ≥ 2 components are active (ignores the env gate)
-};
-
 /// Per-simulator override of the SIMD lane policy (par/simd.hpp). Auto
 /// follows the process-wide level (compile-time OPTO_SIMD_LEVEL capped by
 /// the OPTO_SIMD env var); Off pins this simulator to the scalar kernels
 /// regardless. Lane width never changes any output — worm outcomes, model
 /// metrics, instrumentation counters, and the raw trace are byte-identical
-/// across modes (the simd-diff CI job and differ stage 5 enforce this) —
+/// across modes (the simd-diff CI job and differ stage 3 enforce this) —
 /// so Off exists for differential testing, not for correctness.
 enum class SimdMode : std::uint8_t { Auto, Off };
 
@@ -81,10 +65,6 @@ struct SimConfig {
   /// simulator. Null — or a disabled zero-fault plan — leaves every code
   /// path and outcome bit-identical to the fault-free engine.
   const FaultPlan* faults = nullptr;
-  /// Contention-component parallelism for run(); see PassSharding.
-  PassSharding sharding = PassSharding::Auto;
-  /// Pool used by sharded passes; null selects ThreadPool::global().
-  ThreadPool* pool = nullptr;
   /// Lane policy for the packed attempt kernels; see SimdMode.
   SimdMode simd = SimdMode::Auto;
 };
@@ -153,7 +133,7 @@ class Simulator {
  public:
   /// The collection must outlive the simulator and must not gain paths
   /// while any simulator built on it is in use (construction snapshots
-  /// the collection's flattened-link and component caches).
+  /// the collection's flattened-link cache).
   Simulator(const PathCollection& collection, SimConfig config);
 
   /// Simulates one forward pass of all `specs` worms to quiescence.
@@ -185,32 +165,16 @@ class Simulator {
 
   bool converts_at(NodeId node) const;
 
-  /// The sequential engine: one pass over `specs` to quiescence.
-  void run_pass(std::span<const LaunchSpec> specs, PassResult& result);
-
-  /// The sharded engine: groups specs by contention component, runs each
-  /// group on an independent shard simulator, merges deterministically.
-  void run_sharded(std::span<const LaunchSpec> specs, PassResult& result);
-
-  bool use_sharding(std::span<const LaunchSpec> specs) const;
-
-  /// Worm id as the fault plan (and the caller) sees it: shard-local ids
-  /// map back through the parent's spec indices.
-  WormId global_worm_id(WormId id) const {
-    return shard_global_ids_.empty() ? id : shard_global_ids_[id];
-  }
-
   const PathCollection& collection_;
   SimConfig config_;
   OccupancyRegistry registry_;
   std::span<const PinnedSlot> pinned_;  ///< held channels; see set_pinned()
 
   // Immutable per-collection views, snapshotted at construction (SoA hot
-  // path + sharding decisions): the flattened link array, the contention
-  // components, and the per-link "source node converts" bitmap.
+  // path): the flattened link array and the per-link "source node
+  // converts" bitmap.
   std::span<const std::uint32_t> flat_offsets_;
   std::span<const EdgeId> flat_links_;
-  const ComponentDecomposition* components_ = nullptr;
   std::vector<char> link_converts_;  ///< sized iff conversion is enabled
 
   // Packed-attempt key layout (attempt_kernel.hpp), fixed at construction.
@@ -254,26 +218,6 @@ class Simulator {
   std::vector<std::uint32_t> cursor_end_;
   std::vector<std::uint32_t> wl_;  ///< widened for 32-bit SIMD gathers
   std::vector<WormStatus> status_;
-
-  // Sharded-pass state. The parent keeps a bounded set of shard
-  // simulators (≤ kMaxShards, lazily built, reused across passes — zero
-  // steady-state allocation); each shard is a plain sequential Simulator
-  // whose worm ids are spec indices into its bucket.
-  bool is_shard_ = false;
-  std::span<const WormId> shard_global_ids_;  ///< set on shards by parent
-  std::vector<std::unique_ptr<Simulator>> shards_;
-  std::vector<std::vector<LaunchSpec>> shard_specs_;
-  std::vector<std::vector<WormId>> shard_ids_;  ///< bucket → global spec ids
-  std::vector<PassResult> shard_results_;
-  // Active-component bookkeeping (epoch-stamped so a pass touching few of
-  // many components stays O(active), not O(total components)).
-  std::vector<std::uint32_t> comp_stamp_;
-  std::vector<std::uint32_t> comp_slot_;
-  std::uint32_t pass_epoch_ = 0;
-  std::vector<std::uint32_t> active_counts_;
-  std::vector<std::uint32_t> comp_order_;
-  std::vector<std::uint32_t> bucket_of_slot_;
-  std::vector<TraceEvent> trace_merge_;
 };
 
 }  // namespace opto

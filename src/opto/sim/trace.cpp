@@ -1,23 +1,8 @@
 #include "opto/sim/trace.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <tuple>
 
 namespace opto {
-
-bool canonical_less(const TraceEvent& a, const TraceEvent& b) {
-  return std::tuple(a.time, static_cast<std::uint8_t>(a.kind), a.worm, a.link,
-                    a.wavelength, a.other) <
-         std::tuple(b.time, static_cast<std::uint8_t>(b.kind), b.worm, b.link,
-                    b.wavelength, b.other);
-}
-
-std::vector<TraceEvent> canonical_events(const Trace& trace) {
-  std::vector<TraceEvent> events = trace.events();
-  std::sort(events.begin(), events.end(), canonical_less);
-  return events;
-}
 
 const char* to_string(TraceKind kind) {
   switch (kind) {

@@ -36,13 +36,6 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Canonical total order on events: (time, kind, worm, link, wavelength,
-/// other). The sequential engine emits same-time events in resolution
-/// order; the sharded engine merges per-component traces under this key.
-/// Sorting either engine's trace yields the same sequence — within one
-/// step no two events agree on all six fields, so the order is total.
-bool canonical_less(const TraceEvent& a, const TraceEvent& b);
-
 class Trace {
  public:
   explicit Trace(bool enabled = false) : enabled_(enabled) {}
@@ -76,11 +69,5 @@ class Trace {
   bool enabled_;
   std::vector<TraceEvent> events_;
 };
-
-/// Copy of the trace's events sorted into the canonical order (the live
-/// trace keeps its emission order). Two engine modes producing the same
-/// event *set* compare equal through this view regardless of how they
-/// interleaved same-step work.
-std::vector<TraceEvent> canonical_events(const Trace& trace);
 
 }  // namespace opto

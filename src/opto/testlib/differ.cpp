@@ -152,9 +152,9 @@ void compare_runs(const PassResult& a, const PassResult& b,
   check("peak_inflight", m.peak_inflight, n.peak_inflight);
 }
 
-/// Raw (non-canonical) trace equality: lane width must not even reorder
-/// events within a timestamp, so the SIMD stage compares the recorded
-/// stream as-is rather than the canonical ordering.
+/// Raw trace equality: lane width must not even reorder events within a
+/// timestamp, so the SIMD stage compares the recorded stream event by
+/// event.
 void compare_traces_exact(const PassResult& a, const PassResult& b,
                           std::vector<std::string>* issues, const char* src) {
   const auto& x = a.trace.events();
@@ -172,80 +172,6 @@ void compare_traces_exact(const PassResult& a, const PassResult& b,
     os << "[" << src << "] raw trace diverges at event " << i << " (\""
        << Trace::describe(x[i]) << "\" vs \"" << Trace::describe(y[i])
        << "\")";
-    issues->push_back(os.str());
-    return;  // one divergence is enough; later events usually cascade
-  }
-}
-
-/// Sequential-vs-sharded engine comparison: every model-level output —
-/// worm outcomes, model metrics, the canonical trace — must match
-/// exactly. The engine-local instrumentation counters (steps, registry
-/// probes/hits, peak_inflight) are excluded by contract: a sharded pass
-/// sums them over per-component registries and time loops (DESIGN.md §7).
-void compare_sharded(const PassResult& seq, const PassResult& shard,
-                     std::vector<std::string>* issues) {
-  const char* src = "sharded";
-  for (WormId id = 0; id < seq.worms.size(); ++id) {
-    const WormOutcome& x = seq.worms[id];
-    const WormOutcome& y = shard.worms[id];
-    if (x.status != y.status)
-      report_worm(issues, src, id, "status", static_cast<long long>(x.status),
-                  static_cast<long long>(y.status));
-    if (x.truncated != y.truncated)
-      report_worm(issues, src, id, "truncated", x.truncated, y.truncated);
-    if (x.corrupted != y.corrupted)
-      report_worm(issues, src, id, "corrupted", x.corrupted, y.corrupted);
-    if (x.fault_loss != y.fault_loss)
-      report_worm(issues, src, id, "fault_loss", x.fault_loss, y.fault_loss);
-    if (x.pinned_loss != y.pinned_loss)
-      report_worm(issues, src, id, "pinned_loss", x.pinned_loss,
-                  y.pinned_loss);
-    if (x.finish_time != y.finish_time)
-      report_worm(issues, src, id, "finish_time", x.finish_time,
-                  y.finish_time);
-    if (x.blocked_at_link != y.blocked_at_link)
-      report_worm(issues, src, id, "blocked_at_link", x.blocked_at_link,
-                  y.blocked_at_link);
-    if (x.blocked_by != y.blocked_by)
-      report_worm(issues, src, id, "blocked_by", x.blocked_by, y.blocked_by);
-  }
-  const PassMetrics& m = seq.metrics;
-  const PassMetrics& n = shard.metrics;
-  const auto check = [issues, src](const char* name, std::uint64_t x,
-                                   std::uint64_t y) {
-    if (x != y) report_metric(issues, src, name, x, y);
-  };
-  check("launched", m.launched, n.launched);
-  check("delivered", m.delivered, n.delivered);
-  check("killed", m.killed, n.killed);
-  check("truncated", m.truncated, n.truncated);
-  check("truncated_arrivals", m.truncated_arrivals, n.truncated_arrivals);
-  check("contentions", m.contentions, n.contentions);
-  check("retunes", m.retunes, n.retunes);
-  check("fault_kills", m.fault_kills, n.fault_kills);
-  check("pinned_blocks", m.pinned_blocks, n.pinned_blocks);
-  check("corrupted", m.corrupted, n.corrupted);
-  check("corrupted_arrivals", m.corrupted_arrivals, n.corrupted_arrivals);
-  check("makespan", static_cast<std::uint64_t>(m.makespan),
-        static_cast<std::uint64_t>(n.makespan));
-  check("worm_steps", m.worm_steps, n.worm_steps);
-  check("link_busy_steps", m.link_busy_steps, n.link_busy_steps);
-
-  const std::vector<TraceEvent> a = canonical_events(seq.trace);
-  const std::vector<TraceEvent> b = canonical_events(shard.trace);
-  if (a.size() != b.size()) {
-    std::ostringstream os;
-    os << "[" << src << "] trace size mismatch (sequential " << a.size()
-       << " events vs sharded " << b.size() << ")";
-    issues->push_back(os.str());
-    return;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) continue;
-    std::ostringstream os;
-    os << "[" << src << "] canonical trace diverges at event " << i
-       << " (sequential \"" << Trace::describe(a[i]) << "\" vs sharded \""
-       << Trace::describe(b[i]) << "\")";
     issues->push_back(os.str());
     return;  // one divergence is enough; later events usually cascade
   }
@@ -325,7 +251,7 @@ std::optional<std::uint64_t> replay_strategy(
   return blocked_first_round;
 }
 
-/// Stage 7: every RWA strategy over the case's path endpoints — decision
+/// Stage 6: every RWA strategy over the case's path endpoints — decision
 /// invariants via the manual replay, then two independent scheduled runs
 /// that must agree field-for-field (counter-based RNG determinism).
 void diff_rwa(std::shared_ptr<const Graph> graph, const FuzzCase& fuzz,
@@ -424,7 +350,7 @@ DiffReport diff_case(const FuzzCase& fuzz) {
   // per-instance SimConfig::simd override (the OPTO_SIMD env cap is read
   // once per process, so an env round-trip is not testable in-process),
   // must reproduce the lane run bit-for-bit — instrumentation counters
-  // and the raw, non-canonical trace order included. In a scalar build
+  // and the raw trace order included. In a scalar build
   // (OPTO_SIMD_LEVEL=0) or under OPTO_SIMD=0 both runs use the scalar
   // kernels and the stage degenerates to a determinism check.
   SimConfig scalar_config = config;
@@ -443,19 +369,6 @@ DiffReport diff_case(const FuzzCase& fuzz) {
       validate_occupancy(built->collection, fuzz.specs, fast);
   for (const std::string& violation : occupancy_report.violations)
     report.issues.push_back("[occupancy] " + violation);
-
-  // Sharded-engine cross-check: force component sharding On (bypassing
-  // Auto's size floor and the env gate) so even tiny cases exercise the
-  // decomposition, scatter, and merge machinery. Single-component cases
-  // degenerate to the sequential engine inside run(), which makes this a
-  // (cheap) tautology there — the generator's disjoint/hub families keep
-  // the multi-component rate up.
-  SimConfig sharded_config = config;
-  sharded_config.sharding = PassSharding::On;
-  Simulator sharded(built->collection, sharded_config);
-  sharded.set_pinned(pinned);
-  const PassResult shard_pass = sharded.run(fuzz.specs);
-  compare_sharded(fast, shard_pass, &report.issues);
 
   const bool faults_active =
       config.faults != nullptr && config.faults->enabled();

@@ -11,17 +11,13 @@
 //     never change a single byte (attempt_kernel.hpp contract);
 //  4. the validate.hpp invariant checkers (conservation, finish-time
 //     windows, witnesses, trace-based occupancy disjointness);
-//  5. a sequential-vs-sharded engine comparison (PassSharding::On forced)
-//     over every model-level output — worm outcomes, model metrics, and
-//     the canonical trace ordering (engine-local instrumentation counters
-//     are excluded by the DESIGN.md §7 contract);
-//  6. when the case carries no *enabled* fault plan: a field-for-field
+//  5. when the case carries no *enabled* fault plan: a field-for-field
 //     comparison against the first-principles reference engine
-//     (reference_run models no faults, so faulty cases stop at 2–5 —
-//     a case whose fault plan has all-zero rates still reaches 6,
+//     (reference_run models no faults, so faulty cases stop at 2–4 —
+//     a case whose fault plan has all-zero rates still reaches 5,
 //     which pins the "disabled plan is bit-identical to no plan"
 //     contract);
-//  7. an RWA strategy stage: the case's path endpoints become requests
+//  6. an RWA strategy stage: the case's path endpoints become requests
 //     and every rwa/ strategy routes them — a manual replay checks each
 //     accepted decision (routes connect source to destination, every λ
 //     is inside the band, no two accepted routes share a (link, λ)
@@ -41,8 +37,8 @@ namespace opto::testlib {
 
 struct DiffReport {
   /// Human-readable disagreements, each prefixed with its source: [case],
-  /// [determinism], [simd], [validate], [occupancy], [sharded],
-  /// [reference], or [rwa].
+  /// [determinism], [simd], [validate], [occupancy], [reference], or
+  /// [rwa].
   std::vector<std::string> issues;
   /// Production-engine metrics of the run (zeroed when the case never
   /// built); lets callers select cases by behavior without re-running.

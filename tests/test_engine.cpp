@@ -150,19 +150,18 @@ EngineConfig ring_config(double rate, std::uint16_t bandwidth,
   return config;
 }
 
-TEST(Engine, DeterministicAcrossShardingModes) {
+TEST(Engine, DeterministicInSeed) {
   // The trajectory is a pure function of the seed: every deterministic
-  // result field must match bit-for-bit between a force-single and a
-  // force-sharded run (the thread-count half of the determinism story;
-  // CI byte-compares whole BenchRecords across OPTO_THREADS).
+  // result field must match bit-for-bit between two engines built with
+  // the same seed (the thread-count half of the determinism story: CI
+  // byte-compares whole BenchRecords across OPTO_THREADS), and another
+  // seed must change the traffic outcome.
   auto ring = std::make_shared<Graph>(make_ring(8));
-  EngineConfig config = ring_config(24.0, 4, 20000);
-  config.protocol.sharding = PassSharding::Off;
-  Engine single(ring, config, 5);
-  const auto a = single.run();
-  config.protocol.sharding = PassSharding::On;
-  Engine sharded(ring, config, 5);
-  const auto b = sharded.run();
+  const EngineConfig config = ring_config(24.0, 4, 20000);
+  Engine first(ring, config, 5);
+  const auto a = first.run();
+  Engine second(ring, config, 5);
+  const auto b = second.run();
 
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.admitted, b.admitted);
@@ -177,6 +176,11 @@ TEST(Engine, DeterministicAcrossShardingModes) {
   EXPECT_EQ(a.p50_setup_rounds, b.p50_setup_rounds);
   EXPECT_EQ(a.p99_setup_rounds, b.p99_setup_rounds);
   EXPECT_EQ(a.sim_duration, b.sim_duration);
+
+  Engine other(ring, config, 6);
+  const auto c = other.run();
+  EXPECT_TRUE(c.offered != a.offered || c.admitted != a.admitted ||
+              c.blocked != a.blocked);
 }
 
 TEST(Engine, MemoryBoundedByActiveConnections) {

@@ -5,51 +5,6 @@
 namespace opto {
 namespace {
 
-TEST(Metrics, MergeAddsCountersAndMaxesMakespan) {
-  PassMetrics a;
-  a.launched = 3;
-  a.delivered = 2;
-  a.killed = 1;
-  a.truncated = 4;
-  a.truncated_arrivals = 1;
-  a.contentions = 5;
-  a.retunes = 2;
-  a.makespan = 17;
-  a.worm_steps = 30;
-  a.link_busy_steps = 90;
-  a.steps = 20;
-  a.registry_probes = 50;
-  a.registry_hits = 10;
-  a.peak_inflight = 6;
-  a.wall_ns = 1000;
-  PassMetrics b;
-  b.launched = 1;
-  b.delivered = 1;
-  b.makespan = 9;
-  b.worm_steps = 4;
-  b.link_busy_steps = 12;
-  b.steps = 7;
-  b.registry_probes = 5;
-  b.registry_hits = 2;
-  b.peak_inflight = 9;
-  b.wall_ns = 400;
-  a.merge(b);
-  EXPECT_EQ(a.launched, 4u);
-  EXPECT_EQ(a.delivered, 3u);
-  EXPECT_EQ(a.killed, 1u);
-  EXPECT_EQ(a.truncated, 4u);
-  EXPECT_EQ(a.contentions, 5u);
-  EXPECT_EQ(a.retunes, 2u);
-  EXPECT_EQ(a.makespan, 17);
-  EXPECT_EQ(a.worm_steps, 34u);
-  EXPECT_EQ(a.link_busy_steps, 102u);
-  EXPECT_EQ(a.steps, 27u);
-  EXPECT_EQ(a.registry_probes, 55u);
-  EXPECT_EQ(a.registry_hits, 12u);
-  EXPECT_EQ(a.peak_inflight, 9u);  // max across passes, not a sum
-  EXPECT_EQ(a.wall_ns, 1400u);
-}
-
 TEST(Metrics, UtilizationFormula) {
   PassMetrics metrics;
   metrics.makespan = 9;  // 10 steps

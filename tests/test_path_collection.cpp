@@ -2,7 +2,7 @@
 // (paths sharing a directed link), which differs from edge congestion —
 // checked against a brute-force pairwise oracle, plus the lifetime of the
 // collection's cached C̃ (what construction does to it is checked by
-// allocation count in test_alloc_budget).
+// allocation count in test_alloc_budget) and of the flattened link array.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,6 +142,36 @@ TEST(PathCollection, FromNodeLists) {
   const auto collection = collection_from_node_lists(graph, lists);
   EXPECT_EQ(collection.size(), 2u);
   EXPECT_EQ(collection.path(1).source(), 2u);
+}
+
+TEST(FlatPaths, MatchesPathLinks) {
+  const auto graph = chain(6);
+  const std::vector<std::vector<NodeId>> lists = {
+      {0, 1, 2}, {3}, {2, 3, 4, 5}, {1, 2}};
+  const PathCollection c = collection_from_node_lists(graph, lists);
+  const FlatPaths& flat = c.flat_paths();
+  ASSERT_EQ(flat.offsets.size(), c.size() + 1);
+  EXPECT_EQ(flat.offsets.front(), 0u);
+  EXPECT_EQ(flat.offsets.back(), flat.links.size());
+  for (PathId p = 0; p < c.size(); ++p) {
+    const auto links = c.path(p).links();
+    ASSERT_EQ(flat.offsets[p + 1] - flat.offsets[p], links.size());
+    for (std::size_t i = 0; i < links.size(); ++i)
+      EXPECT_EQ(flat.links[flat.offsets[p] + i], links[i]);
+  }
+}
+
+TEST(FlatPaths, InvalidatedByAdd) {
+  const auto graph = chain(4);
+  const PathCollection c = collection_from_node_lists(
+      graph, std::vector<std::vector<NodeId>>{{0, 1}});
+  EXPECT_EQ(c.flat_paths().offsets.size(), 2u);
+  const PathCollection grown = collection_from_node_lists(
+      graph, std::vector<std::vector<NodeId>>{{0, 1}, {2, 3}});
+  PathCollection copy = c;  // also exercises the cache-dropping copy
+  copy.add(grown.path(1));
+  EXPECT_EQ(copy.flat_paths().offsets.size(), 3u);
+  EXPECT_EQ(copy.flat_paths().links.back(), grown.path(1).links().back());
 }
 
 // --- C̃ oracle -------------------------------------------------------------

@@ -10,10 +10,9 @@
 //                      the same count of mutated programs must fail with
 //                      diagnostics instead of crashing
 //   --distill KIND     search the stream for a case exhibiting KIND
-//                      (kill | truncate | retune | fault | corrupt |
-//                      components | rwa), shrink it while preserving the
-//                      behavior, write it to --out — this is how corpus
-//                      anchors are made
+//                      (kill | truncate | retune | fault | corrupt | rwa),
+//                      shrink it while preserving the behavior, write it
+//                      to --out — this is how corpus anchors are made
 //   (default)          fuzz: generate --cases cases from --seed, diff
 //                      each, shrink and save any failure to --out
 //
@@ -90,11 +89,6 @@ struct Coverage {
   std::uint64_t with_faults = 0;
   std::uint64_t multi_wavelength = 0;
   std::uint64_t reference_checked = 0;
-  /// Contention-decomposition regimes (sharded-engine coverage): cases
-  /// whose collection splits into ≥ 2 components, and the extreme where
-  /// every path is its own component.
-  std::uint64_t multi_component = 0;
-  std::uint64_t all_singleton = 0;
   /// RWA strategy-stage regimes: cases whose endpoints fed the strategy
   /// zoo at all, and cases where at least one strategy blocked a request
   /// in round 1 (the retry path of the round driver).
@@ -103,12 +97,6 @@ struct Coverage {
 
   void add(const FuzzCase& fuzz, const DiffReport& report) {
     ++cases;
-    if (const auto built = opto::testlib::build_case(fuzz)) {
-      const opto::ComponentDecomposition& dec = built->collection.components();
-      if (dec.count > 1) ++multi_component;
-      if (dec.count > 1 && dec.count == built->collection.size())
-        ++all_singleton;
-    }
     if (report.metrics.killed > 0) ++with_kills;
     if (report.metrics.truncated > 0) ++with_truncations;
     if (report.metrics.retunes > 0) ++with_retunes;
@@ -132,12 +120,11 @@ struct Coverage {
         "          contention %" PRIu64 " | priority-rule %" PRIu64
         " | conversion %" PRIu64 " | fault-plans %" PRIu64
         " | multi-lambda %" PRIu64 " | vs-reference %" PRIu64 "\n"
-        "          multi-component %" PRIu64 " | all-singleton %" PRIu64
-        " | rwa-checked %" PRIu64 " | rwa-blocking %" PRIu64 "\n",
+        "          rwa-checked %" PRIu64 " | rwa-blocking %" PRIu64 "\n",
         cases, with_kills, with_truncations, with_retunes, with_fault_kills,
         with_corruption, with_contention, priority_rule, with_conversion,
-        with_faults, multi_wavelength, reference_checked, multi_component,
-        all_singleton, rwa_checked, rwa_blocking);
+        with_faults, multi_wavelength, reference_checked, rwa_checked,
+        rwa_blocking);
   }
 };
 
@@ -169,15 +156,6 @@ std::optional<CasePredicate> behavior_predicate(const std::string& kind) {
     return CasePredicate{[](const FuzzCase& fuzz) {
       const DiffReport report = opto::testlib::diff_case(fuzz);
       return report.ok() && report.metrics.corrupted_arrivals > 0;
-    }};
-  if (kind == "components")
-    // A multi-component collection with real contention inside it: the
-    // anchor that pins the sharded engine's scatter/merge byte-for-byte.
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      if (!report.ok() || report.metrics.contentions == 0) return false;
-      const auto built = opto::testlib::build_case(fuzz);
-      return built && built->collection.components().count >= 3;
     }};
   if (kind == "rwa")
     // A case where some strategy's round-1 band is too tight: blocking
@@ -364,7 +342,7 @@ int main(int argc, char** argv) {
   const std::string* distill = cli.add_string(
       "distill", "",
       "find + shrink a clean case showing a behavior: kill | truncate | "
-      "retune | fault | corrupt | components | rwa");
+      "retune | fault | corrupt | rwa");
   const std::string* out =
       cli.add_string("out", "fuzz-out", "directory for repro files");
   const long long* stop_after =
@@ -428,8 +406,7 @@ int main(int argc, char** argv) {
     if (!predicate) {
       std::fprintf(stderr,
                    "opto_fuzz: unknown --distill behavior '%s' (want kill | "
-                   "truncate | retune | fault | corrupt | components | "
-                   "rwa)\n",
+                   "truncate | retune | fault | corrupt | rwa)\n",
                    distill->c_str());
       return 2;
     }
