@@ -2,7 +2,7 @@
 # Interleaved paired A/B runs of one optobench workload on two checkouts:
 #
 #   scripts/paired_ab.sh --base DIR --change DIR --workload W
-#                        [--pairs N] [--seed S] [--out DIR]
+#                        [--pairs N] [--seed S] [--out DIR] [--label L]
 #
 #   --base DIR     checkout of the parent commit (side A)
 #   --change DIR   checkout of the change (side B)
@@ -11,6 +11,10 @@
 #   --seed S       workload seed, the same on both sides (default 1)
 #   --out DIR      where each run's result line is kept
 #                  (default: paired-ab/<workload>)
+#   --label L      also write the summary to BENCH_<L>.json in the current
+#                  directory, under "workloads"/<workload>; runs of other
+#                  workloads with the same label are kept, so one file
+#                  collects a change's A/B results
 #
 # Each checkout runs its own optobench/run.py with --trace 0 for the
 # run_seconds of the change's BENCHMARK.json (each builds its driver once,
@@ -21,6 +25,9 @@
 # change wins at least 9/10 of the pairs and the medians differ by more
 # than the base's interquartile range; "regression" when the change's
 # median is worse than the base's by more than the metric's bound.
+# The BENCH_<L>.json roll-up holds the same numbers per metric: each side's
+# median and quartiles, change/base ratio, wins and verdict, plus each
+# side's failed-unit counts.
 set -euo pipefail
 
 BASE=""
@@ -29,6 +36,7 @@ WORKLOAD=""
 PAIRS=10
 SEED=1
 OUT=""
+LABEL=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --base)     BASE="$2"; shift 2 ;;
@@ -37,12 +45,13 @@ while [ $# -gt 0 ]; do
     --pairs)    PAIRS="$2"; shift 2 ;;
     --seed)     SEED="$2"; shift 2 ;;
     --out)      OUT="$2"; shift 2 ;;
+    --label)    LABEL="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
 if [ -z "$BASE" ] || [ -z "$CHANGE" ] || [ -z "$WORKLOAD" ]; then
   echo "usage: $0 --base DIR --change DIR --workload W [--pairs N]" \
-       "[--seed S] [--out DIR]" >&2
+       "[--seed S] [--out DIR] [--label L]" >&2
   exit 2
 fi
 BASE=$(cd "$BASE" && pwd)
@@ -80,13 +89,17 @@ for ((pair = 0; pair < PAIRS; ++pair)); do
   fi
 done
 
-python3 - "$SPEC" "$OUT" "$PAIRS" "$WORKLOAD" <<'EOF'
+python3 - "$SPEC" "$OUT" "$PAIRS" "$WORKLOAD" "$SEED" "$SECONDS_PER_RUN" \
+  "$LABEL" <<'EOF'
 import json
+import os
 import statistics
 import sys
 
 spec_path, out, pairs, workload = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+seed, seconds, label = int(sys.argv[5]), float(sys.argv[6]), sys.argv[7]
 spec = json.load(open(spec_path))
+summary = {"pairs": pairs, "seed": seed, "run_seconds": seconds, "metrics": {}}
 
 
 def load(side):
@@ -100,6 +113,8 @@ for side, runs in (("base", base), ("change", change)):
     failed = sum(r["failed"] for r in runs)
     print(f"{side}: {pairs} runs, {failed}/{attempted} units failed, "
           f"{len(bad)} runs not correct")
+    summary[side] = {"attempted": attempted, "failed": failed,
+                     "runs_not_correct": len(bad)}
 
 
 def cell(median, q):
@@ -132,4 +147,22 @@ for metric in spec["end_to_end"]:
     ratio = mb / ma if ma else float("nan")
     print(f"{name:<18} {cell(ma, qa):>34} {cell(mb, qb):>34} {ratio:>11.3f} "
           f"{wins:>3}/{pairs:<3}  {verdict}")
+    summary["metrics"][name] = {
+        "unit": metric["unit"], "better": metric["better"],
+        "bound": metric["bound"],
+        "base": {"median": ma, "q1": qa[0], "q3": qa[1]},
+        "change": {"median": mb, "q1": qb[0], "q3": qb[1]},
+        "ratio": ratio, "wins": wins, "verdict": verdict}
+
+if label:
+    path = f"BENCH_{label}.json"
+    rollup = {"schema": "opto.paired_ab", "schema_version": 1,
+              "label": label, "workloads": {}}
+    if os.path.exists(path):
+        rollup = json.load(open(path))
+    rollup["workloads"][workload] = summary
+    with open(path, "w") as f:
+        json.dump(rollup, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"\nwrote {workload} to {path}")
 EOF

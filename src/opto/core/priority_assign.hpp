@@ -37,14 +37,24 @@ std::vector<std::uint32_t> assign_priorities(
     PriorityStrategy strategy, std::span<const PathId> active_paths,
     std::uint32_t total_paths, Rng& rng);
 
+/// Caller-owned working storage for the keyed variant below; `ranks` holds
+/// its result. Kept across rounds, the buffers' capacity is reused, so a
+/// steady-state protocol round allocates nothing here.
+struct PriorityBuffers {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> ranks;
+};
+
 /// Keyed variant for the protocol layer: RandomPermutation ranks members by
 /// their drawn u64 key (uid breaks the ~2^-64 collisions), so a member's
 /// rank is a pure function of the (seed, round) behind `rng` and the set of
 /// active uids — independent of member order, other draws, batching, and
-/// thread count. `uids` is parallel to `active_paths`.
-std::vector<std::uint32_t> assign_priorities(
+/// thread count. `uids` is parallel to `active_paths`. Overwrites
+/// `buffers` and returns `buffers.ranks`, parallel to `active_paths`.
+std::span<const std::uint32_t> assign_priorities(
     PriorityStrategy strategy, std::span<const PathId> active_paths,
     std::uint32_t total_paths, const CounterRng& rng,
-    std::span<const std::uint32_t> uids);
+    std::span<const std::uint32_t> uids, PriorityBuffers& buffers);
 
 }  // namespace opto

@@ -150,10 +150,9 @@ const RoundReport& ProtocolSession::step() {
   if (config_.track_congestion)
     report_.active_congestion = collection_.path_congestion_of(active_);
 
-  const auto ranks = assign_priorities(config_.priorities, active_,
-                                       static_cast<std::uint32_t>(
-                                           collection_.size()),
-                                       rng, uids_);
+  const std::span<const std::uint32_t> ranks = assign_priorities(
+      config_.priorities, active_,
+      static_cast<std::uint32_t>(collection_.size()), rng, uids_, priority_);
 
   // Launch every member with a fresh random delay; the wavelength comes
   // from the chooser when one is installed (nullopt = sit this round

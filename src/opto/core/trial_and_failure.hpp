@@ -119,7 +119,7 @@ struct ProtocolResult {
 /// TrialAndFailure::run() below is a thin driver over this class and
 /// remains bit-identical to the pre-session implementation; the streaming
 /// engine (opto/engine) drives the same session with open arrivals,
-/// rolling admissions, held channels (set_pinned), and a first-fit
+/// rolling admissions, held channels (set_held), and a first-fit
 /// wavelength chooser.
 ///
 /// Determinism: every draw of round t comes from the counter-based
@@ -128,7 +128,7 @@ struct ProtocolResult {
 /// therefore a pure function of (seed, round, uid) — not of member order,
 /// of which other members launch, or of how many draws precede it — so a
 /// session's trajectory is a pure function of (seed, admission sequence,
-/// chooser decisions, pinned sets), independent of wall clock, thread
+/// chooser decisions, held channels), independent of wall clock, thread
 /// count, and whether other sessions run interleaved with it (see
 /// TrialAndFailure::run_many and DESIGN.md §9).
 class ProtocolSession {
@@ -173,12 +173,13 @@ class ProtocolSession {
     chooser_ = std::move(chooser);
   }
 
-  /// Held channels for the forward passes (Simulator::set_pinned); the
-  /// span is re-read every round, so the caller may mutate the vector
-  /// between steps. Acks are modelled on a separate band and are not
-  /// blocked by pinned message channels.
-  void set_pinned(std::span<const PinnedSlot> pinned) {
-    forward_sim_.set_pinned(pinned);
+  /// Held channels for the forward passes (Simulator::set_held): a
+  /// borrowed link·B + λ mask the passes read in place, so the caller
+  /// installs it once and flips channels between steps. Acks are
+  /// modelled on a separate band and are not blocked by held message
+  /// channels.
+  void set_held(std::span<const std::uint8_t> held) {
+    forward_sim_.set_held(held);
   }
 
   /// Executes one protocol round over the current members. The returned
@@ -240,6 +241,7 @@ class ProtocolSession {
 
   // Per-round state, hoisted so a steady-state round allocates nothing.
   RoundReport report_;
+  PriorityBuffers priority_;  ///< keys, order, and this round's ranks
   PassResult forward_;
   PassResult ack_pass_;
   std::vector<LaunchSpec> specs_;

@@ -138,9 +138,11 @@ JsonValue run_engine(std::shared_ptr<const Graph> graph,
 JsonValue run_pass(const testlib::FuzzCase& fuzz, const std::string& label) {
   obs::annotate("scenario", label);
   const auto built = testlib::build_case(fuzz);
+  const std::vector<std::uint8_t> held =
+      held_mask(built->collection.graph().link_count(),
+                built->config.bandwidth, fuzz.pinned);
   Simulator simulator(built->collection, built->config);
-  if (!fuzz.pinned.empty())
-    simulator.set_pinned({fuzz.pinned.data(), fuzz.pinned.size()});
+  simulator.set_held(held);
   const PassResult pass =
       simulator.run({fuzz.specs.data(), fuzz.specs.size()});
 

@@ -81,7 +81,7 @@ struct Engine::Connection {
   std::uint64_t wall_start = 0;      ///< ns at admission
   std::uint32_t rounds_total = 0;    ///< setup rounds incl. readmissions
   bool measured = false;
-  std::vector<std::uint32_t> slots;  ///< indices into pinned_ while held
+  std::vector<std::uint32_t> slots;  ///< held channels (link·B + λ)
 };
 
 namespace {
@@ -127,15 +127,15 @@ Engine::Engine(std::shared_ptr<const Graph> graph, EngineConfig config,
     pair_path_[static_cast<std::size_t>(pairs[id].first) * nodes +
                pairs[id].second] = id;
 
+  channel_busy_.assign(static_cast<std::size_t>(graph_->link_count()) *
+                           config_.protocol.bandwidth,
+                       0);
   session_.emplace(routes_, config_.protocol, schedule_, seed);
   session_->set_wavelength_chooser(
       [this](PathId path, std::uint64_t tag) {
         return choose_wavelength(path, tag);
       });
-
-  channel_busy_.assign(static_cast<std::size_t>(graph_->link_count()) *
-                           config_.protocol.bandwidth,
-                       0);
+  session_->set_held(channel_busy_);
   rounds_histogram_.assign(
       static_cast<std::size_t>(config_.max_setup_rounds) * 4 + 2, 0);
   wall_histogram_.assign(kWallBuckets, 0);
@@ -236,37 +236,19 @@ std::optional<Wavelength> Engine::choose_wavelength(PathId path,
 
 void Engine::claim_channel(std::uint32_t id, EdgeId link,
                            Wavelength wavelength) {
-  Connection& connection = connections_[id];
-  const auto slot = static_cast<std::uint32_t>(pinned_.size());
-  pinned_.push_back({link, wavelength});
-  pin_owner_.push_back(
-      {id, static_cast<std::uint32_t>(connection.slots.size())});
-  connection.slots.push_back(slot);
-  channel_busy_[static_cast<std::size_t>(link) *
-                    config_.protocol.bandwidth +
-                wavelength] = 1;
+  const auto channel = static_cast<std::uint32_t>(
+      static_cast<std::size_t>(link) * config_.protocol.bandwidth +
+      wavelength);
+  OPTO_DASSERT(channel_busy_[channel] == 0);
+  channel_busy_[channel] = 1;
+  connections_[id].slots.push_back(channel);
 }
 
 void Engine::release_channels(std::uint32_t id) {
   Connection& connection = connections_[id];
-  for (std::size_t k = 0; k < connection.slots.size(); ++k) {
-    const std::uint32_t slot = connection.slots[k];
-    const PinnedSlot& held = pinned_[slot];
-    channel_busy_[static_cast<std::size_t>(held.link) *
-                      config_.protocol.bandwidth +
-                  held.wavelength] = 0;
-    const std::uint32_t last = static_cast<std::uint32_t>(pinned_.size()) - 1;
-    if (slot != last) {
-      // Swap-remove; re-point the moved slot's owner. A moved slot of
-      // THIS connection always sits at a not-yet-released position
-      // (released ones are already gone from pinned_).
-      pinned_[slot] = pinned_[last];
-      const PinOwner owner = pin_owner_[last];
-      pin_owner_[slot] = owner;
-      connections_[owner.connection].slots[owner.position] = slot;
-    }
-    pinned_.pop_back();
-    pin_owner_.pop_back();
+  for (const std::uint32_t channel : connection.slots) {
+    OPTO_DASSERT(channel_busy_[channel] == 1);
+    channel_busy_[channel] = 0;
   }
   connection.slots.clear();
 }
@@ -319,7 +301,6 @@ void Engine::finish(std::uint32_t id,
 
 void Engine::run_round() {
   no_capacity_.clear();
-  session_->set_pinned({pinned_.data(), pinned_.size()});
   const RoundReport& report = session_->step();
   ++rounds_run_;
   (void)report;
@@ -408,6 +389,8 @@ EngineResult Engine::run() {
     }
   }
 
+  // Every measured request left the session admitted or blocked.
+  OPTO_DASSERT(result_.offered == result_.admitted + result_.blocked);
   result_.rounds = rounds_run_;
   result_.duplicate_deliveries = session_->duplicate_deliveries();
   result_.sim_duration = now_;

@@ -6,8 +6,9 @@
 // traffic time (engine/traffic.hpp), join the *current* protocol batch,
 // and a ProtocolSession round runs every `round_interval` of traffic
 // time. An acknowledged setup converts into a held circuit — its
-// (link, wavelength) channels become pinned slots that later passes
-// treat as busy — for an exponential holding time, then tears down.
+// (link, wavelength) channels are marked in a held-channel mask that
+// later passes read as busy — for an exponential holding time, then
+// tears down.
 //
 // Admission is loss-call-cleared (the Erlang/teletraffic convention): a
 // request whose route has no launchable wavelength at its first decision
@@ -133,17 +134,10 @@ class Engine {
   Rng fit_;            ///< RandomFit draws (decision order)
   ArrivalGenerator arrivals_;
 
-  // Held circuits: one pinned slot per (link, wavelength) a circuit
-  // holds, fed to the session's forward passes. Slot release is O(1)
-  // swap-remove; pin_owner_ (parallel to pinned_) points back to the
-  // owning connection's slot list so moved slots can be re-indexed.
-  struct PinOwner {
-    std::uint32_t connection = 0;
-    std::uint32_t position = 0;  ///< index into Connection::slots
-  };
-  std::vector<PinnedSlot> pinned_;
-  std::vector<PinOwner> pin_owner_;
-  std::vector<char> channel_busy_;  ///< link·B + w, held circuits only
+  // Held circuits: byte link·B + λ is 1 while a circuit holds that
+  // channel. The only record of holds — the session's forward passes
+  // borrow it in place (set_held, installed once; never resized).
+  std::vector<std::uint8_t> channel_busy_;
 
   // Connection table, ids recycled through a free list so its size is
   // the peak number of concurrent connections, not total arrivals.

@@ -59,6 +59,17 @@ bool enabled();
 /// compiled with OPTO_OBS_ENABLED=0, which never records).
 void set_enabled(bool on);
 
+// Counter and ScopedTimer are defined in the header with a different body
+// per OPTO_OBS_ENABLED. A translation unit built with the other setting
+// (test_obs_disabled) would otherwise give one class two definitions in
+// one program; the inline namespace gives each setting its own mangled
+// names, so both can link side by side.
+#if OPTO_OBS_ENABLED
+inline namespace compiled_in {
+#else
+inline namespace compiled_out {
+#endif
+
 /// A named monotonic counter. Construction registers the name once (takes
 /// a lock); add() is a relaxed atomic increment behind the enabled()
 /// flag, so it is safe and cheap to call from pool threads.
@@ -116,6 +127,8 @@ class ScopedTimer {
   std::uint64_t cpu_start_ = 0;
 #endif
 };
+
+}  // inline namespace compiled_in / compiled_out
 
 /// Free-form string note attached to the process snapshot (last write per
 /// key wins). Used for run parameters that are not counts: base seed,

@@ -21,27 +21,19 @@ ContentionOutcome resolve_contention(ContentionRule rule, TiePolicy tie,
   ContentionOutcome outcome;
 
   if (rule == ContentionRule::ServeFirst) {
-    if (occupant.has_value()) {
-      // Wavelength already in use: every newcomer is eliminated.
-      for (const Contender& c : entrants) outcome.eliminated.push_back(c.worm);
-      return outcome;
-    }
+    // Wavelength already in use: every newcomer is eliminated.
+    if (occupant.has_value()) return outcome;
     if (entrants.size() == 1) {
       outcome.admitted = entrants.front().worm;
       return outcome;
     }
     // Dead-heat between newcomers.
-    if (tie == TiePolicy::KillAll) {
-      for (const Contender& c : entrants) outcome.eliminated.push_back(c.worm);
-      return outcome;
-    }
+    if (tie == TiePolicy::KillAll) return outcome;
     // FirstWins: smallest worm id models a fixed input-port scan order.
     const Contender* winner = &entrants.front();
     for (const Contender& c : entrants)
       if (c.worm < winner->worm) winner = &c;
     outcome.admitted = winner->worm;
-    for (const Contender& c : entrants)
-      if (c.worm != winner->worm) outcome.eliminated.push_back(c.worm);
     return outcome;
   }
 
@@ -57,16 +49,11 @@ ContentionOutcome resolve_contention(ContentionRule rule, TiePolicy tie,
   if (occupant.has_value()) {
     OPTO_ASSERT_MSG(occupant->priority != best->priority,
                     "entrant and occupant share a priority rank");
-    if (occupant->priority > best->priority) {
-      // Occupant keeps flowing; all entrants die.
-      for (const Contender& c : entrants) outcome.eliminated.push_back(c.worm);
-      return outcome;
-    }
+    // Occupant keeps flowing; all entrants die.
+    if (occupant->priority > best->priority) return outcome;
     outcome.occupant_truncated = true;
   }
   outcome.admitted = best->worm;
-  for (const Contender& c : entrants)
-    if (c.worm != best->worm) outcome.eliminated.push_back(c.worm);
   return outcome;
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "opto/optical/worm.hpp"
 
@@ -39,6 +38,8 @@ struct Contender {
   std::uint32_t priority = 0;
 };
 
+/// Every entrant other than `admitted` is eliminated here, so the outcome
+/// is two scalars and resolving a contention never allocates.
 struct ContentionOutcome {
   /// Entrant allowed onto the link; kInvalidWorm if none (all entrants
   /// eliminated, occupant — if any — keeps flowing).
@@ -46,8 +47,6 @@ struct ContentionOutcome {
   /// True iff the occupant lost to a higher-priority entrant and must be
   /// truncated at this coupler.
   bool occupant_truncated = false;
-  /// Entrants eliminated here.
-  std::vector<WormId> eliminated;
 };
 
 /// Resolves one (link, wavelength, time-step) contention.

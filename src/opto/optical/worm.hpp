@@ -16,8 +16,8 @@ namespace opto {
 
 using WormId = std::uint32_t;
 inline constexpr WormId kInvalidWorm = ~WormId{0};
-/// Sentinel occupant for a pinned (held) wavelength slot — an established
-/// connection of the streaming engine holding the channel between passes.
+/// Occupant a held channel reads as — an established connection of the
+/// streaming engine holding the channel between passes (Simulator::set_held).
 /// Distinct from kInvalidWorm (the stuck-wavelength fault sentinel) so a
 /// loss against a held channel is accounted as pinned, not as a fault.
 inline constexpr WormId kPinnedWorm = kInvalidWorm - 1;

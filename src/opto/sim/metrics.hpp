@@ -25,9 +25,9 @@ struct PassMetrics {
   /// distinguishable all the way up to the result JSON.
   std::uint64_t fault_kills = 0;  ///< eliminated by a dark link, failed
                                   ///< coupler, or stuck wavelength
-  /// Worms eliminated by a pinned slot — a wavelength held by an
-  /// established connection of the streaming engine (sim/simulator.hpp
-  /// PinnedSlot). Kept apart from both `killed` (no worm witnesses the
+  /// Worms eliminated by a held channel — a wavelength held by an
+  /// established connection of the streaming engine (Simulator::set_held).
+  /// Kept apart from both `killed` (no worm witnesses the
   /// loss) and `fault_kills` (nothing is broken; the channel is busy).
   std::uint64_t pinned_blocks = 0;
   std::uint64_t corrupted = 0;    ///< flit-corruption events

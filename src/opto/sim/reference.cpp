@@ -53,8 +53,8 @@ PassResult reference_run(const PathCollection& collection,
   const auto count = static_cast<WormId>(specs.size());
   result.worms.resize(count);
 
-  // Held channels as a dense (link, wavelength) bitmap — the reference
-  // counterpart of the fast engine's permanent sentinel claims.
+  // Held channels as a dense (link, wavelength) bitmap, built here from
+  // the slot list rather than shared with the fast engine's mask.
   std::vector<char> pinned_map;
   if (!pinned.empty()) {
     pinned_map.assign(
@@ -222,7 +222,9 @@ PassResult reference_run(const PathCollection& collection,
         resolve_contention(config.rule, config.tie, occupant_contender,
                            contenders);
     if (outcome.occupant_truncated) cut(occupant->first, occupant->second);
-    for (const WormId loser : outcome.eliminated) {
+    for (const Contender& entrant : contenders) {
+      const WormId loser = entrant.worm;
+      if (loser == outcome.admitted) continue;
       WormId blocker = kInvalidWorm;
       if (occupant.has_value())
         blocker = occupant->first;

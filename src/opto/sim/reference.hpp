@@ -23,8 +23,9 @@ namespace opto {
 
 /// Runs the reference engine; the result is field-for-field comparable
 /// with Simulator::run (statuses, finish times, blockers, metrics).
-/// `pinned` mirrors Simulator::set_pinned: held (link, wavelength)
-/// channels that eliminate every entrant as a pinned loss.
+/// `pinned` lists the held (link, wavelength) channels that
+/// Simulator::set_held takes as a mask; each eliminates every entrant as
+/// a pinned loss. The reference builds its own map from the list.
 PassResult reference_run(const PathCollection& collection,
                          const SimConfig& config,
                          std::span<const LaunchSpec> specs,

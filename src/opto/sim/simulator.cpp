@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "opto/obs/obs.hpp"
 #include "opto/par/simd.hpp"
@@ -158,6 +159,29 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
   simd_on_ = config_.simd != SimdMode::Off && simd::enabled();
 }
 
+std::vector<std::uint8_t> held_mask(EdgeId link_count, std::uint16_t bandwidth,
+                                    std::span<const PinnedSlot> slots) {
+  std::vector<std::uint8_t> mask(
+      static_cast<std::size_t>(link_count) * bandwidth, 0);
+  for (const PinnedSlot& slot : slots) {
+    OPTO_ASSERT(slot.link < link_count);
+    OPTO_ASSERT(slot.wavelength < bandwidth);
+    mask[static_cast<std::size_t>(slot.link) * bandwidth + slot.wavelength] =
+        1;
+  }
+  return mask;
+}
+
+void Simulator::set_held(std::span<const std::uint8_t> held) {
+  OPTO_ASSERT_MSG(held.empty() ||
+                      held.size() ==
+                          static_cast<std::size_t>(
+                              collection_.graph().link_count()) *
+                              config_.bandwidth,
+                  "held-channel mask must cover link_count x bandwidth");
+  held_ = held;
+}
+
 bool Simulator::converts_at(NodeId node) const {
   switch (config_.conversion) {
     case ConversionMode::None:
@@ -235,7 +259,8 @@ PassResult Simulator::run(std::span<const LaunchSpec> specs) {
 void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   const bool profile = profile_enabled();
   const obs::ScopedTimer obs_timer("sim.pass");
-  Timer timer;
+  std::optional<Timer> timer;  // wall_ns is published only when profiling
+  if (profile) timer.emplace();
   result.trace.reset(config_.record_trace);
   result.metrics = PassMetrics{};
   const auto count = static_cast<WormId>(specs.size());
@@ -261,22 +286,6 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     for (EdgeId link = 0; link < links; ++link)
       for (Wavelength w = 0; w < config_.bandwidth; ++w)
         if (plan->wavelength_stuck(link, w)) registry_.claim(link, w, stuck);
-  }
-  // Pinned slots (held channels of established connections) are seeded
-  // after the stuck-wavelength sentinels, so a pinned slot shadows a
-  // stuck fault on the same channel: the engine's holds are the primary
-  // occupant, and the attribution of entrant losses follows the claim.
-  if (!pinned_.empty()) {
-    Claim held;
-    held.worm = kPinnedWorm;
-    held.priority = std::numeric_limits<std::uint32_t>::max();
-    held.entry = 0;
-    held.release = std::numeric_limits<SimTime>::max();
-    for (const PinnedSlot& slot : pinned_) {
-      OPTO_DASSERT(slot.link < collection_.graph().link_count());
-      OPTO_DASSERT(slot.wavelength < config_.bandwidth);
-      registry_.claim(slot.link, slot.wavelength, held);
-    }
   }
   const bool convert = config_.conversion != ConversionMode::None;
   if (convert) {
@@ -407,7 +416,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
         {t, TraceKind::FaultKill, id, link, worm.wavelength, kInvalidWorm});
   };
 
-  /// Elimination by a pinned slot: same drain mechanics as a serve-first
+  /// Elimination by a held channel: same drain mechanics as a serve-first
   /// loss, witness-free like a fault kill, but accounted on its own — the
   /// channel is busy, not broken, so the protocol should retry without
   /// backing off.
@@ -457,17 +466,20 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   /// Conversion-free contention for one (link, wavelength) group.
   const auto resolve_fixed = [&](EdgeId link, Wavelength wl,
                                  std::span<const WormId> group) {
+    // A held channel blocks every entrant as a busy channel, not a
+    // contention event. It is checked before the registry, so it shadows
+    // a stuck-wavelength sentinel on the same channel.
+    if (held(link, wl)) {
+      registry_.count_external_probe(true);
+      for (const WormId entrant : group) pinned_kill(entrant, link, now);
+      return;
+    }
     const Claim* found = registry_.find(link, wl, now);
 
     // A stuck wavelength's sentinel claim blocks every entrant: a fault
-    // loss, not a contention event (there is no worm to blame). A pinned
-    // slot blocks the same way but is accounted as a busy held channel.
+    // loss, not a contention event (there is no worm to blame).
     if (found != nullptr && found->worm == kInvalidWorm) {
       for (const WormId entrant : group) fault_kill(entrant, link, now);
-      return;
-    }
-    if (found != nullptr && found->worm == kPinnedWorm) {
-      for (const WormId entrant : group) pinned_kill(entrant, link, now);
       return;
     }
 
@@ -502,7 +514,9 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     if (outcome.occupant_truncated)
       apply_truncation(occupant_worm, occupant_link_index, now, result);
 
-    for (WormId loser : outcome.eliminated) {
+    for (const Contender& entrant : contenders_) {
+      const WormId loser = entrant.worm;
+      if (loser == outcome.admitted) continue;
       // Witness (Lemma 2.2): the worm that prevented this one — the
       // occupant, else the admitted worm, else a dead-heat peer.
       WormId blocker = kInvalidWorm;
@@ -521,6 +535,10 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       admit(outcome.admitted, link, wl, /*retuned=*/false);
   };
 
+  const Claim held_claim{kPinnedWorm,
+                         std::numeric_limits<std::uint32_t>::max(), 0, 0,
+                         std::numeric_limits<SimTime>::max()};
+
   /// Contention for one link at a converting router: entrants may retune
   /// to any free wavelength. Serve-first scans entrants in input-port
   /// (worm id) order; priority scans in descending rank and may steal the
@@ -528,11 +546,18 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   const auto resolve_converting = [&](EdgeId link,
                                       std::span<const WormId> group) {
     const std::uint16_t bandwidth = config_.bandwidth;
-    // Live occupants and same-step admissions per wavelength.
+    // Live occupants and same-step admissions per wavelength; a held λ
+    // reads as the permanent top-priority pinned occupant.
     conv_occupant_.assign(bandwidth, std::nullopt);
     conv_admitted_.assign(bandwidth, kInvalidWorm);
-    for (Wavelength w = 0; w < bandwidth; ++w)
-      conv_occupant_[w] = registry_.occupant(link, w, now);
+    for (Wavelength w = 0; w < bandwidth; ++w) {
+      if (held(link, w)) {
+        registry_.count_external_probe(true);
+        conv_occupant_[w] = held_claim;
+      } else {
+        conv_occupant_[w] = registry_.occupant(link, w, now);
+      }
+    }
 
     conv_order_.assign(group.begin(), group.end());
     if (config_.rule == ContentionRule::Priority) {
@@ -595,8 +620,8 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       }
       // Eliminated: witness is whoever holds the preferred wavelength. A
       // stuck wavelength's sentinel (worm = kInvalidWorm) has no worm to
-      // blame — that elimination is a fault loss; a pinned slot's
-      // sentinel (kPinnedWorm) is a busy held channel.
+      // blame — that elimination is a fault loss; a held channel
+      // (kPinnedWorm) is merely busy.
       const WormId blocker = conv_occupant_[preferred].has_value()
                                  ? conv_occupant_[preferred]->worm
                                  : conv_admitted_[preferred];
@@ -708,7 +733,8 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       // about what the skipped find() calls save; the gate is a pure
       // throughput heuristic — the mask path and the group path produce
       // identical outcomes, metrics, and traces, so step size can never
-      // change results.
+      // change results. The mask sees only registry claims, so a flagged
+      // singleton on a held channel falls through to the group path.
       const bool prescan =
           !faults_on && registry_.dense() && attempt_keys_.size() >= 32;
       if (prescan) {
@@ -721,15 +747,17 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       for (std::size_t lo = 0; lo < attempt_keys_.size();) {
         const std::uint64_t key = attempt_keys_[lo] >> id_bits;
         if (prescan && admit_mask_[lo] != 0) {
-          // The skipped find() was one dense probe that would have
-          // missed; keep the registry stats identical to the slow path.
-          registry_.count_external_probe(false);
-          admit(static_cast<WormId>(attempt_keys_[lo] & id_mask),
-                static_cast<EdgeId>(key >> key_link_shift),
-                static_cast<Wavelength>(key & (merge_bit_ - 1)),
-                /*retuned=*/false);
-          ++lo;
-          continue;
+          const auto link = static_cast<EdgeId>(key >> key_link_shift);
+          const auto wl = static_cast<Wavelength>(key & (merge_bit_ - 1));
+          if (!held(link, wl)) {
+            // The skipped find() was one dense probe that would have
+            // missed; keep the registry stats identical to the slow path.
+            registry_.count_external_probe(false);
+            admit(static_cast<WormId>(attempt_keys_[lo] & id_mask), link, wl,
+                  /*retuned=*/false);
+            ++lo;
+            continue;
+          }
         }
         group_worms_.clear();
         std::size_t hi = lo;
@@ -862,7 +890,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   result.metrics.registry_hits = registry_.stats().hits;
   if (profile)
     result.metrics.wall_ns =
-        static_cast<std::uint64_t>(timer.elapsed_seconds() * 1e9);
+        static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
   if (obs::enabled()) record_pass_observation(result.metrics);
 }
 

@@ -70,17 +70,19 @@ struct SimConfig {
 };
 
 /// A (directed link, wavelength) channel held by an established
-/// connection — the streaming engine's circuits between protocol passes.
-/// Pinned slots enter the occupancy registry as permanent sentinel
-/// occupants (worm = kPinnedWorm, top priority, never released): every
-/// entrant is eliminated, priority worms cannot truncate them, and
-/// converting routers retune around them. Losses are accounted in
-/// PassMetrics::pinned_blocks / WormOutcome::pinned_loss, separate from
-/// both contention kills and fault kills.
+/// connection, in the list form that fuzz cases and scenario files store.
+/// The simulator itself reads held channels as a mask (held_mask() turns a
+/// slot list into one; see Simulator::set_held).
 struct PinnedSlot {
   EdgeId link = kInvalidEdge;
   Wavelength wavelength = 0;
 };
+
+/// The held-channel mask for `slots` over `link_count` links of
+/// `bandwidth` wavelengths: byte link·B + λ is 1 iff some slot names that
+/// channel (duplicates are harmless). Every slot must be in range.
+std::vector<std::uint8_t> held_mask(EdgeId link_count, std::uint16_t bandwidth,
+                                    std::span<const PinnedSlot> slots);
 
 /// Launch parameters for one worm (chosen by the protocol layer).
 struct LaunchSpec {
@@ -146,13 +148,23 @@ class Simulator {
 
   const SimConfig& config() const { return config_; }
 
-  /// Installs the pinned-slot set consulted by subsequent run() calls
-  /// (sim-level substrate of the streaming engine's held connections).
-  /// The span must stay valid across those calls; it is re-read at the
-  /// top of every pass, so the caller may mutate the underlying vector
-  /// between passes. Duplicate slots are allowed (later wins); a pinned
-  /// slot shadows a stuck-wavelength fault on the same channel.
-  void set_pinned(std::span<const PinnedSlot> pinned) { pinned_ = pinned; }
+  /// Borrows the held-channel mask consulted by subsequent run() calls
+  /// (the streaming engine's established circuits). Byte link·B + λ is
+  /// nonzero iff that channel is held; the mask must cover exactly
+  /// link_count × B bytes, or be empty for "nothing held". The simulator
+  /// never copies it: every pass reads the caller's bytes in place, so the
+  /// caller may flip channels between passes without re-installing, and
+  /// the span must stay valid while passes run.
+  ///
+  /// A held channel is a permanent top-priority occupant (kPinnedWorm)
+  /// that never enters the occupancy registry: every entrant is
+  /// eliminated, priority worms cannot truncate it, and converting routers
+  /// retune around it. Losses are accounted in PassMetrics::pinned_blocks
+  /// / WormOutcome::pinned_loss, apart from contention and fault kills,
+  /// and a held channel shadows a stuck-wavelength fault on the same
+  /// channel. Each mask hit counts as one registry probe and hit, so the
+  /// stats read as if the hold were a registry claim.
+  void set_held(std::span<const std::uint8_t> held);
 
  private:
   struct Attempt {
@@ -165,10 +177,16 @@ class Simulator {
 
   bool converts_at(NodeId node) const;
 
+  bool held(EdgeId link, Wavelength wavelength) const {
+    return !held_.empty() &&
+           held_[static_cast<std::size_t>(link) * config_.bandwidth +
+                 wavelength] != 0;
+  }
+
   const PathCollection& collection_;
   SimConfig config_;
   OccupancyRegistry registry_;
-  std::span<const PinnedSlot> pinned_;  ///< held channels; see set_pinned()
+  std::span<const std::uint8_t> held_;  ///< borrowed; see set_held()
 
   // Immutable per-collection views, snapshotted at construction (SoA hot
   // path): the flattened link array and the per-link "source node

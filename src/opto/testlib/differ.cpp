@@ -334,15 +334,17 @@ DiffReport diff_case(const FuzzCase& fuzz) {
 
   const std::span<const PinnedSlot> pinned{fuzz.pinned.data(),
                                            fuzz.pinned.size()};
+  const std::vector<std::uint8_t> held = held_mask(
+      built->collection.graph().link_count(), config.bandwidth, pinned);
   Simulator first(built->collection, config);
-  first.set_pinned(pinned);
+  first.set_held(held);
   const PassResult fast = first.run(fuzz.specs);
   report.metrics = fast.metrics;
 
   // A fresh engine instance must reproduce the pass bit-for-bit; this is
   // the property --replay and the corpus rest on.
   Simulator second(built->collection, config);
-  second.set_pinned(pinned);
+  second.set_held(held);
   const PassResult again = second.run(fuzz.specs);
   compare_runs(fast, again, &report.issues, "determinism");
 
@@ -356,7 +358,7 @@ DiffReport diff_case(const FuzzCase& fuzz) {
   SimConfig scalar_config = config;
   scalar_config.simd = SimdMode::Off;
   Simulator scalar_sim(built->collection, scalar_config);
-  scalar_sim.set_pinned(pinned);
+  scalar_sim.set_held(held);
   const PassResult scalar = scalar_sim.run(fuzz.specs);
   compare_runs(fast, scalar, &report.issues, "simd");
   compare_traces_exact(fast, scalar, &report.issues, "simd");

@@ -53,9 +53,10 @@ struct FuzzCase {
   std::uint64_t fault_seed = 0;
   std::uint64_t fault_epoch = 0;
 
-  /// Held (link, wavelength) channels, fed to Simulator::set_pinned and
-  /// reference_run — the streaming engine's established connections as
-  /// the fuzzer exercises them. Links are directed ids (2 per edge).
+  /// Held (link, wavelength) channels, fed to Simulator::set_held (via
+  /// held_mask) and reference_run — the streaming engine's established
+  /// connections as the fuzzer exercises them. Links are directed ids (2
+  /// per edge).
   std::vector<PinnedSlot> pinned;
 
   std::vector<LaunchSpec> specs;

@@ -1,5 +1,6 @@
 // Allocation budgets for the per-trial instance pipeline (building a
-// mesh random function and measuring its C̃) and for RWA route search.
+// mesh random function and measuring its C̃), for RWA route search, and
+// for a steady-state protocol round.
 // Counted with the obs allocation hook, so a per-path hash set, a
 // per-link vector or a per-search BFS buffer creeping back into paths/
 // or rwa/ fails here rather than only in a benchmark profile. The same
@@ -14,10 +15,14 @@
 #include <utility>
 #include <vector>
 
+#include "opto/core/schedule.hpp"
+#include "opto/core/trial_and_failure.hpp"
 #include "opto/graph/fattree.hpp"
 #include "opto/graph/graph.hpp"
 #include "opto/graph/mesh.hpp"
+#include "opto/graph/ring.hpp"
 #include "opto/obs/obs.hpp"
+#include "opto/paths/bfs_shortest.hpp"
 #include "opto/paths/workloads.hpp"
 #include "opto/rng/rng.hpp"
 #include "opto/rwa/ksp.hpp"
@@ -141,6 +146,52 @@ TEST_F(AllocBudget, RouteSearchAllocatesOnlyItsResults) {
   ASSERT_EQ(found, 3u);
   EXPECT_LE(ksp, kAllocsPerKsp);
   EXPECT_EQ(one, 1u) << "shortest_route allocates more than its route";
+}
+
+TEST_F(AllocBudget, ProtocolRoundAllocatesNothing) {
+  // A streaming-engine-shaped session: ring-8 routes, B=4, a held-channel
+  // mask installed once and edited between rounds, and one member
+  // re-admitted per retirement so every round carries the same batch.
+  // Warm-up rounds grow every buffer; after that a whole round (ranks,
+  // launches, the forward pass, acks, retirement) must not allocate.
+  const auto graph = std::make_shared<const Graph>(make_ring(8));
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId src = 0; src < 8; ++src)
+    for (NodeId dst = 0; dst < 8; ++dst)
+      if (src != dst) pairs.emplace_back(src, dst);
+  const PathCollection routes = bfs_collection(graph, pairs);
+  constexpr std::uint16_t kBandwidth = 4;
+  constexpr std::size_t kMembers = 24;
+  constexpr int kRounds = 200;
+  for (const ConversionMode conversion :
+       {ConversionMode::None, ConversionMode::Full}) {
+    ProtocolConfig config;
+    config.bandwidth = kBandwidth;
+    config.conversion = conversion;
+    FixedSchedule schedule(8);
+    ProtocolSession session(routes, config, schedule, 11);
+    std::vector<std::uint8_t> held(
+        static_cast<std::size_t>(graph->link_count()) * kBandwidth, 0);
+    session.set_held(held);
+    PathId next = 0;
+    const auto between_rounds = [&](int round) {
+      while (session.active_count() < kMembers) {
+        session.admit(next, next);
+        next = (next + 1) % routes.size();
+      }
+      held[static_cast<std::size_t>(round) % held.size()] ^= 1;
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      between_rounds(round);
+      (void)session.step();
+    }
+    std::uint64_t allocs = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      between_rounds(round);
+      allocs += allocations([&] { (void)session.step(); });
+    }
+    EXPECT_EQ(allocs, 0u) << "conversion " << to_string(conversion);
+  }
 }
 
 }  // namespace

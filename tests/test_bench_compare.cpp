@@ -136,9 +136,10 @@ TEST(BenchCompare, MissingMetricFailsStrictPassesWarnOnly) {
                     [](const auto& member) {
                       return member.first == "worm_steps_per_s";
                     });
-  EXPECT_TRUE(compare_records(base, cur, {}).fail);
-  const auto* delta = find_delta(compare_records(base, cur, {}),
-                                 "worm_steps_per_s");
+  // find_delta points into the report, so the report must outlive it.
+  const auto report = compare_records(base, cur, {});
+  EXPECT_TRUE(report.fail);
+  const auto* delta = find_delta(report, "worm_steps_per_s");
   ASSERT_NE(delta, nullptr);
   EXPECT_EQ(delta->status, MetricStatus::MissingCurrent);
 

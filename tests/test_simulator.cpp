@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "opto/paths/path_collection.hpp"
+#include "opto/sim/faults.hpp"
+#include "opto/sim/reference.hpp"
 #include "opto/sim/simulator.hpp"
 
 namespace opto {
@@ -345,6 +348,175 @@ TEST(Simulator, LongWormBlocksWholeWindow) {
   const auto free = sim.run(
       std::vector<LaunchSpec>{spec(0, 0, 0, 10), spec(1, 10, 0, 10)});
   EXPECT_TRUE(free.worms[1].delivered_intact());
+}
+
+/// Field-for-field comparison of a pass with the reference engine run on
+/// the same specs and held slots (the reference models no faults).
+void expect_matches_reference(const PathCollection& collection,
+                              SimConfig config,
+                              const std::vector<LaunchSpec>& specs,
+                              std::span<const PinnedSlot> held,
+                              const PassResult& fast) {
+  config.faults = nullptr;
+  const PassResult ref = reference_run(collection, config, specs, held);
+  ASSERT_EQ(fast.worms.size(), ref.worms.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("worm " + std::to_string(i));
+    const WormOutcome& a = fast.worms[i];
+    const WormOutcome& b = ref.worms[i];
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.finish_time, b.finish_time);
+    EXPECT_EQ(a.truncated, b.truncated);
+    EXPECT_EQ(a.pinned_loss, b.pinned_loss);
+    EXPECT_EQ(a.blocked_by, b.blocked_by);
+    EXPECT_EQ(a.blocked_at_link, b.blocked_at_link);
+  }
+  EXPECT_EQ(fast.metrics.launched, ref.metrics.launched);
+  EXPECT_EQ(fast.metrics.delivered, ref.metrics.delivered);
+  EXPECT_EQ(fast.metrics.killed, ref.metrics.killed);
+  EXPECT_EQ(fast.metrics.pinned_blocks, ref.metrics.pinned_blocks);
+  EXPECT_EQ(fast.metrics.contentions, ref.metrics.contentions);
+  EXPECT_EQ(fast.metrics.retunes, ref.metrics.retunes);
+  EXPECT_EQ(fast.metrics.worm_steps, ref.metrics.worm_steps);
+  EXPECT_EQ(fast.metrics.makespan, ref.metrics.makespan);
+}
+
+TEST(SimulatorHeld, MaskEditedBetweenPassesIsReadWithoutReinstalling) {
+  const auto graph = make_chain(4);
+  const auto collection = chain_bundle(graph, 0, 3, 2);
+  SimConfig config;
+  config.bandwidth = 2;
+  Simulator sim(collection, config);
+  std::vector<std::uint8_t> held(
+      static_cast<std::size_t>(graph->link_count()) * config.bandwidth, 0);
+  sim.set_held(held);  // installed once; only its bytes change below
+  const std::vector<LaunchSpec> specs{spec(0, 0, 0, 2), spec(1, 0, 1, 2)};
+  const EdgeId middle = collection.path(0).link(1);
+  const auto channel = [&](Wavelength w) {
+    return static_cast<std::size_t>(middle) * config.bandwidth + w;
+  };
+
+  const PassResult open = sim.run(specs);
+  expect_matches_reference(collection, config, specs, {}, open);
+  EXPECT_EQ(open.metrics.delivered, 2u);
+
+  held[channel(0)] = 1;
+  const std::vector<PinnedSlot> first{{middle, 0}};
+  const PassResult blocked = sim.run(specs);
+  expect_matches_reference(collection, config, specs, first, blocked);
+  EXPECT_TRUE(blocked.worms[0].pinned_loss);
+  EXPECT_EQ(blocked.worms[0].blocked_at_link, 1u);
+  EXPECT_TRUE(blocked.worms[1].delivered_intact());
+
+  held[channel(0)] = 0;
+  held[channel(1)] = 1;
+  const std::vector<PinnedSlot> second{{middle, 1}};
+  const PassResult moved = sim.run(specs);
+  expect_matches_reference(collection, config, specs, second, moved);
+  EXPECT_TRUE(moved.worms[0].delivered_intact());
+  EXPECT_TRUE(moved.worms[1].pinned_loss);
+}
+
+TEST(SimulatorHeld, HeldChannelShadowsStuckFault) {
+  // Every channel is stuck; holding a channel turns its entrants' losses
+  // from fault kills into pinned blocks, at fixed and converting routers
+  // alike, and the pass then matches the fault-free reference run with
+  // the same holds.
+  FaultConfig faults;
+  faults.stuck_wavelength_rate = 1.0;
+  const FaultPlan plan(faults, 7);
+  const auto graph = make_chain(4);
+  const auto collection = chain_bundle(graph, 0, 3, 2);
+  const EdgeId first = collection.path(0).link(0);
+  const std::vector<LaunchSpec> specs{spec(0, 0, 0, 2, 1),
+                                      spec(1, 1, 1, 2, 2)};
+  for (const ConversionMode conversion :
+       {ConversionMode::None, ConversionMode::Full}) {
+    for (const ContentionRule rule :
+         {ContentionRule::ServeFirst, ContentionRule::Priority}) {
+      SCOPED_TRACE(std::string(to_string(conversion)) + " rule " +
+                   std::to_string(static_cast<int>(rule)));
+      SimConfig config;
+      config.bandwidth = 2;
+      config.conversion = conversion;
+      config.rule = rule;
+      config.faults = &plan;
+
+      const std::vector<PinnedSlot> both{{first, 0}, {first, 1}};
+      const auto held = held_mask(graph->link_count(), 2, both);
+      Simulator sim(collection, config);
+      sim.set_held(held);
+      const PassResult shadowed = sim.run(specs);
+      EXPECT_EQ(shadowed.metrics.pinned_blocks, 2u);
+      EXPECT_EQ(shadowed.metrics.fault_kills, 0u);
+      expect_matches_reference(collection, config, specs, both, shadowed);
+
+      // Holding λ0 alone shadows only λ0: worm 1 still meets the stuck λ1.
+      const std::vector<PinnedSlot> one{{first, 0}};
+      const auto held_one = held_mask(graph->link_count(), 2, one);
+      sim.set_held(held_one);
+      const PassResult split = sim.run(specs);
+      EXPECT_TRUE(split.worms[0].pinned_loss);
+      EXPECT_TRUE(split.worms[1].fault_loss);
+      EXPECT_FALSE(split.worms[1].pinned_loss);
+
+      // Without holds the plan is live: both entrants are fault kills.
+      Simulator bare(collection, config);
+      const PassResult stuck = bare.run(specs);
+      EXPECT_EQ(stuck.metrics.fault_kills, 2u);
+      EXPECT_EQ(stuck.metrics.pinned_blocks, 0u);
+    }
+  }
+}
+
+TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
+  // 40 disjoint 4-link chains, one worm each at t=0: every step carries
+  // ≥ 32 singleton attempts, so the free-singleton prescan runs, and it
+  // cannot see holds. Holds on some worms' channels (at links 0 and 2)
+  // must still block them, and late same-channel worms die to occupants.
+  constexpr NodeId kChains = 40;
+  constexpr NodeId kChainNodes = 5;
+  auto graph = std::make_shared<Graph>(kChains * kChainNodes, "chains");
+  for (NodeId c = 0; c < kChains; ++c)
+    for (NodeId u = 0; u + 1 < kChainNodes; ++u)
+      graph->add_edge(c * kChainNodes + u, c * kChainNodes + u + 1);
+  PathCollection collection(graph);
+  for (NodeId c = 0; c < kChains; ++c) {
+    std::vector<NodeId> nodes;
+    for (NodeId u = 0; u < kChainNodes; ++u)
+      nodes.push_back(c * kChainNodes + u);
+    collection.add(Path::from_nodes(*graph, nodes));
+  }
+  SimConfig config;
+  config.bandwidth = 2;
+  std::vector<LaunchSpec> specs;
+  std::vector<PinnedSlot> slots;
+  for (PathId c = 0; c < kChains; ++c) {
+    const auto wl = static_cast<Wavelength>(c % 2);
+    const Path& path = collection.path(c);
+    specs.push_back(spec(c, 0, wl, 3));
+    if (c % 5 == 0) specs.push_back(spec(c, 1, wl, 3));  // meets an occupant
+    if (c % 3 == 0) slots.push_back({path.link(2), wl});
+    if (c % 7 == 1) slots.push_back({path.link(0), wl});
+    if (c % 4 == 0)  // the other λ: held, but no worm uses it
+      slots.push_back({path.link(1), static_cast<Wavelength>(1 - wl)});
+  }
+  const auto held = held_mask(graph->link_count(), config.bandwidth, slots);
+  for (const SimdMode simd : {SimdMode::Auto, SimdMode::Off}) {
+    config.simd = simd;
+    Simulator sim(collection, config);
+    sim.set_held(held);
+    const PassResult fast = sim.run(specs);
+    expect_matches_reference(collection, config, specs, slots, fast);
+    EXPECT_GT(fast.metrics.pinned_blocks, 0u);
+    EXPECT_GT(fast.metrics.killed, 0u);
+    // Every attempt is a singleton group: one registry probe each, a hit
+    // exactly when the entrant dies (a held channel or an occupant).
+    const std::uint64_t losses =
+        fast.metrics.killed + fast.metrics.pinned_blocks;
+    EXPECT_EQ(fast.metrics.registry_probes, fast.metrics.worm_steps + losses);
+    EXPECT_EQ(fast.metrics.registry_hits, losses);
+  }
 }
 
 }  // namespace
