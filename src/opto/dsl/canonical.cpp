@@ -284,6 +284,8 @@ class JsonLoader {
     if (spec_.mode == ScenarioMode::Pass && !saw_case_)
       return fail("missing 'case'");
     if (spec_.label.empty()) return fail("missing 'label'");
+    if (std::string budget = channel_budget_error(spec_); !budget.empty())
+      return fail(std::move(budget));
     return true;
   }
 

@@ -54,6 +54,8 @@ std::string slugify(const std::string& name) {
   return slug.empty() ? "scenario" : slug;
 }
 
+}  // namespace
+
 /// Expected node count of a topology — converter lists are per-node.
 std::uint64_t topology_nodes(const TopologySpec& topo) {
   if (topo.family == "butterfly")
@@ -76,6 +78,44 @@ std::uint64_t topology_nodes(const TopologySpec& topo) {
   }
   return topo.nodes;  // ring, complete, explicit
 }
+
+std::uint64_t topology_links(const TopologySpec& topo) {
+  // Two directed links per undirected edge of the family's builder.
+  if (topo.family == "butterfly")
+    return std::uint64_t{4} * topo.dim << topo.dim;
+  if (topo.family == "mesh")
+    return std::uint64_t{4} * topo.side * (topo.side - 1);
+  if (topo.family == "ring") return std::uint64_t{2} * topo.nodes;
+  if (topo.family == "hypercube")
+    return static_cast<std::uint64_t>(topo.dim) << topo.dim;
+  if (topo.family == "complete")
+    return static_cast<std::uint64_t>(topo.nodes) * (topo.nodes - 1);
+  if (topo.family == "single_link") return 2;
+  if (topo.family == "fattree") {
+    // core–agg, agg–edge and edge–host layers: k³/4 edges each.
+    const std::uint64_t k = topo.radix;
+    return 3 * k * k * k / 2;
+  }
+  if (topo.family == "bcube") {
+    std::uint64_t servers = 1;
+    for (std::uint32_t l = 0; l < topo.levels; ++l) servers *= topo.ports;
+    return 2 * servers * topo.levels;  // one switch port per server level
+  }
+  return 2 * topo.edges.size();  // explicit
+}
+
+std::string channel_budget_error(const ScenarioSpec& spec) {
+  const std::uint64_t links = topology_links(spec.topology);
+  const std::uint64_t channels = links * spec.protocol.bandwidth;
+  if (channels <= kMaxChannels) return {};
+  return "too many channels: topology " + spec.topology.family + " has " +
+         std::to_string(links) + " directed links x bandwidth " +
+         std::to_string(spec.protocol.bandwidth) + " = " +
+         std::to_string(channels) + " channels, the cap is " +
+         std::to_string(kMaxChannels);
+}
+
+namespace {
 
 class Validator {
  public:
@@ -293,6 +333,7 @@ class Validator {
 
   bool topology(const Section& section) {
     saw_topology_ = true;
+    topology_loc_ = section.loc;
     TopologySpec& topo = spec_.topology;
     if (section.variant.empty())
       return fail(section.loc,
@@ -823,6 +864,8 @@ class Validator {
                         std::to_string(spec_.protocol.converters.size()) +
                         ", topology has " + std::to_string(nodes) + " nodes");
     }
+    if (std::string budget = channel_budget_error(spec_); !budget.empty())
+      return fail(topology_loc_, std::move(budget));
     return true;
   }
 
@@ -837,6 +880,7 @@ class Validator {
   bool saw_strategy_ = false;
   SourceLoc strategy_loc_;
   SourceLoc mode_loc_;
+  SourceLoc topology_loc_;
   SourceLoc trials_loc_;
   SourceLoc paths_loc_;
   SourceLoc routes_loc_;

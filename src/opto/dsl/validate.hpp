@@ -12,11 +12,26 @@
 
 #include "opto/dsl/ast.hpp"
 #include "opto/dsl/spec.hpp"
+#include "opto/sim/occupancy.hpp"
 
 namespace opto::dsl {
 
 /// Fixed-schedule / engine Δ range; the "out-of-range Δ" diagnostic.
 inline constexpr std::uint64_t kMaxDelta = 1u << 24;
+
+/// Node count of the graph the topology's builder makes (converter
+/// lists are per-node).
+std::uint64_t topology_nodes(const TopologySpec& topo);
+
+/// Directed link count of the graph the topology's builder makes: equals
+/// Graph::link_count() of the built topology.
+std::uint64_t topology_links(const TopologySpec& topo);
+
+/// Empty when the scenario's topology_links × protocol bandwidth fits
+/// kMaxChannels (sim/occupancy.hpp), else the diagnostic text. The
+/// protocol bandwidth is the only one a scenario has, so this bounds every
+/// mode's simulator.
+std::string channel_budget_error(const ScenarioSpec& spec);
 
 /// Validates a parsed program into a fully-materialized spec. On failure
 /// returns false with a source-located `error`.

@@ -1,7 +1,7 @@
 // Vectorized kernels for the simulator's packed attempt loop — the
 // per-step hot path that turns every running worm into a sortable
 // (group key, worm id) word and pre-screens the sorted groups against the
-// dense occupancy registry (DESIGN.md §9).
+// occupancy registry (DESIGN.md §9).
 //
 // Both kernels exist at three lane levels (par/simd.hpp): a scalar
 // reference, SSE2, and AVX2. The scalar implementation defines the
@@ -38,7 +38,7 @@ void build_keys(std::span<const WormId> ids, const std::uint32_t* cursor,
                 std::uint64_t* out);
 
 /// Flags the sorted attempt words whose group is a singleton on a
-/// non-merge key whose channel is free in the dense registry at `now`
+/// non-merge key whose channel is free in the registry at `now`
 /// (epoch mismatch or release ≤ now): mask[i] = 1 exactly for those, else
 /// 0. The simulator admits flagged worms in place, skipping the group
 /// build and registry find — legal because a same-step truncation can
@@ -47,7 +47,7 @@ void build_keys(std::span<const WormId> ids, const std::uint32_t* cursor,
 /// turn. `mask` must hold keys.size() bytes.
 ///
 /// Channel index = (key32 >> (wl_bits + 1)) * bandwidth + wavelength,
-/// matching OccupancyRegistry's dense layout; wl_bits is implied by
+/// matching OccupancyRegistry's channel layout; wl_bits is implied by
 /// merge_bit = 1 << wl_bits.
 void prescan_free_singletons(std::span<const std::uint64_t> keys,
                              unsigned id_bits, std::uint32_t merge_bit,

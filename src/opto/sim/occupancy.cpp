@@ -1,56 +1,24 @@
 #include "opto/sim/occupancy.hpp"
 
-#include <algorithm>
-
-#include "opto/util/assert.hpp"
-
 namespace opto {
 
-namespace {
-constexpr std::size_t kInitialCapacity = 64;  // power of two
-constexpr std::size_t kNoSlot = ~std::size_t{0};
-}  // namespace
-
-OccupancyRegistry::OccupancyRegistry()
-    : slots_(kInitialCapacity), mask_(kInitialCapacity - 1) {}
-
-void OccupancyRegistry::use_dense(std::size_t link_count,
-                                  std::uint32_t bandwidth) {
-  OPTO_ASSERT_MSG(live_ == 0, "use_dense: registry must be empty");
+OccupancyRegistry::OccupancyRegistry(std::size_t link_count,
+                                     std::uint32_t bandwidth)
+    : bandwidth_(bandwidth),
+      epoch_of_(link_count * bandwidth, 0),  // epoch_ >= 1: 0 reads empty
+      release_(link_count * bandwidth, 0),
+      claim_(link_count * bandwidth) {
   OPTO_ASSERT(bandwidth >= 1);
-  bandwidth_ = bandwidth;
-  const std::size_t channels = link_count * bandwidth;
-  d_epoch_.assign(channels, 0);  // epoch_ >= 1, so 0 reads as empty
-  d_release_.assign(channels, 0);
-  d_claim_.assign(channels, Claim{});
-  slots_.clear();
-  slots_.shrink_to_fit();
 }
 
 const Claim* OccupancyRegistry::find(EdgeId link, Wavelength wavelength,
                                      SimTime now) const {
-  if (dense()) {
-    ++stats_.probes;
-    const std::size_t idx = dense_index(link, wavelength);
-    if (d_epoch_[idx] != epoch_ || d_release_[idx] <= now) return nullptr;
-    OPTO_DASSERT(d_claim_[idx].entry <= now);
-    ++stats_.hits;
-    return &d_claim_[idx];
-  }
-  const std::uint64_t key = pack(link, wavelength);
-  std::size_t idx = bucket(key);
-  while (true) {
-    const Slot& slot = slots_[idx];
-    ++stats_.probes;
-    if (slot.epoch != epoch_) return nullptr;  // empty: end of chain
-    if (!slot.dead && slot.key == key) {
-      if (slot.claim.release <= now) return nullptr;  // stale: drained
-      OPTO_DASSERT(slot.claim.entry <= now);
-      ++stats_.hits;
-      return &slot.claim;
-    }
-    idx = (idx + 1) & mask_;
-  }
+  ++stats_.probes;
+  const std::size_t idx = index(link, wavelength);
+  if (epoch_of_[idx] != epoch_ || release_[idx] <= now) return nullptr;
+  OPTO_DASSERT(claim_[idx].entry <= now);
+  ++stats_.hits;
+  return &claim_[idx];
 }
 
 std::optional<Claim> OccupancyRegistry::occupant(EdgeId link,
@@ -61,140 +29,32 @@ std::optional<Claim> OccupancyRegistry::occupant(EdgeId link,
   return *claim;
 }
 
-OccupancyRegistry::Slot* OccupancyRegistry::locate(std::uint64_t key) {
-  std::size_t idx = bucket(key);
-  while (true) {
-    Slot& slot = slots_[idx];
-    if (slot.epoch != epoch_) return nullptr;
-    if (!slot.dead && slot.key == key) return &slot;
-    idx = (idx + 1) & mask_;
-  }
-}
-
 void OccupancyRegistry::claim(EdgeId link, Wavelength wavelength,
                               const Claim& claim) {
   OPTO_DASSERT(claim.release > claim.entry);
-  if (dense()) {
-    const std::size_t idx = dense_index(link, wavelength);
-    if (d_epoch_[idx] != epoch_) {
-      d_epoch_[idx] = epoch_;
-      ++live_;
-    }
-    d_claim_[idx] = claim;
-    d_release_[idx] = claim.release;
-    return;
-  }
-  if ((used_ + 1) * 4 >= slots_.size() * 3) grow();
-  const std::uint64_t key = pack(link, wavelength);
-  std::size_t idx = bucket(key);
-  std::size_t reusable = kNoSlot;
-  while (true) {
-    Slot& slot = slots_[idx];
-    if (slot.epoch != epoch_) {
-      // End of chain: the key has no live entry. Prefer recycling a
-      // tombstone or an expired entry seen on the way (keeps chains
-      // short); otherwise take the empty slot.
-      if (reusable != kNoSlot) {
-        Slot& reuse = slots_[reusable];
-        if (reuse.dead) {
-          reuse.dead = false;
-          ++live_;
-        }
-        // An expired live entry is evicted in place: live_ unchanged.
-        reuse.key = key;
-        reuse.claim = claim;
-        return;
-      }
-      slot.key = key;
-      slot.claim = claim;
-      slot.epoch = epoch_;
-      slot.dead = false;
-      ++live_;
-      ++used_;
-      return;
-    }
-    if (!slot.dead && slot.key == key) {
-      slot.claim = claim;  // overwrite: admitted winner replaces loser
-      return;
-    }
-    if (reusable == kNoSlot &&
-        (slot.dead || slot.claim.release <= claim.entry))
-      reusable = idx;
-    idx = (idx + 1) & mask_;
-  }
+  const std::size_t idx = index(link, wavelength);
+  epoch_of_[idx] = epoch_;
+  claim_[idx] = claim;
+  release_[idx] = claim.release;
 }
 
 SimTime OccupancyRegistry::shorten(EdgeId link, Wavelength wavelength,
                                    WormId worm, SimTime new_release) {
-  if (dense()) {
-    const std::size_t idx = dense_index(link, wavelength);
-    if (d_epoch_[idx] != epoch_ || d_claim_[idx].worm != worm) return 0;
-    Claim& c = d_claim_[idx];
-    if (new_release < c.entry) new_release = c.entry;
-    if (new_release >= c.release) return 0;
-    const SimTime trimmed = c.release - new_release;
-    c.release = new_release;
-    d_release_[idx] = new_release;
-    return trimmed;
-  }
-  Slot* slot = locate(pack(link, wavelength));
-  if (slot == nullptr || slot->claim.worm != worm) return 0;
-  if (new_release < slot->claim.entry) new_release = slot->claim.entry;
-  if (new_release >= slot->claim.release) return 0;
-  const SimTime trimmed = slot->claim.release - new_release;
-  slot->claim.release = new_release;
+  const std::size_t idx = index(link, wavelength);
+  if (epoch_of_[idx] != epoch_ || claim_[idx].worm != worm) return 0;
+  Claim& c = claim_[idx];
+  if (new_release < c.entry) new_release = c.entry;
+  if (new_release >= c.release) return 0;
+  const SimTime trimmed = c.release - new_release;
+  c.release = new_release;
+  release_[idx] = new_release;
   return trimmed;
 }
 
 void OccupancyRegistry::clear() {
   if (++epoch_ == 0) {  // epoch wrap: lazily-emptied slots become ambiguous
-    for (Slot& slot : slots_) slot.epoch = 0;
-    for (std::uint32_t& e : d_epoch_) e = 0;
+    for (std::uint32_t& e : epoch_of_) e = 0;
     epoch_ = 1;
-  }
-  live_ = 0;
-  used_ = 0;
-  sweep_cursor_ = 0;
-}
-
-void OccupancyRegistry::sweep(SimTime now) {
-  if (dense()) return;  // fixed slots; expiry is judged at read time
-  for (Slot& slot : slots_) {
-    if (slot.epoch != epoch_ || slot.dead) continue;
-    if (slot.claim.release <= now) {
-      slot.dead = true;
-      --live_;
-    }
-  }
-}
-
-void OccupancyRegistry::sweep_step(SimTime now, std::size_t budget) {
-  if (dense()) return;  // nothing to reclaim
-  if (live_ == 0) return;
-  budget = std::min(budget, slots_.size());
-  for (std::size_t i = 0; i < budget; ++i) {
-    Slot& slot = slots_[sweep_cursor_];
-    sweep_cursor_ = (sweep_cursor_ + 1) & mask_;
-    if (slot.epoch != epoch_ || slot.dead) continue;
-    if (slot.claim.release <= now) {
-      slot.dead = true;
-      --live_;
-    }
-  }
-}
-
-void OccupancyRegistry::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  mask_ = slots_.size() - 1;
-  used_ = live_;
-  sweep_cursor_ = 0;
-  for (const Slot& slot : old) {
-    if (slot.epoch != epoch_ || slot.dead) continue;
-    std::size_t idx = bucket(slot.key);
-    while (slots_[idx].epoch == epoch_) idx = (idx + 1) & mask_;
-    Slot& fresh = slots_[idx];
-    fresh = slot;
   }
 }
 

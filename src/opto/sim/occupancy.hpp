@@ -8,33 +8,18 @@
 // loser's surviving flits are strictly ahead of the winner's, so the link
 // is never double-booked — see the simulator's model notes).
 //
-// Storage is a flat, open-addressed hash table (linear probing) keyed by
-// the packed (link << 16) | wavelength word the simulator already computes
-// per attempt. Design notes:
-//  * clear() is O(1): slots carry an epoch stamp and a bumped epoch makes
-//    every slot read as empty, so per-pass reset costs nothing even when
-//    the table grew large on a previous pass.
-//  * Probe chains are never broken: swept entries become tombstones (kept
-//    non-empty for lookups) and are recycled by later insertions; a live
-//    entry whose release is ≤ the inserting claim's entry time is equally
-//    recyclable, since occupant() already treats it as absent.
-//  * sweep_step() retires expired claims incrementally (a bounded slot
-//    window per call) instead of a stop-the-world scan, so long passes pay
-//    a constant per-step GC cost with no periodic latency spike.
-//  * Lookup probes and hits are counted; the simulator surfaces them in
-//    PassMetrics so registry behaviour is visible in BENCH JSON.
-//
-// A second, dense backend (use_dense) direct-maps the full
-// (link, wavelength) channel space into SoA arrays when it is small enough
-// — every find/claim/shorten is one array access (probes = 1 per lookup by
-// construction), clear() stays O(1) via the same epoch trick, and sweeps
-// become no-ops (slots are fixed, expiry is judged at read time). The
-// simulator switches a registry to dense per topology; the choice never
-// depends on execution mode, so instrumentation stays comparable across
-// SIMD/threading knobs (DESIGN.md §9). The release array is exposed
-// read-only for the vectorized attempt prescan.
+// Storage is a direct-mapped channel table: the full channel space
+// link_count × B (channel = link · B + λ) laid out as SoA arrays, so every
+// find/claim/shorten is one array access (probes = 1 per lookup by
+// construction). clear() is O(1): slots carry an epoch stamp and a bumped
+// epoch makes every slot read as empty. Expiry is judged at read time
+// (release ≤ now reads as free), so nothing is ever swept. The release
+// array is exposed read-only for the vectorized attempt prescan. Lookup
+// probes and hits are counted; the simulator surfaces them in PassMetrics
+// so registry behaviour is visible in BENCH JSON.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -44,6 +29,13 @@
 #include "opto/util/assert.hpp"
 
 namespace opto {
+
+/// The supported channel space: link_count × bandwidth must not exceed
+/// 2^20. The DSL validator rejects larger programs and the Simulator
+/// constructor asserts it. Under the budget the registry's arrays stay
+/// ≤ 46 MiB, and the packed attempt key (attempt_kernel.hpp) needs at most
+/// link_bits + wl_bits + 1 ≤ 22 bits, so it always fits its 32-bit half.
+inline constexpr std::uint64_t kMaxChannels = std::uint64_t{1} << 20;
 
 struct Claim {
   WormId worm = kInvalidWorm;
@@ -60,39 +52,27 @@ class OccupancyRegistry {
     std::uint64_t hits = 0;    ///< lookups that found a live occupant
   };
 
-  OccupancyRegistry();
+  /// A table over the channel space `link_count * bandwidth`; keys
+  /// outside it are undefined behaviour (the simulator guarantees them).
+  OccupancyRegistry(std::size_t link_count, std::uint32_t bandwidth);
 
-  /// Switches to the dense direct-mapped backend over the full channel
-  /// space `link_count * bandwidth` (channel = link * bandwidth + λ).
-  /// Must be called while empty, before any claim; keys outside the range
-  /// are then undefined behaviour (the simulator guarantees both).
-  void use_dense(std::size_t link_count, std::uint32_t bandwidth);
-  bool dense() const { return bandwidth_ != 0; }
-
-  /// Dense-backend internals for the simulator's vectorized free-channel
-  /// prescan (attempt_kernel.cpp): a channel is free at `now` iff its
-  /// epoch differs from epoch() or its release is ≤ now. Null/0 under the
-  /// hash backend.
-  const std::uint32_t* dense_epochs() const {
-    return dense() ? d_epoch_.data() : nullptr;
-  }
-  const SimTime* dense_releases() const {
-    return dense() ? d_release_.data() : nullptr;
-  }
+  /// Internals for the simulator's vectorized free-channel prescan
+  /// (attempt_kernel.cpp): a channel is free at `now` iff its epoch
+  /// differs from epoch() or its release is ≤ now.
+  const std::uint32_t* epochs() const { return epoch_of_.data(); }
+  const SimTime* releases() const { return release_.data(); }
   std::uint32_t epoch() const { return epoch_; }
-  std::uint32_t dense_bandwidth() const { return bandwidth_; }
 
-  /// Accounts a lookup the caller performed against the dense arrays
-  /// directly (the prescan), keeping probe/hit stats identical to the
-  /// find()-based path.
+  /// Accounts a lookup the caller performed against the arrays directly
+  /// (the prescan), keeping probe/hit stats identical to the find()-based
+  /// path.
   void count_external_probe(bool hit) const {
     ++stats_.probes;
     stats_.hits += hit ? 1 : 0;
   }
 
   /// The live occupant of (link, wavelength) at time `now`, or nullptr.
-  /// The pointer is valid until the next claim()/clear() (shorten and
-  /// sweep never move slots).
+  /// The pointer is stable; a later claim() of the channel rewrites it.
   const Claim* find(EdgeId link, Wavelength wavelength, SimTime now) const;
 
   /// Copying convenience wrapper over find().
@@ -112,69 +92,25 @@ class OccupancyRegistry {
   /// Forgets every claim. O(1): bumps the slot epoch.
   void clear();
 
-  /// Stored claims (live entries, expired-but-unswept included; under the
-  /// dense backend: slots claimed since the last clear, expired included).
-  std::size_t size() const { return live_; }
-  std::size_t capacity() const {
-    return dense() ? d_claim_.size() : slots_.size();
-  }
-
-  /// Drops every claim with release ≤ now (full garbage collection).
-  void sweep(SimTime now);
-
-  /// Incremental variant: examines at most `budget` slots, resuming where
-  /// the previous call left off. Claims it skips are still invisible to
-  /// find()/occupant(), so sweep scheduling never affects outcomes.
-  void sweep_step(SimTime now, std::size_t budget);
-
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
 
  private:
-  struct Slot {
-    std::uint64_t key = 0;
-    Claim claim;
-    std::uint32_t epoch = 0;  ///< in use iff equal to the registry epoch
-    bool dead = false;        ///< swept tombstone (keeps chains intact)
-  };
-
-  static std::uint64_t pack(EdgeId link, Wavelength wavelength) {
-    return (static_cast<std::uint64_t>(link) << 16) | wavelength;
-  }
-
-  std::size_t bucket(std::uint64_t key) const {
-    // Fibonacci multiplicative hash; the packed key is highly regular.
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
-           mask_;
-  }
-
-  /// The live slot holding `key`, or nullptr.
-  Slot* locate(std::uint64_t key);
-
-  void grow();
-
-  std::size_t dense_index(EdgeId link, Wavelength wavelength) const {
+  std::size_t index(EdgeId link, Wavelength wavelength) const {
     const std::size_t idx =
         static_cast<std::size_t>(link) * bandwidth_ + wavelength;
-    OPTO_DASSERT(idx < d_claim_.size());
+    OPTO_DASSERT(idx < claim_.size());
     return idx;
   }
 
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t live_ = 0;      ///< live entries (what size() reports)
-  std::size_t used_ = 0;      ///< live + tombstones (load-factor input)
+  std::uint32_t bandwidth_;
   std::uint32_t epoch_ = 1;
-  std::size_t sweep_cursor_ = 0;
   mutable Stats stats_;
-
-  // Dense backend (active iff bandwidth_ != 0). d_release_ mirrors
-  // d_claim_[i].release in a contiguous array the SIMD prescan can gather
-  // from; claim()/shorten() keep the two in sync.
-  std::uint32_t bandwidth_ = 0;
-  std::vector<std::uint32_t> d_epoch_;
-  std::vector<SimTime> d_release_;
-  std::vector<Claim> d_claim_;
+  // release_ mirrors claim_[i].release in a contiguous array the SIMD
+  // prescan can gather from; claim()/shorten() keep the two in sync.
+  std::vector<std::uint32_t> epoch_of_;
+  std::vector<SimTime> release_;
+  std::vector<Claim> claim_;
 };
 
 }  // namespace opto

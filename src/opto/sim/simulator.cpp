@@ -17,18 +17,16 @@ namespace opto {
 
 namespace {
 
-/// Slots examined per step by the incremental registry sweep. Small enough
-/// to be noise per step, large enough that the cursor laps the table well
-/// before stale entries can accumulate (the table is bounded by the number
-/// of distinct (link, wavelength) keys either way — sweeping only affects
-/// memory residency, never outcomes).
-constexpr std::size_t kSweepBudget = 16;
-
-/// Channel-space ceiling for the dense direct-mapped registry backend
-/// (occupancy.hpp): 2^17 channels keep the flat claim/release/epoch arrays
-/// at a few MB per simulator, which covers every bench topology while
-/// bounding memory for simulator fleets (run_many).
-constexpr std::size_t kDenseRegistryMaxChannels = std::size_t{1} << 17;
+/// The graph's link count, asserted against the supported channel budget
+/// (occupancy.hpp) before the registry allocates its table.
+EdgeId checked_link_count(const Graph& graph, std::uint16_t bandwidth) {
+  OPTO_ASSERT(bandwidth >= 1);
+  OPTO_ASSERT_MSG(
+      static_cast<std::uint64_t>(graph.link_count()) * bandwidth <=
+          kMaxChannels,
+      "link_count x bandwidth exceeds the channel budget kMaxChannels");
+  return graph.link_count();
+}
 
 /// LSD radix sort over the low `passes` bytes of each key (higher bytes
 /// must be zero). For the per-step attempt keys — a few hundred to a few
@@ -112,8 +110,10 @@ const char* to_string(ConversionMode mode) {
 }
 
 Simulator::Simulator(const PathCollection& collection, SimConfig config)
-    : collection_(collection), config_(std::move(config)) {
-  OPTO_ASSERT(config_.bandwidth >= 1);
+    : collection_(collection),
+      config_(std::move(config)),
+      registry_(checked_link_count(collection.graph(), config_.bandwidth),
+                config_.bandwidth) {
   if (config_.conversion == ConversionMode::Sparse)
     OPTO_ASSERT_MSG(config_.converters.size() >= collection.graph().node_count(),
                     "Sparse conversion needs a per-node converter flag");
@@ -129,32 +129,19 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
     for (EdgeId link = 0; link < graph.link_count(); ++link)
       link_converts_[link] = converts_at(graph.source(link)) ? 1 : 0;
   }
-  // Direct-map the registry when the channel space is small enough to
-  // afford the flat arrays. The decision depends only on topology and
-  // config — never on SIMD/threading knobs — so instrumentation stays
-  // comparable across execution modes.
-  const std::size_t channels =
-      static_cast<std::size_t>(collection.graph().link_count()) *
-      config_.bandwidth;
-  if (channels > 0 && channels <= kDenseRegistryMaxChannels)
-    registry_.use_dense(collection.graph().link_count(), config_.bandwidth);
   // Pre-bake the per-flat-position halves of the packed attempt key
   // (attempt_kernel.hpp): the bandwidth-adaptive layout packs the
   // wavelength into bit_width(B−1) bits, so narrow-B topologies sort
-  // fewer radix bytes. Only built when link ids fit the packed budget —
-  // the wide fallback computes its keys inline.
+  // fewer radix bytes. The channel budget keeps the whole key within
+  // 22 bits, so it always fits its 32-bit half.
   const unsigned wl_bits =
       std::bit_width(static_cast<std::uint32_t>(config_.bandwidth) - 1u);
   merge_bit_ = std::uint32_t{1} << wl_bits;
-  if (collection.graph().link_count() < (EdgeId{1} << 15)) {
-    flat_keys_.resize(flat_links_.size());
-    for (std::size_t j = 0; j < flat_links_.size(); ++j) {
-      const EdgeId link = flat_links_[j];
-      const bool merges =
-          !link_converts_.empty() && link_converts_[link] != 0;
-      flat_keys_[j] =
-          (link << (wl_bits + 1)) | (merges ? merge_bit_ : 0u);
-    }
+  flat_keys_.resize(flat_links_.size());
+  for (std::size_t j = 0; j < flat_links_.size(); ++j) {
+    const EdgeId link = flat_links_[j];
+    const bool merges = !link_converts_.empty() && link_converts_[link] != 0;
+    flat_keys_[j] = (link << (wl_bits + 1)) | (merges ? merge_bit_ : 0u);
   }
   simd_on_ = config_.simd != SimdMode::Off && simd::enabled();
 }
@@ -357,12 +344,10 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   std::size_t next_injection = 0;
   SimTime now = count > 0 ? worms_[injection_order_.front()].start_time : 0;
 
-  // Link ids below 2^15 leave room for the bandwidth-adaptive
-  // wavelength/merge field (wl_bits + 1 ≤ 17 bits; attempt_kernel.hpp)
-  // and a 32-bit worm id in one packed sort key (see step 2 below). Both
-  // the id and wavelength fields are packed to their minimum widths so
-  // the radix sort touches as few byte-passes as possible.
-  const bool packed_attempts = !flat_keys_.empty();
+  // The group key (≤ 22 bits under the channel budget; attempt_kernel.hpp)
+  // and the worm id pack into one 64-bit sort word (see step 2 below).
+  // Both fields are packed to their minimum widths so the radix sort
+  // touches as few byte-passes as possible.
   const unsigned id_bits =
       std::bit_width(std::max<std::uint32_t>(count, 2) - 1);
   const std::uint64_t id_mask = (std::uint64_t{1} << id_bits) - 1;
@@ -496,7 +481,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       contenders_.push_back({entrant, worms_[entrant].priority});
 
     std::optional<Contender> occupant_contender;
-    // Copy what outlives registry mutation (claim() in admit can rehash).
+    // Copy what outlives registry mutation (admit() rewrites the claim).
     WormId occupant_worm = kInvalidWorm;
     std::uint32_t occupant_link_index = 0;
     if (found != nullptr) {
@@ -670,11 +655,9 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     // 2. Collect this step's link-entry attempts. Every running worm's
     //    head enters a link every step (worms never stall). Grouping key:
     //    (link, wavelength) normally; link only at converting routers
-    //    (entrants on different wavelengths interact there). When link ids
-    //    fit 15 bits (every practical topology), the group key and worm id
-    //    pack into one 64-bit integer, so the per-step sort — the hottest
-    //    loop in the engine — runs over flat PODs instead of chasing a
-    //    two-field comparator; wider graphs take the fallback below.
+    //    (entrants on different wavelengths interact there). The group
+    //    key and worm id pack into one 64-bit integer, so the per-step
+    //    sort — the hottest loop in the engine — runs over flat PODs.
     // 3. Resolve contention groups in ascending (key, worm) order.
     // A worm whose next link is dark — or whose feeding coupler is down —
     // is eliminated before it can contend, exactly like a serve-first
@@ -683,132 +666,94 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       return plan->link_down(link, now) ||
              plan->coupler_down(collection_.graph().source(link), now);
     };
-    if (packed_attempts) {
-      if (!faults_on) {
-        // Fault-free steps build every attempt word in SIMD lanes
-        // (attempt_kernel.hpp): one gather of the pre-baked link/merge
-        // half plus a masked OR of the wavelength per worm.
-        for ([[maybe_unused]] const WormId id : running_) {
-          OPTO_DASSERT(status_[id] == WormStatus::Running);
-          OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
-        }
-        attempt_keys_.resize(running_.size());
-        attempt::build_keys(running_, cursor_.data(), flat_keys_.data(),
-                            wl_.data(), merge_bit_, id_bits, simd_on_,
-                            attempt_keys_.data());
-      } else {
-        attempt_keys_.clear();
-        for (WormId id : running_) {
-          OPTO_DASSERT(status_[id] == WormStatus::Running);
-          OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
-          // Fault elimination interleaves with key build, so faulty
-          // passes keep the scalar loop (same key formula as the kernel).
-          const EdgeId link = flat_links_[cursor_[id]];
-          if (fault_blocks_entry(link)) {
-            fault_kill(id, link, now);
-            continue;
-          }
-          const std::uint32_t fk = flat_keys_[cursor_[id]];
-          const std::uint32_t key =
-              fk | ((fk & merge_bit_) != 0 ? 0u : wl_[id]);
-          attempt_keys_.push_back((static_cast<std::uint64_t>(key) << id_bits) |
-                                  id);
-        }
+    if (!faults_on) {
+      // Fault-free steps build every attempt word in SIMD lanes
+      // (attempt_kernel.hpp): one gather of the pre-baked link/merge
+      // half plus a masked OR of the wavelength per worm.
+      for ([[maybe_unused]] const WormId id : running_) {
+        OPTO_DASSERT(status_[id] == WormStatus::Running);
+        OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
       }
-      // Small steps sort faster with introsort; large ones with the
-      // byte-wise radix passes (the crossover is broad — anywhere in the
-      // low hundreds behaves the same).
-      if (attempt_keys_.size() < 128)
-        std::sort(attempt_keys_.begin(), attempt_keys_.end());
-      else
-        radix_sort(attempt_keys_, attempt_keys_scratch_, radix_passes);
-      // Pre-screen the sorted words: a singleton fixed-wavelength group
-      // whose channel is free in the dense registry admits immediately —
-      // no group build, no find(). Runs in every lane mode (the kernel
-      // dispatch handles the level), so metrics and traces are identical
-      // by construction; see prescan_free_singletons for the legality
-      // argument. Faulty passes skip it (stuck sentinels and down links
-      // need the resolvers), as do sparse-registry topologies.
-      // Below a few dozen attempts the extra pass over the keys costs
-      // about what the skipped find() calls save; the gate is a pure
-      // throughput heuristic — the mask path and the group path produce
-      // identical outcomes, metrics, and traces, so step size can never
-      // change results. The mask sees only registry claims, so a flagged
-      // singleton on a held channel falls through to the group path.
-      const bool prescan =
-          !faults_on && registry_.dense() && attempt_keys_.size() >= 32;
-      if (prescan) {
-        admit_mask_.resize(attempt_keys_.size());
-        attempt::prescan_free_singletons(
-            attempt_keys_, id_bits, merge_bit_, config_.bandwidth,
-            registry_.dense_epochs(), registry_.epoch(),
-            registry_.dense_releases(), now, simd_on_, admit_mask_.data());
-      }
-      for (std::size_t lo = 0; lo < attempt_keys_.size();) {
-        const std::uint64_t key = attempt_keys_[lo] >> id_bits;
-        if (prescan && admit_mask_[lo] != 0) {
-          const auto link = static_cast<EdgeId>(key >> key_link_shift);
-          const auto wl = static_cast<Wavelength>(key & (merge_bit_ - 1));
-          if (!held(link, wl)) {
-            // The skipped find() was one dense probe that would have
-            // missed; keep the registry stats identical to the slow path.
-            registry_.count_external_probe(false);
-            admit(static_cast<WormId>(attempt_keys_[lo] & id_mask), link, wl,
-                  /*retuned=*/false);
-            ++lo;
-            continue;
-          }
-        }
-        group_worms_.clear();
-        std::size_t hi = lo;
-        while (hi < attempt_keys_.size() &&
-               (attempt_keys_[hi] >> id_bits) == key)
-          group_worms_.push_back(
-              static_cast<WormId>(attempt_keys_[hi++] & id_mask));
-        const auto link = static_cast<EdgeId>(key >> key_link_shift);
-        const std::span<const WormId> group{group_worms_};
-        if ((key & merge_bit_) != 0)
-          resolve_converting(link, group);
-        else
-          resolve_fixed(link, static_cast<Wavelength>(key & (merge_bit_ - 1)),
-                        group);
-        lo = hi;
-      }
+      attempt_keys_.resize(running_.size());
+      attempt::build_keys(running_, cursor_.data(), flat_keys_.data(),
+                          wl_.data(), merge_bit_, id_bits, simd_on_,
+                          attempt_keys_.data());
     } else {
-      attempts_.clear();
+      attempt_keys_.clear();
       for (WormId id : running_) {
         OPTO_DASSERT(status_[id] == WormStatus::Running);
         OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
+        // Fault elimination interleaves with key build, so faulty
+        // passes keep the scalar loop (same key formula as the kernel).
         const EdgeId link = flat_links_[cursor_[id]];
-        if (faults_on && fault_blocks_entry(link)) {
+        if (fault_blocks_entry(link)) {
           fault_kill(id, link, now);
           continue;
         }
-        const bool merge_wavelengths = convert && link_converts_[link] != 0;
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(link) << 17) |
-            (merge_wavelengths ? 0x10000u : wl_[id]);
-        attempts_.push_back({key, id});
+        const std::uint32_t fk = flat_keys_[cursor_[id]];
+        const std::uint32_t key =
+            fk | ((fk & merge_bit_) != 0 ? 0u : wl_[id]);
+        attempt_keys_.push_back((static_cast<std::uint64_t>(key) << id_bits) |
+                                id);
       }
-      std::sort(attempts_.begin(), attempts_.end(),
-                [](const Attempt& a, const Attempt& b) {
-                  return a.key != b.key ? a.key < b.key : a.worm < b.worm;
-                });
-      for (std::size_t lo = 0; lo < attempts_.size();) {
-        std::size_t hi = lo;
-        group_worms_.clear();
-        while (hi < attempts_.size() && attempts_[hi].key == attempts_[lo].key)
-          group_worms_.push_back(attempts_[hi++].worm);
-        const auto link = static_cast<EdgeId>(attempts_[lo].key >> 17);
-        const std::span<const WormId> group{group_worms_};
-        if ((attempts_[lo].key & 0x10000u) != 0)
-          resolve_converting(link, group);
-        else
-          resolve_fixed(link,
-                        static_cast<Wavelength>(attempts_[lo].key & 0xffffu),
-                        group);
-        lo = hi;
+    }
+    // Small steps sort faster with introsort; large ones with the
+    // byte-wise radix passes (the crossover is broad — anywhere in the
+    // low hundreds behaves the same).
+    if (attempt_keys_.size() < 128)
+      std::sort(attempt_keys_.begin(), attempt_keys_.end());
+    else
+      radix_sort(attempt_keys_, attempt_keys_scratch_, radix_passes);
+    // Pre-screen the sorted words: a singleton fixed-wavelength group
+    // whose channel is free in the registry admits immediately —
+    // no group build, no find(). Runs in every lane mode (the kernel
+    // dispatch handles the level), so metrics and traces are identical
+    // by construction; see prescan_free_singletons for the legality
+    // argument. Faulty passes skip it (stuck sentinels and down links
+    // need the resolvers).
+    // Below a few dozen attempts the extra pass over the keys costs
+    // about what the skipped find() calls save; the gate is a pure
+    // throughput heuristic — the mask path and the group path produce
+    // identical outcomes, metrics, and traces, so step size can never
+    // change results. The mask sees only registry claims, so a flagged
+    // singleton on a held channel falls through to the group path.
+    const bool prescan = !faults_on && attempt_keys_.size() >= 32;
+    if (prescan) {
+      admit_mask_.resize(attempt_keys_.size());
+      attempt::prescan_free_singletons(
+          attempt_keys_, id_bits, merge_bit_, config_.bandwidth,
+          registry_.epochs(), registry_.epoch(), registry_.releases(), now,
+          simd_on_, admit_mask_.data());
+    }
+    for (std::size_t lo = 0; lo < attempt_keys_.size();) {
+      const std::uint64_t key = attempt_keys_[lo] >> id_bits;
+      if (prescan && admit_mask_[lo] != 0) {
+        const auto link = static_cast<EdgeId>(key >> key_link_shift);
+        const auto wl = static_cast<Wavelength>(key & (merge_bit_ - 1));
+        if (!held(link, wl)) {
+          // The skipped find() was one probe that would have missed;
+          // keep the registry stats identical to the slow path.
+          registry_.count_external_probe(false);
+          admit(static_cast<WormId>(attempt_keys_[lo] & id_mask), link, wl,
+                /*retuned=*/false);
+          ++lo;
+          continue;
+        }
       }
+      group_worms_.clear();
+      std::size_t hi = lo;
+      while (hi < attempt_keys_.size() &&
+             (attempt_keys_[hi] >> id_bits) == key)
+        group_worms_.push_back(
+            static_cast<WormId>(attempt_keys_[hi++] & id_mask));
+      const auto link = static_cast<EdgeId>(key >> key_link_shift);
+      const std::span<const WormId> group{group_worms_};
+      if ((key & merge_bit_) != 0)
+        resolve_converting(link, group);
+      else
+        resolve_fixed(link, static_cast<Wavelength>(key & (merge_bit_ - 1)),
+                      group);
+      lo = hi;
     }
 
     // 4. Re-partition the running set: drop kills (and drains finalized
@@ -840,11 +785,6 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
         draining_[keep++] = id;
     }
     draining_.resize(keep);
-
-    // Incremental garbage collection of drained claims keeps the registry
-    // proportional to the in-flight worm count on long passes without the
-    // old stop-the-world scan every 1024 steps.
-    registry_.sweep_step(now, kSweepBudget);
 
     ++now;
   }

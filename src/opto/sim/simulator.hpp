@@ -135,7 +135,9 @@ class Simulator {
  public:
   /// The collection must outlive the simulator and must not gain paths
   /// while any simulator built on it is in use (construction snapshots
-  /// the collection's flattened-link cache).
+  /// the collection's flattened-link cache). The graph's
+  /// link_count × config.bandwidth must not exceed kMaxChannels
+  /// (occupancy.hpp); the constructor asserts it.
   Simulator(const PathCollection& collection, SimConfig config);
 
   /// Simulates one forward pass of all `specs` worms to quiescence.
@@ -167,11 +169,6 @@ class Simulator {
   void set_held(std::span<const std::uint8_t> held);
 
  private:
-  struct Attempt {
-    std::uint64_t key;  ///< (link << 17) | wavelength-or-merge, for grouping
-    WormId worm;
-  };
-
   void apply_truncation(WormId victim, std::uint32_t cut_link_index,
                         SimTime now, PassResult& result);
 
@@ -198,8 +195,7 @@ class Simulator {
   // Packed-attempt key layout (attempt_kernel.hpp), fixed at construction.
   // flat_keys_[j] pre-bakes (link << (wl_bits+1)) | merge_bit for flat
   // position j, so the per-step key build is one lookup + a masked OR of
-  // the worm's wavelength; built only when the packed path applies
-  // (link ids fit the budget). merge_bit_ = 1 << wl_bits, with
+  // the worm's wavelength. merge_bit_ = 1 << wl_bits, with
   // wl_bits = bit_width(bandwidth − 1) — the layout adapts to B, keeping
   // radix passes minimal. simd_on_ folds SimConfig::simd into the
   // process-wide lane level once.
@@ -215,7 +211,6 @@ class Simulator {
   std::vector<std::uint64_t> injection_keys_;  ///< packed (start_time, id)
   std::vector<WormId> running_;   ///< head still has links to enter
   std::vector<WormId> draining_;  ///< head done, tail still arriving
-  std::vector<Attempt> attempts_;             ///< wide-key fallback path
   std::vector<std::uint64_t> attempt_keys_;   ///< packed (group key, worm)
   std::vector<std::uint64_t> attempt_keys_scratch_;  ///< radix ping-pong
   std::vector<std::uint8_t> admit_mask_;  ///< free-singleton prescan flags

@@ -10,9 +10,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "opto/dsl/validate.hpp"
+#include "opto/graph/bcube.hpp"
+#include "opto/graph/butterfly.hpp"
+#include "opto/graph/complete.hpp"
+#include "opto/graph/fattree.hpp"
+#include "opto/graph/hypercube.hpp"
+#include "opto/graph/mesh.hpp"
+#include "opto/graph/ring.hpp"
 
 namespace opto::dsl {
 namespace {
@@ -89,6 +97,92 @@ TEST(DslParser, ValidProgramReportsNoError) {
   EXPECT_EQ(spec.topology.family, "ring");
   EXPECT_EQ(spec.topology.nodes, 8u);
   EXPECT_EQ(spec.label, "ok");  // defaults to the slugified name
+}
+
+TEST(DslParser, ProgramExactlyInsideTheChannelBudgetValidates) {
+  // K_1024 has 1024 x 1023 = 1,047,552 directed links: at B=1 that is the
+  // largest complete graph under kMaxChannels = 2^20.
+  const std::string program =
+      "scenario \"edge\" {\n"
+      "  mode trials;\n"
+      "  topology complete { nodes 1024; }\n"
+      "  paths bfs { workload permutation; }\n"
+      "  protocol { bandwidth 1; }\n"
+      "}\n";
+  ScenarioSpec spec;
+  DslError error;
+  ASSERT_TRUE(load_opto_text(program, "edge.opto", spec, error))
+      << error.format();
+  EXPECT_EQ(topology_links(spec.topology), 1047552u);
+  EXPECT_LE(topology_links(spec.topology) * spec.protocol.bandwidth,
+            kMaxChannels);
+  EXPECT_TRUE(channel_budget_error(spec).empty());
+  // One more wavelength doubles the channel space past the budget.
+  spec.protocol.bandwidth = 2;
+  EXPECT_FALSE(channel_budget_error(spec).empty());
+}
+
+TEST(DslParser, TopologyLinksMatchesTheBuiltGraph) {
+  // The budget is computed from the spec, before anything is built; it
+  // must agree with the builders for every family.
+  const auto check = [](const TopologySpec& topo, const Graph& graph) {
+    EXPECT_EQ(topology_links(topo), graph.link_count()) << topo.family;
+    EXPECT_EQ(topology_nodes(topo), graph.node_count()) << topo.family;
+  };
+  for (const std::uint32_t dim : {2u, 5u}) {
+    TopologySpec topo;
+    topo.family = "butterfly";
+    topo.dim = dim;
+    check(topo, make_butterfly(dim).graph);
+    topo.family = "hypercube";
+    check(topo, make_hypercube(dim));
+  }
+  for (const std::uint32_t side : {2u, 7u}) {
+    TopologySpec topo;
+    topo.family = "mesh";
+    topo.side = side;
+    check(topo, make_mesh({side, side}).graph);
+  }
+  for (const std::uint32_t nodes : {3u, 12u}) {
+    TopologySpec topo;
+    topo.family = "ring";
+    topo.nodes = nodes;
+    check(topo, make_ring(nodes));
+    topo.family = "complete";
+    check(topo, make_complete(nodes));
+  }
+  {
+    TopologySpec topo;
+    topo.family = "single_link";
+    Graph graph(2, "single-link");
+    graph.add_edge(0, 1);
+    check(topo, graph);
+  }
+  for (const std::uint32_t radix : {2u, 6u}) {
+    TopologySpec topo;
+    topo.family = "fattree";
+    topo.radix = radix;
+    check(topo, make_fat_tree(radix).graph);
+  }
+  for (const auto& [ports, levels] :
+       {std::pair<std::uint32_t, std::uint32_t>{2, 1}, {3, 3}}) {
+    TopologySpec topo;
+    topo.family = "bcube";
+    topo.ports = ports;
+    topo.levels = levels;
+    check(topo, make_bcube(ports, levels).graph);
+  }
+  for (const std::uint32_t nodes : {2u, 6u}) {
+    TopologySpec topo;
+    topo.family = "explicit";
+    topo.nodes = nodes;
+    for (std::uint32_t u = 0; u + 1 < nodes; ++u)
+      topo.edges.emplace_back(u, u + 1);
+    if (nodes > 2) topo.edges.emplace_back(0, nodes - 1);
+    Graph graph(nodes, "explicit");
+    for (const auto& [u, v] : topo.edges) graph.add_edge(u, v);
+    check(topo, graph);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 namespace opto {
 namespace {
 
+// A small channel space covering every (link, wavelength) the cases use.
+constexpr std::size_t kLinks = 16;
+constexpr std::uint32_t kBandwidth = 4;
+
 Claim make_claim(WormId worm, SimTime entry, SimTime release,
                  std::uint32_t link_index = 0, std::uint32_t priority = 0) {
   Claim claim;
@@ -17,12 +21,12 @@ Claim make_claim(WormId worm, SimTime entry, SimTime release,
 }
 
 TEST(Occupancy, EmptyHasNoOccupant) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   EXPECT_FALSE(registry.occupant(3, 0, 10).has_value());
 }
 
 TEST(Occupancy, ClaimVisibleWithinWindow) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(3, 1, make_claim(7, 5, 9));
   EXPECT_TRUE(registry.occupant(3, 1, 5).has_value());
   EXPECT_TRUE(registry.occupant(3, 1, 8).has_value());
@@ -32,7 +36,7 @@ TEST(Occupancy, ClaimVisibleWithinWindow) {
 }
 
 TEST(Occupancy, OverwriteReplacesStaleClaim) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(2, 0, make_claim(1, 0, 4));
   registry.claim(2, 0, make_claim(9, 4, 8));
   const auto occ = registry.occupant(2, 0, 5);
@@ -41,7 +45,7 @@ TEST(Occupancy, OverwriteReplacesStaleClaim) {
 }
 
 TEST(Occupancy, ShortenCapsRelease) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(2, 0, make_claim(1, 0, 10));
   registry.shorten(2, 0, 1, 6);
   EXPECT_TRUE(registry.occupant(2, 0, 5).has_value());
@@ -49,47 +53,38 @@ TEST(Occupancy, ShortenCapsRelease) {
 }
 
 TEST(Occupancy, ShortenIgnoresForeignClaims) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(2, 0, make_claim(1, 0, 10));
   registry.shorten(2, 0, /*worm=*/5, 3);  // not the owner
   EXPECT_TRUE(registry.occupant(2, 0, 8).has_value());
 }
 
 TEST(Occupancy, ShortenNeverExtends) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(2, 0, make_claim(1, 0, 5));
   registry.shorten(2, 0, 1, 9);
   EXPECT_FALSE(registry.occupant(2, 0, 6).has_value());
 }
 
-TEST(Occupancy, SweepDropsExpired) {
-  OccupancyRegistry registry;
-  registry.claim(1, 0, make_claim(1, 0, 5));
-  registry.claim(2, 0, make_claim(2, 0, 20));
-  EXPECT_EQ(registry.size(), 2u);
-  registry.sweep(10);
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_TRUE(registry.occupant(2, 0, 10).has_value());
-}
-
 TEST(Occupancy, ClearEmpties) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(1, 0, make_claim(1, 0, 5));
+  ASSERT_NE(registry.find(1, 0, 2), nullptr);
   registry.clear();
-  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_EQ(registry.find(1, 0, 2), nullptr);
 }
 
 TEST(Occupancy, ShortenBelowEntryClampsToEntry) {
   // A release can never retreat past the claim's entry step: the head flit
   // occupied the link for at least that step.
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(2, 0, make_claim(1, /*entry=*/5, /*release=*/15));
   EXPECT_EQ(registry.shorten(2, 0, 1, /*new_release=*/2), 10);  // 15 -> 5
   EXPECT_FALSE(registry.occupant(2, 0, 5).has_value());
 }
 
 TEST(Occupancy, DoubleShortenKeepsMinimum) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(2, 0, make_claim(1, 0, 20));
   EXPECT_EQ(registry.shorten(2, 0, 1, 8), 12);
   // A later, shallower cut must not push the release back out.
@@ -98,92 +93,46 @@ TEST(Occupancy, DoubleShortenKeepsMinimum) {
   EXPECT_FALSE(registry.occupant(2, 0, 8).has_value());
 }
 
-TEST(Occupancy, SweepKeepsLiveClaims) {
-  OccupancyRegistry registry;
-  for (EdgeId link = 0; link < 16; ++link)
-    registry.claim(link, 0,
-                   make_claim(link, 0, link % 2 == 0 ? 5 : 50));
-  EXPECT_EQ(registry.size(), 16u);
-  registry.sweep(10);  // even links expired, odd links still streaming
-  EXPECT_EQ(registry.size(), 8u);
-  for (EdgeId link = 0; link < 16; ++link)
-    EXPECT_EQ(registry.occupant(link, 0, 10).has_value(), link % 2 == 1);
-}
-
-TEST(Occupancy, SweepStepDrainsIncrementally) {
-  OccupancyRegistry registry;
-  for (EdgeId link = 0; link < 32; ++link)
-    registry.claim(link, 0, make_claim(link, 0, 5));
-  EXPECT_EQ(registry.size(), 32u);
-  // Each call scans only `budget` slots; lapping the whole table once must
-  // have retired every expired claim.
-  const std::size_t budget = 4;
-  for (std::size_t scanned = 0; scanned < registry.capacity();
-       scanned += budget)
-    registry.sweep_step(10, budget);
-  EXPECT_EQ(registry.size(), 0u);
-}
-
 TEST(Occupancy, StatsCountProbesAndHits) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(3, 1, make_claim(7, 0, 10));
   registry.reset_stats();
   EXPECT_TRUE(registry.occupant(3, 1, 5).has_value());
   const auto after_hit = registry.stats();
-  EXPECT_GE(after_hit.probes, 1u);
+  EXPECT_EQ(after_hit.probes, 1u);  // direct-mapped: one slot per lookup
   EXPECT_EQ(after_hit.hits, 1u);
   EXPECT_FALSE(registry.occupant(9, 0, 5).has_value());
   const auto after_miss = registry.stats();
-  EXPECT_GT(after_miss.probes, after_hit.probes);
+  EXPECT_EQ(after_miss.probes, 2u);
   EXPECT_EQ(after_miss.hits, 1u);
   registry.reset_stats();
   EXPECT_EQ(registry.stats().probes, 0u);
   EXPECT_EQ(registry.stats().hits, 0u);
 }
 
-TEST(Occupancy, GrowthPreservesEveryLiveClaim) {
-  OccupancyRegistry registry;
-  constexpr EdgeId kLinks = 500;  // forces several doublings
-  for (EdgeId link = 0; link < kLinks; ++link)
-    registry.claim(link, link % 3, make_claim(link, 0, 1000 + link));
-  EXPECT_EQ(registry.size(), kLinks);
-  EXPECT_GE(registry.capacity(), kLinks);
-  for (EdgeId link = 0; link < kLinks; ++link) {
-    const auto occ = registry.occupant(link, link % 3, 500);
-    ASSERT_TRUE(occ.has_value()) << "link " << link;
-    EXPECT_EQ(occ->worm, link);
-    EXPECT_EQ(occ->release, static_cast<SimTime>(1000 + link));
-  }
-}
-
 TEST(Occupancy, ReclaimingSameKeyDoesNotGrowSize) {
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   registry.claim(4, 0, make_claim(1, 0, 5));
   registry.claim(4, 0, make_claim(2, 10, 20));  // expired claim overwritten
-  EXPECT_EQ(registry.size(), 1u);
-  const auto occ = registry.occupant(4, 0, 12);
-  ASSERT_TRUE(occ.has_value());
+  const Claim* occ = registry.find(4, 0, 12);
+  ASSERT_NE(occ, nullptr);
   EXPECT_EQ(occ->worm, 2u);
-}
-
-TEST(Occupancy, SweptSlotIsReusable) {
-  OccupancyRegistry registry;
-  registry.claim(4, 0, make_claim(1, 0, 5));
-  registry.sweep(10);
-  EXPECT_EQ(registry.size(), 0u);
-  registry.claim(4, 0, make_claim(2, 10, 20));
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_TRUE(registry.occupant(4, 0, 15).has_value());
+  EXPECT_EQ(occ->entry, 10);
+  // The overwrite took the key's one slot: no other channel gained a claim.
+  for (EdgeId link = 0; link < kLinks; ++link)
+    for (Wavelength w = 0; w < kBandwidth; ++w)
+      if (link != 4 || w != 0) {
+        EXPECT_EQ(registry.find(link, w, 12), nullptr);
+      }
 }
 
 TEST(Occupancy, ClearThenReuseAcrossManyPasses) {
   // The epoch-based O(1) clear must isolate passes from each other while
   // reusing the same slot storage.
-  OccupancyRegistry registry;
+  OccupancyRegistry registry(kLinks, kBandwidth);
   for (int pass = 0; pass < 100; ++pass) {
     registry.clear();
-    EXPECT_EQ(registry.size(), 0u);
-    EXPECT_FALSE(registry.occupant(7, 0, 1).has_value());
+    EXPECT_EQ(registry.find(7, 0, 1), nullptr);
     registry.claim(7, 0, make_claim(static_cast<WormId>(pass), 0, 10));
     const auto occ = registry.occupant(7, 0, 1);
     ASSERT_TRUE(occ.has_value());

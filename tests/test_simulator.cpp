@@ -5,14 +5,20 @@
 // upstream flits keep draining (and keep blocking).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "opto/graph/mesh.hpp"
 #include "opto/paths/path_collection.hpp"
+#include "opto/paths/workloads.hpp"
+#include "opto/rng/rng.hpp"
 #include "opto/sim/faults.hpp"
 #include "opto/sim/reference.hpp"
 #include "opto/sim/simulator.hpp"
+#include "opto/sim/validate.hpp"
 
 namespace opto {
 namespace {
@@ -516,6 +522,102 @@ TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
         fast.metrics.killed + fast.metrics.pinned_blocks;
     EXPECT_EQ(fast.metrics.registry_probes, fast.metrics.worm_steps + losses);
     EXPECT_EQ(fast.metrics.registry_hits, losses);
+  }
+}
+
+TEST(SimulatorLargeGraph, PackedKeysPastTwoToTheFifteenLinksMatchReference) {
+  // A 92x92 mesh has 4 * 92 * 91 = 33,488 directed links, past 2^15: the
+  // group key needs 16 link bits. Dimension-order routes between nodes of
+  // the bottom rows use the highest link ids; 640 worms launched over 8
+  // steps put far more than 32 attempts into each early step, so the
+  // vectorized key build and the free-singleton prescan both run.
+  constexpr std::uint32_t kSide = 92;
+  const auto topo =
+      std::make_shared<const MeshTopology>(make_mesh({kSide, kSide}));
+  ASSERT_GT(topo->graph.link_count(), EdgeId{1} << 15);
+  Rng rng(17);
+  std::vector<std::pair<NodeId, NodeId>> requests;
+  const auto bottom_node = [&] {
+    const auto row =
+        static_cast<std::uint32_t>(kSide - 12 + rng.next_below(12));
+    const auto col = static_cast<std::uint32_t>(rng.next_below(kSide));
+    return row * kSide + col;
+  };
+  for (int i = 0; i < 640; ++i) {
+    const NodeId source = bottom_node();
+    requests.emplace_back(source, bottom_node());
+  }
+  const PathCollection collection = mesh_collection(topo, requests);
+  EdgeId top_link = 0;
+  for (PathId p = 0; p < collection.size(); ++p)
+    for (const EdgeId link : collection.path(p).links())
+      top_link = std::max(top_link, link);
+  ASSERT_GE(top_link, EdgeId{1} << 15);
+
+  std::vector<LaunchSpec> specs;
+  for (PathId p = 0; p < collection.size(); ++p)
+    specs.push_back(spec(p, static_cast<SimTime>(rng.next_below(8)),
+                         static_cast<Wavelength>(rng.next_below(2)),
+                         2 + static_cast<std::uint32_t>(rng.next_below(4)),
+                         static_cast<std::uint32_t>(rng.next_below(1000))));
+
+  SimConfig base;
+  base.bandwidth = 2;
+  const auto run_against_reference = [&](const SimConfig& config) {
+    for (const SimdMode simd : {SimdMode::Auto, SimdMode::Off}) {
+      SimConfig mode = config;
+      mode.simd = simd;
+      Simulator sim(collection, mode);
+      const PassResult fast = sim.run(specs);
+      expect_matches_reference(collection, mode, specs, {}, fast);
+      EXPECT_GT(fast.metrics.contentions, 0u);
+    }
+  };
+
+  SCOPED_TRACE("serve-first");
+  run_against_reference(base);
+  {
+    SCOPED_TRACE("priority");
+    SimConfig config = base;
+    config.rule = ContentionRule::Priority;
+    run_against_reference(config);
+  }
+  {
+    SCOPED_TRACE("full conversion");
+    SimConfig config = base;
+    config.rule = ContentionRule::Priority;
+    config.conversion = ConversionMode::Full;
+    run_against_reference(config);
+  }
+  {
+    // An enabled plan whose only fault acts after the pass (lost acks)
+    // sends every step through the scalar faulty key loop while leaving
+    // outcomes comparable with the fault-free reference.
+    SCOPED_TRACE("ack-drop fault plan");
+    FaultConfig faults;
+    faults.ack_drop_rate = 0.5;
+    const FaultPlan plan(faults, 3);
+    ASSERT_TRUE(plan.enabled());
+    SimConfig config = base;
+    config.faults = &plan;
+    run_against_reference(config);
+  }
+  {
+    // Live faults have no reference; the pass must still satisfy every
+    // invariant and actually lose worms to them.
+    SCOPED_TRACE("outage and stuck-wavelength fault plan");
+    FaultConfig faults;
+    faults.link_outage_rate = 0.2;
+    faults.stuck_wavelength_rate = 0.05;
+    const FaultPlan plan(faults, 5);
+    SimConfig config = base;
+    config.faults = &plan;
+    config.record_trace = true;
+    Simulator sim(collection, config);
+    const PassResult result = sim.run(specs);
+    EXPECT_GT(result.metrics.fault_kills, 0u);
+    EXPECT_TRUE(validate_pass(collection, config, specs, result).ok());
+    EXPECT_TRUE(validate_occupancy(collection, specs, result).ok());
   }
 }
 
