@@ -20,7 +20,7 @@ MultiHopTrialAndFailure::MultiHopTrialAndFailure(
 
   // Split every path into chunks of ≤ hop_spacing links.
   for (PathId id = 0; id < collection.size(); ++id) {
-    const Path& path = collection.path(id);
+    const PathView path = collection.path(id);
     if (path.empty()) {
       // Zero-length path: one empty segment keeps the round logic uniform.
       segment_ids_[id].push_back(segments_.size());

@@ -105,10 +105,7 @@ ProtocolSession::ProtocolSession(const PathCollection& collection,
   faults_on_ = fault_plan_.enabled();
   if (config_.ack_mode == AckMode::Simulated) {
     if (reverse == nullptr) {
-      owned_reverse_ = std::make_unique<PathCollection>(collection.graph_ptr());
-      owned_reverse_->reserve(collection.size());
-      for (const Path& p : collection.paths())
-        owned_reverse_->add(p.reversed());
+      owned_reverse_ = std::make_unique<PathCollection>(collection.reversed());
       reverse = owned_reverse_.get();
     }
     ack_sim_.emplace(*reverse, protocol_sim_config(config_, &fault_plan_));
@@ -361,10 +358,7 @@ TrialAndFailure::TrialAndFailure(const PathCollection& collection,
 const PathCollection& TrialAndFailure::ensure_reverse_collection() {
   if (reverse_collection_ == nullptr) {
     reverse_collection_ =
-        std::make_unique<PathCollection>(collection_.graph_ptr());
-    reverse_collection_->reserve(collection_.size());
-    for (const Path& p : collection_.paths())
-      reverse_collection_->add(p.reversed());
+        std::make_unique<PathCollection>(collection_.reversed());
   }
   return *reverse_collection_;
 }

@@ -28,37 +28,41 @@ std::vector<std::uint32_t> bfs_distances(const Graph& graph, NodeId source) {
 }
 
 std::vector<NodeId> bfs_path(const Graph& graph, NodeId source, NodeId target) {
-  OPTO_ASSERT(source < graph.node_count() && target < graph.node_count());
-  if (source == target) return {source};
-  // Parent-pointer BFS; scanning out-links of the smallest-id frontier node
-  // first and never overwriting a parent yields the lexicographically
-  // canonical shortest path.
+  OPTO_ASSERT(target < graph.node_count());
+  return tree_path(bfs_parents(graph, source), source, target);
+}
+
+std::vector<NodeId> bfs_parents(const Graph& graph, NodeId source) {
+  OPTO_ASSERT(source < graph.node_count());
+  // Scanning each node's neighbors in ascending id and never overwriting a
+  // parent yields the lexicographically canonical shortest paths.
   std::vector<NodeId> parent(graph.node_count(), kInvalidNode);
-  std::deque<NodeId> queue;
   parent[source] = source;
-  queue.push_back(source);
+  std::deque<NodeId> queue{source};
+  std::vector<NodeId> neighbors;
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    // Visit neighbors in ascending node id for canonical tie-breaking.
-    std::vector<NodeId> neighbors;
-    neighbors.reserve(graph.out_links(u).size());
+    neighbors.clear();
     for (EdgeId e : graph.out_links(u)) neighbors.push_back(graph.target(e));
     std::sort(neighbors.begin(), neighbors.end());
     for (NodeId v : neighbors) {
       if (parent[v] != kInvalidNode) continue;
       parent[v] = u;
-      if (v == target) {
-        std::vector<NodeId> path;
-        for (NodeId w = target; w != source; w = parent[w]) path.push_back(w);
-        path.push_back(source);
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
       queue.push_back(v);
     }
   }
-  return {};
+  return parent;
+}
+
+std::vector<NodeId> tree_path(const std::vector<NodeId>& parents,
+                              NodeId source, NodeId target) {
+  if (parents[target] == kInvalidNode) return {};
+  std::vector<NodeId> path;
+  for (NodeId w = target; w != source; w = parents[w]) path.push_back(w);
+  path.push_back(source);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 bool is_connected(const Graph& graph) {

@@ -19,6 +19,15 @@ std::vector<std::uint32_t> bfs_distances(const Graph& graph, NodeId source);
 /// experiments rely on for reproducibility.
 std::vector<NodeId> bfs_path(const Graph& graph, NodeId source, NodeId target);
 
+/// The canonical BFS tree behind bfs_path: parents[v] precedes v on its
+/// path from `source` (parents[source] == source; kInvalidNode when v is
+/// unreachable).
+std::vector<NodeId> bfs_parents(const Graph& graph, NodeId source);
+
+/// The path source→target read off `parents` (empty if unreachable).
+std::vector<NodeId> tree_path(const std::vector<NodeId>& parents,
+                              NodeId source, NodeId target);
+
 bool is_connected(const Graph& graph);
 
 /// Exact diameter via all-sources BFS. Intended for the moderate graph

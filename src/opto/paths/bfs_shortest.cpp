@@ -1,52 +1,16 @@
 #include "opto/paths/bfs_shortest.hpp"
 
-#include <algorithm>
-#include <deque>
 #include <unordered_map>
 
 #include "opto/graph/graph_algo.hpp"
 #include "opto/util/assert.hpp"
 
 namespace opto {
-namespace {
-
-/// Parent array of the canonical BFS tree rooted at `source`.
-std::vector<NodeId> bfs_tree(const Graph& graph, NodeId source) {
-  std::vector<NodeId> parent(graph.node_count(), kInvalidNode);
-  parent[source] = source;
-  std::deque<NodeId> queue{source};
-  std::vector<NodeId> neighbors;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    neighbors.clear();
-    for (EdgeId e : graph.out_links(u)) neighbors.push_back(graph.target(e));
-    std::sort(neighbors.begin(), neighbors.end());
-    for (NodeId v : neighbors) {
-      if (parent[v] != kInvalidNode) continue;
-      parent[v] = u;
-      queue.push_back(v);
-    }
-  }
-  return parent;
-}
-
-Path path_from_tree(const Graph& graph, const std::vector<NodeId>& parent,
-                    NodeId source, NodeId destination) {
-  OPTO_ASSERT_MSG(parent[destination] != kInvalidNode,
-                  "destination unreachable from source");
-  std::vector<NodeId> nodes;
-  for (NodeId w = destination; w != source; w = parent[w]) nodes.push_back(w);
-  nodes.push_back(source);
-  std::reverse(nodes.begin(), nodes.end());
-  return Path::from_nodes(graph, nodes);
-}
-
-}  // namespace
 
 Path bfs_shortest_path(const Graph& graph, NodeId source, NodeId destination) {
-  const auto parent = bfs_tree(graph, source);
-  return path_from_tree(graph, parent, source, destination);
+  const auto nodes = bfs_path(graph, source, destination);
+  OPTO_ASSERT_MSG(!nodes.empty(), "destination unreachable from source");
+  return Path::from_nodes(graph, nodes);
 }
 
 PathCollection bfs_collection(
@@ -58,8 +22,10 @@ PathCollection bfs_collection(
   for (const auto& [source, destination] : requests) {
     auto it = trees.find(source);
     if (it == trees.end())
-      it = trees.emplace(source, bfs_tree(*graph, source)).first;
-    collection.add(path_from_tree(*graph, it->second, source, destination));
+      it = trees.emplace(source, bfs_parents(*graph, source)).first;
+    const auto nodes = tree_path(it->second, source, destination);
+    OPTO_ASSERT_MSG(!nodes.empty(), "destination unreachable from source");
+    collection.add_nodes(nodes);
   }
   return collection;
 }

@@ -10,6 +10,7 @@
 
 #include "opto/graph/mesh.hpp"
 #include "opto/paths/path.hpp"
+#include "opto/paths/path_collection.hpp"
 
 namespace opto {
 
@@ -19,5 +20,11 @@ std::vector<NodeId> dimension_order_route(const MeshTopology& topo,
 
 Path dimension_order_path(const MeshTopology& topo, NodeId source,
                           NodeId destination);
+
+/// Appends the dimension-order path to `collection` (built on
+/// `topo.graph`) straight into its arena, with no per-path allocation.
+void add_dimension_order_path(PathCollection& collection,
+                              const MeshTopology& topo, NodeId source,
+                              NodeId destination);
 
 }  // namespace opto

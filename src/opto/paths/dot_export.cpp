@@ -28,7 +28,7 @@ void write_dot(std::ostream& os, const PathCollection& collection) {
   os << "digraph \"" << graph.name() << "\" {\n"
      << "  layout=neato;\n  node [shape=circle, fontsize=10];\n";
   // Endpoints of paths get emphasis.
-  for (const Path& p : collection.paths()) {
+  for (const PathView p : collection.paths()) {
     os << "  " << p.source() << " [style=filled, fillcolor=\"#ddeeff\"];\n";
     os << "  " << p.destination()
        << " [style=filled, fillcolor=\"#ffeedd\"];\n";

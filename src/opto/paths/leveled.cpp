@@ -14,8 +14,7 @@ std::optional<std::vector<std::uint32_t>> level_assignment(
 
   // Collect the traversed directed links (deduplicated via a flag array).
   std::vector<char> link_used(graph.link_count(), 0);
-  for (const Path& p : collection.paths())
-    for (EdgeId link : p.links()) link_used[link] = 1;
+  for (EdgeId link : collection.arena()) link_used[link] = 1;
 
   // Adjacency over used links only, in both directions, with the implied
   // level delta: target = source + 1.

@@ -26,11 +26,32 @@ std::uint32_t StructureBuilder::path_count() const {
 
 namespace {
 
-/// Adds the undirected edge if missing; either way the caller traverses it
-/// a→b (both sharers traverse shared edges in the same direction by
-/// construction).
-void ensure_edge(Graph& graph, NodeId a, NodeId b) {
-  if (!graph.has_edge(a, b)) graph.add_edge(a, b);
+/// Adds `count` paths of `path_length` links to `graph` and `lists`. Path
+/// i's node at position pos is the node of the canonical (path, position)
+/// key canon(i, pos), created on first use; each traversed undirected
+/// edge is added once (sharers traverse shared edges in the same
+/// direction by construction).
+template <class Canon>
+void add_keyed_paths(Graph& graph, std::vector<std::vector<NodeId>>& lists,
+                     std::uint32_t count, std::uint32_t path_length,
+                     Canon canon) {
+  std::unordered_map<std::uint64_t, NodeId> nodes;
+  const std::uint64_t stride = path_length + 2;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::vector<NodeId> list;
+    list.reserve(path_length + 1);
+    for (std::uint32_t pos = 0; pos <= path_length; ++pos) {
+      const auto [ci, cpos] = canon(i, pos);
+      const auto [it, fresh] =
+          nodes.try_emplace(std::uint64_t{ci} * stride + cpos);
+      if (fresh) it->second = graph.add_node();
+      list.push_back(it->second);
+    }
+    for (std::uint32_t pos = 0; pos < path_length; ++pos)
+      if (!graph.has_edge(list[pos], list[pos + 1]))
+        graph.add_edge(list[pos], list[pos + 1]);
+    lists.push_back(std::move(list));
+  }
 }
 
 }  // namespace
@@ -45,34 +66,14 @@ void StructureBuilder::add_staircase(std::uint32_t paths,
 
   // Canonical key: (path i, position pos); positions 0 and 1 of path i>0
   // are positions d and d+1 of path i-1 (the shared edge), recursively.
-  const auto canon = [d](std::uint32_t i,
-                         std::uint32_t pos) -> std::pair<std::uint32_t, std::uint32_t> {
-    while (i > 0 && pos <= 1) {
-      --i;
-      pos += d;
-    }
-    return {i, pos};
-  };
-
-  std::unordered_map<std::uint64_t, NodeId> nodes;
-  const std::uint64_t stride = path_length + 2;
-  const auto node_of = [&](std::uint32_t i, std::uint32_t pos) {
-    const auto [ci, cpos] = canon(i, pos);
-    const std::uint64_t key = static_cast<std::uint64_t>(ci) * stride + cpos;
-    auto it = nodes.find(key);
-    if (it == nodes.end()) it = nodes.emplace(key, graph_->add_node()).first;
-    return it->second;
-  };
-
-  for (std::uint32_t i = 0; i < paths; ++i) {
-    std::vector<NodeId> list;
-    list.reserve(path_length + 1);
-    for (std::uint32_t pos = 0; pos <= path_length; ++pos)
-      list.push_back(node_of(i, pos));
-    for (std::uint32_t pos = 0; pos < path_length; ++pos)
-      ensure_edge(*graph_, list[pos], list[pos + 1]);
-    node_lists_.push_back(std::move(list));
-  }
+  add_keyed_paths(*graph_, node_lists_, paths, path_length,
+                  [d](std::uint32_t i, std::uint32_t pos) {
+                    while (i > 0 && pos <= 1) {
+                      --i;
+                      pos += d;
+                    }
+                    return std::pair{i, pos};
+                  });
 }
 
 void StructureBuilder::add_bundle(std::uint32_t width,
@@ -97,43 +98,19 @@ void StructureBuilder::add_triangle(std::uint32_t path_length,
 
   // Canonical key: path j's positions m and m+1 are path (j+1 mod 3)'s
   // positions 0 and 1, recursively (the blocking cycle).
-  const auto canon = [m](std::uint32_t j,
-                         std::uint32_t pos) -> std::pair<std::uint32_t, std::uint32_t> {
-    while (pos == m || pos == m + 1) {
-      j = (j + 1) % 3;
-      pos -= m;
-    }
-    return {j, pos};
-  };
-
-  std::unordered_map<std::uint64_t, NodeId> nodes;
-  const std::uint64_t stride = path_length + 2;
-  const auto node_of = [&](std::uint32_t j, std::uint32_t pos) {
-    const auto [cj, cpos] = canon(j, pos);
-    const std::uint64_t key = static_cast<std::uint64_t>(cj) * stride + cpos;
-    auto it = nodes.find(key);
-    if (it == nodes.end()) it = nodes.emplace(key, graph_->add_node()).first;
-    return it->second;
-  };
-
-  for (std::uint32_t j = 0; j < 3; ++j) {
-    std::vector<NodeId> list;
-    list.reserve(path_length + 1);
-    for (std::uint32_t pos = 0; pos <= path_length; ++pos)
-      list.push_back(node_of(j, pos));
-    for (std::uint32_t pos = 0; pos < path_length; ++pos)
-      ensure_edge(*graph_, list[pos], list[pos + 1]);
-    node_lists_.push_back(std::move(list));
-  }
+  add_keyed_paths(*graph_, node_lists_, 3, path_length,
+                  [m](std::uint32_t j, std::uint32_t pos) {
+                    while (pos == m || pos == m + 1) {
+                      j = (j + 1) % 3;
+                      pos -= m;
+                    }
+                    return std::pair{j, pos};
+                  });
 }
 
 PathCollection StructureBuilder::build() && {
-  std::shared_ptr<const Graph> graph(std::move(graph_));
-  PathCollection collection(graph);
-  collection.reserve(node_lists_.size());
-  for (const auto& nodes : node_lists_)
-    collection.add(Path::from_nodes(*graph, nodes));
-  return collection;
+  return collection_from_node_lists(
+      std::shared_ptr<const Graph>(std::move(graph_)), node_lists_);
 }
 
 PathCollection make_staircase_collection(std::uint32_t structures,

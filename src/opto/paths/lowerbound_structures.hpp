@@ -59,8 +59,6 @@ class StructureBuilder {
   static std::uint32_t triangle_offset(std::uint32_t worm_length);
 
  private:
-  NodeId get_or_add_node_chainlink(NodeId a, NodeId b);
-
   std::unique_ptr<Graph> graph_;
   std::vector<std::vector<NodeId>> node_lists_;
 };

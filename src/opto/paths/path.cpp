@@ -1,29 +1,65 @@
 #include "opto/paths/path.hpp"
 
-#include <algorithm>
-
 #include "opto/util/assert.hpp"
 
 namespace opto {
 
+namespace detail {
 namespace {
 
-/// Asserts that the node sequence in `nodes` has no repeat. Sorts in
-/// place: callers pass the thread's scratch buffer, never the path's own
-/// node order.
-void assert_simple(std::vector<NodeId>& nodes) {
-  std::sort(nodes.begin(), nodes.end());
-  OPTO_ASSERT_MSG(std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end(),
-                  "path revisits a node (paths must be simple)");
-}
-
-std::vector<NodeId>& node_scratch() {
-  thread_local std::vector<NodeId> scratch;
-  scratch.clear();
-  return scratch;
-}
+/// The thread's node stamps: node u is on the current walk iff
+/// marks[u] == stamp. Each walk takes a fresh stamp, so no walk clears
+/// the array (except once per 2^32 walks, when the stamp wraps).
+struct NodeStamps {
+  std::vector<std::uint32_t> marks;
+  std::uint32_t stamp = 0;
+};
 
 }  // namespace
+
+SimpleWalk::SimpleWalk(const Graph& graph, NodeId source)
+    : graph_(graph), at_(source) {
+  OPTO_ASSERT_MSG(source < graph.node_count(), "path source outside graph");
+  thread_local NodeStamps stamps;
+  if (++stamps.stamp == 0) {
+    std::fill(stamps.marks.begin(), stamps.marks.end(), 0u);
+    stamps.stamp = 1;
+  }
+  if (stamps.marks.size() < graph.node_count())
+    stamps.marks.resize(graph.node_count(), 0u);
+  marks_ = stamps.marks.data();
+  stamp_ = stamps.stamp;
+  marks_[source] = stamp_;
+}
+
+EdgeId SimpleWalk::to(NodeId next) {
+  const EdgeId link = graph_.find_link(at_, next);
+  OPTO_ASSERT_MSG(link != kInvalidEdge, "consecutive nodes not adjacent");
+  enter(next);
+  return link;
+}
+
+void SimpleWalk::along(EdgeId link) {
+  OPTO_ASSERT_MSG(graph_.source(link) == at_, "links are not consecutive");
+  enter(graph_.target(link));
+}
+
+void SimpleWalk::enter(NodeId node) {
+  OPTO_ASSERT_MSG(marks_[node] != stamp_,
+                  "path revisits a node (paths must be simple)");
+  marks_[node] = stamp_;
+  at_ = node;
+}
+
+}  // namespace detail
+
+std::vector<NodeId> PathView::nodes(const Graph& graph) const {
+  std::vector<NodeId> out;
+  out.reserve(links_.size() + 1);
+  out.push_back(source_);
+  for (EdgeId link : links_) out.push_back(graph.target(link));
+  return out;
+}
 
 Path Path::from_nodes(const Graph& graph, std::span<const NodeId> nodes) {
   OPTO_ASSERT_MSG(!nodes.empty(), "path needs at least one node");
@@ -31,14 +67,8 @@ Path Path::from_nodes(const Graph& graph, std::span<const NodeId> nodes) {
   path.source_ = nodes.front();
   path.destination_ = nodes.back();
   path.links_.reserve(nodes.size() - 1);
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    const EdgeId link = graph.find_link(nodes[i], nodes[i + 1]);
-    OPTO_ASSERT_MSG(link != kInvalidEdge, "consecutive nodes not adjacent");
-    path.links_.push_back(link);
-  }
-  std::vector<NodeId>& seen = node_scratch();
-  seen.assign(nodes.begin(), nodes.end());
-  assert_simple(seen);
+  detail::SimpleWalk walk(graph, nodes.front());
+  for (NodeId next : nodes.subspan(1)) path.links_.push_back(walk.to(next));
   return path;
 }
 
@@ -46,26 +76,11 @@ Path Path::from_links(const Graph& graph, std::vector<EdgeId> links) {
   OPTO_ASSERT(!links.empty());
   Path path;
   path.source_ = graph.source(links.front());
-  path.destination_ = graph.target(links.back());
-  std::vector<NodeId>& seen = node_scratch();
-  seen.push_back(path.source_);
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    if (i > 0)
-      OPTO_ASSERT_MSG(graph.source(links[i]) == graph.target(links[i - 1]),
-                      "links are not consecutive");
-    seen.push_back(graph.target(links[i]));
-  }
-  assert_simple(seen);
+  detail::SimpleWalk walk(graph, path.source_);
+  for (EdgeId link : links) walk.along(link);
+  path.destination_ = walk.at();
   path.links_ = std::move(links);
   return path;
-}
-
-std::vector<NodeId> Path::nodes(const Graph& graph) const {
-  std::vector<NodeId> out;
-  out.reserve(links_.size() + 1);
-  out.push_back(source_);
-  for (EdgeId link : links_) out.push_back(graph.target(link));
-  return out;
 }
 
 Path Path::reversed() const {

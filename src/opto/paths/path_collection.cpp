@@ -1,6 +1,7 @@
 #include "opto/paths/path_collection.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "opto/paths/link_users.hpp"
 #include "opto/rng/rng.hpp"
@@ -14,18 +15,71 @@ using detail::count_sharers;
 using detail::invert_links;
 using detail::LinkUsers;
 
-/// Every member's congestion (sharers among the members), stamping each
-/// member's count with its own index.
+// --- exact C̃ by bit-parallel counting ---------------------------------------
+//
+// Members are taken kBlock at a time. Each link the members use gets a
+// kBlock-bit mask of the block members on it; a member's sharers inside
+// the block are the popcount of the OR of its links' masks, less its own
+// bit, and the set bits name them. Summed over blocks that is exactly the
+// number of other members sharing a directed link with it. Masks are indexed by compact link
+// slots, so their memory follows the links the members use, not the
+// graph's link count. The arrays live for one call: kept per thread
+// between calls, they raised the E7 benchmark's peak RSS by ~20%.
+
+constexpr std::uint32_t kBlock = 256;
+constexpr std::uint32_t kWords = kBlock / 64;
+constexpr std::uint32_t kNoSlot = ~0u;
+
+struct alignas(32) BlockMask {
+  std::uint64_t word[kWords];
+};
+
+/// Congestion of each of the members 0..count-1, member m's links being
+/// links_of(m).
 template <class LinksOf>
 std::vector<std::uint32_t> member_congestions(std::size_t link_count,
-                                              std::uint32_t members,
+                                              std::uint32_t count,
                                               const LinksOf& links_of) {
-  const LinkUsers users = invert_links(link_count, members, links_of);
-  std::vector<std::uint32_t> result(members, 0);
-  std::vector<std::uint32_t> marks(members, ~0u);
-  for (std::uint32_t m = 0; m < members; ++m)
-    result[m] = count_sharers(users, links_of, m, m, marks);
-  return result;
+  std::vector<std::uint32_t> slot_of(link_count, kNoSlot);
+  std::uint32_t used = 0;
+  for (std::uint32_t m = 0; m < count; ++m)
+    for (EdgeId link : links_of(m))
+      if (slot_of[link] == kNoSlot) slot_of[link] = used++;
+
+  std::vector<BlockMask> masks(used, BlockMask{});
+  std::vector<std::uint32_t> counts(count, 0);
+  for (std::uint32_t first = 0; first < count; first += kBlock) {
+    const std::uint32_t last = std::min(count, first + kBlock);
+    for (std::uint32_t q = first; q < last; ++q) {
+      const std::uint32_t bit = q - first;
+      for (EdgeId link : links_of(q))
+        masks[slot_of[link]].word[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    }
+    // Members of earlier blocks met this one when their block was done.
+    for (std::uint32_t p = first; p < count; ++p) {
+      BlockMask seen{};
+      for (EdgeId link : links_of(p))
+        for (std::uint32_t w = 0; w < kWords; ++w)
+          seen.word[w] |= masks[slot_of[link]].word[w];
+      std::uint32_t sharers = 0;
+      for (std::uint32_t w = 0; w < kWords; ++w)
+        sharers += static_cast<std::uint32_t>(std::popcount(seen.word[w]));
+      if (p < last) {
+        // p's own bit is set iff p has a link.
+        counts[p] += sharers - (links_of(p).empty() ? 0 : 1);
+        continue;
+      }
+      // A later member: count the pair for both sides.
+      counts[p] += sharers;
+      for (std::uint32_t w = 0; w < kWords; ++w)
+        for (std::uint64_t bits = seen.word[w]; bits != 0; bits &= bits - 1)
+          ++counts[first + w * 64 +
+                   static_cast<std::uint32_t>(std::countr_zero(bits))];
+    }
+    for (std::uint32_t q = first; q < last; ++q)
+      for (EdgeId link : links_of(q)) masks[slot_of[link]] = BlockMask{};
+  }
+  return counts;
 }
 
 std::uint32_t max_of(const std::vector<std::uint32_t>& values) {
@@ -36,65 +90,63 @@ std::uint32_t max_of(const std::vector<std::uint32_t>& values) {
 
 }  // namespace
 
-PathCollection& PathCollection::operator=(const PathCollection& other) {
-  if (this == &other) return *this;
-  graph_ = other.graph_;
-  paths_ = other.paths_;
-  invalidate_caches();
-  return *this;
-}
-
-PathCollection& PathCollection::operator=(PathCollection&& other) noexcept {
-  if (this == &other) return *this;
-  graph_ = std::move(other.graph_);
-  paths_ = std::move(other.paths_);
-  invalidate_caches();
-  other.invalidate_caches();
-  return *this;
-}
-
-void PathCollection::invalidate_caches() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  flat_cache_.reset();
-  congestion_cache_.reset();
-}
-
-void PathCollection::add(Path path) {
+const Graph& PathCollection::checked_graph() const {
   OPTO_ASSERT_MSG(graph_ != nullptr, "collection has no graph");
-  for (EdgeId link : path.links())
-    OPTO_ASSERT_MSG(link < graph_->link_count(), "link outside graph");
-  paths_.push_back(std::move(path));
-  invalidate_caches();
+  return *graph_;
 }
 
-const FlatPaths& PathCollection::flat_paths() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (!flat_cache_) {
-    auto flat = std::make_unique<FlatPaths>();
-    std::size_t total = 0;
-    for (const Path& p : paths_) total += p.length();
-    flat->offsets.reserve(paths_.size() + 1);
-    flat->links.reserve(total);
-    flat->offsets.push_back(0);
-    for (const Path& p : paths_) {
-      for (EdgeId link : p.links()) flat->links.push_back(link);
-      flat->offsets.push_back(static_cast<std::uint32_t>(flat->links.size()));
-    }
-    flat_cache_ = std::move(flat);
+void PathCollection::commit(NodeId source, NodeId destination,
+                            std::uint32_t offset) {
+  const auto length = static_cast<std::uint32_t>(links_.size() - offset);
+  members_.push_back({source, destination, offset, length});
+  congestion_.value = kUnknown;
+}
+
+void PathCollection::add_nodes(std::span<const NodeId> nodes) {
+  OPTO_ASSERT_MSG(!nodes.empty(), "path needs at least one node");
+  add_walk(nodes.front(), [nodes](auto to) {
+    for (NodeId next : nodes.subspan(1)) to(next);
+  });
+}
+
+void PathCollection::add(PathView path) {
+  const EdgeId link_count = checked_graph().link_count();
+  for (EdgeId link : path.links())
+    OPTO_ASSERT_MSG(link < link_count, "link outside graph");
+  const auto offset = static_cast<std::uint32_t>(links_.size());
+  const std::size_t end = std::size_t{offset} + path.length();
+  if (end > links_.capacity()) {
+    const Path copy(path);  // `path` may view this arena, which growing moves
+    links_.reserve(std::max(end, 2 * links_.capacity()));
+    return add(copy);
   }
-  return *flat_cache_;
+  links_.resize(end);
+  std::copy_n(path.links().data(), path.length(), links_.data() + offset);
+  commit(path.source(), path.destination(), offset);
+}
+
+PathCollection PathCollection::reversed() const {
+  PathCollection rev(graph_);
+  rev.members_.reserve(members_.size());
+  rev.links_.reserve(links_.size());
+  for (const Member& m : members_) {
+    const auto offset = static_cast<std::uint32_t>(rev.links_.size());
+    for (std::uint32_t i = m.length; i-- > 0;)
+      rev.links_.push_back(Graph::reverse(links_[m.offset + i]));
+    rev.commit(m.destination, m.source, offset);
+  }
+  return rev;
 }
 
 std::uint32_t PathCollection::dilation() const {
   std::uint32_t best = 0;
-  for (const Path& p : paths_) best = std::max(best, p.length());
+  for (const Member& m : members_) best = std::max(best, m.length);
   return best;
 }
 
 std::vector<std::uint32_t> PathCollection::link_loads() const {
   std::vector<std::uint32_t> loads(graph_ ? graph_->link_count() : 0, 0);
-  for (const Path& p : paths_)
-    for (EdgeId link : p.links()) ++loads[link];
+  for (EdgeId link : links_) ++loads[link];
   return loads;
 }
 
@@ -105,13 +157,14 @@ std::uint32_t PathCollection::edge_congestion() const {
 std::vector<std::uint32_t> PathCollection::path_congestions() const {
   return member_congestions(
       graph_ ? graph_->link_count() : 0, size(),
-      [this](std::uint32_t id) { return paths_[id].links(); });
+      [this](std::uint32_t id) { return path(id).links(); });
 }
 
 std::uint32_t PathCollection::path_congestion() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (!congestion_cache_) congestion_cache_ = max_of(path_congestions());
-  return *congestion_cache_;
+  std::uint32_t value = congestion_.value;
+  if (value == kUnknown)
+    congestion_.value = value = max_of(path_congestions());
+  return value;
 }
 
 std::uint32_t PathCollection::path_congestion_of(
@@ -120,7 +173,7 @@ std::uint32_t PathCollection::path_congestion_of(
   return max_of(member_congestions(
       graph_ ? graph_->link_count() : 0,
       static_cast<std::uint32_t>(ids.size()),
-      [this, ids](std::uint32_t m) { return paths_[ids[m]].links(); }));
+      [this, ids](std::uint32_t m) { return path(ids[m]).links(); }));
 }
 
 std::uint32_t PathCollection::path_congestion_sampled(
@@ -128,7 +181,7 @@ std::uint32_t PathCollection::path_congestion_sampled(
   if (empty()) return 0;
   if (samples >= size()) return path_congestion();
 
-  const auto links_of = [this](std::uint32_t id) { return paths_[id].links(); };
+  const auto links_of = [this](std::uint32_t id) { return path(id).links(); };
   const LinkUsers users =
       invert_links(graph_ ? graph_->link_count() : 0, size(), links_of);
   Rng rng(seed);
@@ -149,19 +202,18 @@ CollectionStats PathCollection::stats() const {
   s.dilation = dilation();
   s.edge_congestion = edge_congestion();
   s.path_congestion = path_congestion();
-  double total = 0.0;
-  for (const Path& p : paths_) total += p.length();
-  s.avg_length = paths_.empty() ? 0.0 : total / static_cast<double>(size());
+  s.avg_length = members_.empty() ? 0.0
+                                  : static_cast<double>(links_.size()) /
+                                        static_cast<double>(size());
   return s;
 }
 
 PathCollection collection_from_node_lists(
     std::shared_ptr<const Graph> graph,
     std::span<const std::vector<NodeId>> node_lists) {
-  PathCollection collection(graph);
+  PathCollection collection(std::move(graph));
   collection.reserve(node_lists.size());
-  for (const auto& nodes : node_lists)
-    collection.add(Path::from_nodes(*graph, nodes));
+  for (const auto& nodes : node_lists) collection.add_nodes(nodes);
   return collection;
 }
 

@@ -10,12 +10,17 @@
 // Collisions in the optical model happen on directed links (each
 // undirected edge is two independent fibers), so all sharing here is
 // directed-link sharing.
+//
+// Storage is one CSR arena: every member's links concatenated in id
+// order, plus one (source, destination, offset, length) record per
+// member. Members are handed out as PathViews into it; builders append
+// straight into it (add_walk).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -32,44 +37,56 @@ struct CollectionStats {
   double avg_length = 0.0;
 };
 
-/// SoA view of the collection: every path's link sequence concatenated
-/// into one contiguous array. Path p's links live at
-/// [offsets[p], offsets[p+1]); the simulator's hot loop walks a cursor
-/// through `links` instead of chasing Path objects per worm per step.
-struct FlatPaths {
-  std::vector<std::uint32_t> offsets;  ///< size() + 1 entries
-  std::vector<EdgeId> links;           ///< all paths' links, concatenated
-};
-
 class PathCollection {
  public:
   PathCollection() = default;
   explicit PathCollection(std::shared_ptr<const Graph> graph)
       : graph_(std::move(graph)) {}
 
-  // Copies and moves transfer the graph and paths but not the derived
-  // caches (they rebuild on demand); required because the cache mutex is
-  // neither copyable nor movable. A moved-from collection drops its caches
-  // too, so it never reports the stats of paths it no longer holds.
-  PathCollection(const PathCollection& other)
-      : graph_(other.graph_), paths_(other.paths_) {}
-  PathCollection(PathCollection&& other) noexcept
-      : graph_(std::move(other.graph_)), paths_(std::move(other.paths_)) {
-    other.invalidate_caches();
-  }
-  PathCollection& operator=(const PathCollection& other);
-  PathCollection& operator=(PathCollection&& other) noexcept;
-
   const Graph& graph() const { return *graph_; }
   std::shared_ptr<const Graph> graph_ptr() const { return graph_; }
 
-  void add(Path path);
-  void reserve(std::size_t n) { paths_.reserve(n); }
+  /// Appends the member leaving `source` straight into the arena, hop by
+  /// hop: `walk(to)` calls `to(next)` for each further node, in order.
+  /// Path::from_nodes's checks apply.
+  template <class Walk>
+  void add_walk(NodeId source, Walk&& walk) {
+    const auto offset = static_cast<std::uint32_t>(links_.size());
+    detail::SimpleWalk hops(checked_graph(), source);
+    walk([this, &hops](NodeId next) { links_.push_back(hops.to(next)); });
+    commit(source, hops.at(), offset);
+  }
 
-  std::uint32_t size() const { return static_cast<std::uint32_t>(paths_.size()); }
-  bool empty() const { return paths_.empty(); }
-  const Path& path(PathId id) const { return paths_[id]; }
-  std::span<const Path> paths() const { return {paths_.data(), paths_.size()}; }
+  /// Appends the member through `nodes` (Path::from_nodes's checks).
+  void add_nodes(std::span<const NodeId> nodes);
+
+  /// Copies `path` (it may be a member) into the arena; its links must be
+  /// links of the graph.
+  void add(PathView path);
+
+  void reserve(std::size_t n) { members_.reserve(n); }
+
+  /// The acknowledgement collection: member p is member p reversed.
+  PathCollection reversed() const;
+
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(members_.size());
+  }
+  bool empty() const { return members_.empty(); }
+  PathView path(PathId id) const {
+    const Member& m = members_[id];
+    return {m.source, m.destination, {links_.data() + m.offset, m.length}};
+  }
+  /// Every member, in id order, as PathViews.
+  auto paths() const {
+    return std::views::iota(PathId{0}, size()) |
+           std::views::transform([this](PathId id) { return path(id); });
+  }
+
+  /// Every member's links, concatenated: member p's start at offset(p).
+  /// Valid, like every PathView handed out, until the next append.
+  std::span<const EdgeId> arena() const { return links_; }
+  std::uint32_t offset(PathId id) const { return members_[id].offset; }
 
   std::uint32_t dilation() const;
 
@@ -80,12 +97,12 @@ class PathCollection {
   std::uint32_t edge_congestion() const;
 
   /// Exact path congestion C̃ (counts *other* paths; a path sharing a link
-  /// with k identical copies of itself counts those copies).
-  /// O(Σ_e load(e)²) worst case — fine at experiment scale; the bundle
-  /// structures report their C̃ analytically instead. Cached: computed on
-  /// the first call, with the same lifetime and invalidation rules as
-  /// flat_paths(), so a schedule factory and the experiment harness asking
-  /// for C̃ of one trial's collection pay for it once.
+  /// with k identical copies of itself counts those copies). Memoized: a
+  /// schedule factory and the experiment harness asking for C̃ of one
+  /// trial's collection pay for it once. C̃ is a pure function of the
+  /// arena, so concurrent first reads compute and store the same value;
+  /// the memo needs no lock. Copies and moves carry it; appending, and
+  /// being moved from, forget it.
   std::uint32_t path_congestion() const;
 
   /// Per-path congestion values (same definition as above).
@@ -93,36 +110,54 @@ class PathCollection {
 
   /// C̃ of the sub-multiset `ids` — sharing counted among those paths only,
   /// as a collection holding copies of them would report — without copying
-  /// any path. Not cached (the protocol asks once per round, for a
+  /// any path. Not memoized (the protocol asks once per round, for a
   /// different active set each time).
   std::uint32_t path_congestion_of(std::span<const PathId> ids) const;
 
   /// Estimated C̃ from a uniform sample of `samples` paths: the max of the
   /// sampled paths' exact congestions. A lower bound on the true C̃ that
-  /// converges quickly in the workloads here (congestion concentrates);
-  /// use when the exact O(Σ load²) computation is too heavy.
+  /// converges quickly in the workloads here (congestion concentrates).
   std::uint32_t path_congestion_sampled(std::uint32_t samples,
                                         std::uint64_t seed) const;
 
   CollectionStats stats() const;
 
-  /// Cached flattened link array; built lazily (thread-safe) and
-  /// invalidated by add(). The returned reference — and any spans into it
-  /// — stays valid until the next mutation of the collection.
-  const FlatPaths& flat_paths() const;
-
  private:
-  void invalidate_caches();
+  struct Member {
+    NodeId source;
+    NodeId destination;
+    std::uint32_t offset;  ///< first link in links_
+    std::uint32_t length;
+  };
+
+  static constexpr std::uint32_t kUnknown = ~0u;
+
+  /// The C̃ memo, kUnknown until computed: copies carry it, moves carry
+  /// it and leave kUnknown behind.
+  struct Memo {
+    mutable std::atomic<std::uint32_t> value{kUnknown};
+    Memo() = default;
+    Memo(const Memo& other) : value(other.value.load()) {}
+    Memo(Memo&& other) noexcept : value(other.value.exchange(kUnknown)) {}
+    Memo& operator=(const Memo& other) {
+      value = other.value.load();
+      return *this;
+    }
+    Memo& operator=(Memo&& other) noexcept {
+      value = other.value.exchange(kUnknown);
+      return *this;
+    }
+  };
+
+  const Graph& checked_graph() const;
+  /// Records the member whose links start at `offset` and run to the end
+  /// of the arena.
+  void commit(NodeId source, NodeId destination, std::uint32_t offset);
 
   std::shared_ptr<const Graph> graph_;
-  std::vector<Path> paths_;
-
-  // Derived-view caches; mutable + mutex-guarded so concurrent readers
-  // (parallel trials each constructing a Simulator on one shared
-  // collection) build them exactly once.
-  mutable std::mutex cache_mutex_;
-  mutable std::unique_ptr<FlatPaths> flat_cache_;
-  mutable std::optional<std::uint32_t> congestion_cache_;
+  std::vector<Member> members_;
+  std::vector<EdgeId> links_;
+  Memo congestion_;
 };
 
 /// Builds a single-graph collection from explicit node sequences

@@ -16,8 +16,8 @@ struct CommonNode {
   std::uint32_t pos_q;
 };
 
-std::vector<CommonNode> common_nodes(const Graph& graph, const Path& p,
-                                     const Path& q,
+std::vector<CommonNode> common_nodes(const Graph& graph, PathView p,
+                                     PathView q,
                                      std::vector<std::uint32_t>& pos_scratch,
                                      std::vector<PathId>& stamp_scratch,
                                      PathId stamp) {
@@ -50,10 +50,10 @@ std::optional<ShortcutViolation> find_shortcut(
   PathId next_stamp = 0;
 
   for (PathId pi = 0; pi < collection.size(); ++pi) {
-    const Path& p = collection.path(pi);
+    const PathView p = collection.path(pi);
     for (PathId qi = 0; qi < collection.size(); ++qi) {
       if (pi == qi) continue;
-      const Path& q = collection.path(qi);
+      const PathView q = collection.path(qi);
       const auto common =
           common_nodes(graph, p, q, pos, stamp, next_stamp++);
       // Any two common nodes visited in the same order by both paths must
@@ -89,7 +89,7 @@ std::optional<ShortcutViolation> find_shortcut(
   return std::nullopt;
 }
 
-bool meet_separate_meet(const Graph& graph, const Path& p, const Path& q) {
+bool meet_separate_meet(const Graph& graph, PathView p, PathView q) {
   std::vector<std::uint32_t> pos(graph.node_count(), 0);
   std::vector<PathId> stamp(graph.node_count(), kInvalidPath);
   const auto common = common_nodes(graph, p, q, pos, stamp, 0);

@@ -38,6 +38,6 @@ inline bool is_shortcut_free(const PathCollection& collection) {
 /// True iff paths p and q meet, separate, and meet again (visit two
 /// disjoint maximal common stretches). The paper's sufficient condition:
 /// if no pair does, the collection is short-cut free.
-bool meet_separate_meet(const Graph& graph, const Path& p, const Path& q);
+bool meet_separate_meet(const Graph& graph, PathView p, PathView q);
 
 }  // namespace opto

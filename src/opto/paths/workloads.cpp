@@ -58,7 +58,7 @@ PathCollection mesh_collection(
   PathCollection collection(std::move(graph));
   collection.reserve(requests.size());
   for (const auto& [source, destination] : requests)
-    collection.add(dimension_order_path(*topo, source, destination));
+    add_dimension_order_path(collection, *topo, source, destination);
   return collection;
 }
 

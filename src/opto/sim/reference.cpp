@@ -106,7 +106,7 @@ PassResult reference_run(const PathCollection& collection,
                             SimTime t) -> std::optional<std::uint32_t> {
     const RefWorm& worm = worms[id];
     if (!worm.injected) return std::nullopt;
-    const Path& path = collection.path(worm.path);
+    const PathView path = collection.path(worm.path);
     for (std::uint32_t i = 0; i < worm.entered; ++i) {
       if (path.link(i) != link) continue;
       if (worm.history[i] != wavelength) return std::nullopt;
@@ -348,7 +348,7 @@ PassResult reference_run(const PathCollection& collection,
     for (WormId id = 0; id < count; ++id) {
       const RefWorm& worm = worms[id];
       if (!worm.injected || worm.killed || worm.finished) continue;
-      const Path& path = collection.path(worm.path);
+      const PathView path = collection.path(worm.path);
       if (worm.entered >= path.length()) continue;  // draining to delivery
       OPTO_DASSERT(worm.start + worm.entered == now);
       const EdgeId link = path.link(worm.entered);
@@ -383,7 +383,7 @@ PassResult reference_run(const PathCollection& collection,
     for (WormId id = 0; id < count; ++id) {
       RefWorm& worm = worms[id];
       if (!worm.injected || worm.killed || worm.finished) continue;
-      const Path& path = collection.path(worm.path);
+      const PathView path = collection.path(worm.path);
       if (worm.entered < path.length()) continue;
       const std::uint32_t last = path.length() - 1;
       const SimTime done = worm.start + static_cast<SimTime>(last) +

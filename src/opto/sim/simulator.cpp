@@ -117,12 +117,9 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
   if (config_.conversion == ConversionMode::Sparse)
     OPTO_ASSERT_MSG(config_.converters.size() >= collection.graph().node_count(),
                     "Sparse conversion needs a per-node converter flag");
-  // Snapshot the collection's derived views once (they are built lazily
-  // and stay valid until the collection mutates — which the lifetime
-  // contract forbids while simulators exist).
-  const FlatPaths& flat = collection.flat_paths();
-  flat_offsets_ = {flat.offsets.data(), flat.offsets.size()};
-  flat_links_ = {flat.links.data(), flat.links.size()};
+  // The collection's link arena stays put until the collection mutates,
+  // which the lifetime contract forbids while simulators exist.
+  flat_links_ = collection.arena();
   if (config_.conversion != ConversionMode::None) {
     const Graph& graph = collection.graph();
     link_converts_.resize(graph.link_count());
@@ -184,7 +181,7 @@ bool Simulator::converts_at(NodeId node) const {
 void Simulator::apply_truncation(WormId victim, std::uint32_t cut_link_index,
                                  SimTime now, PassResult& result) {
   Worm& worm = worms_[victim];
-  const Path& path = collection_.path(worm.path);
+  const PathView path = collection_.path(worm.path);
   const SimTime cut_entry = worm.entry_time(cut_link_index);
   OPTO_ASSERT(now > cut_entry);
   // Flits that made it through the cut coupler before `now` survive on
@@ -299,8 +296,8 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     worm.start_time = spec.start_time;
     worm.original_length = spec.length;
     worm.length = spec.length;
-    cursor_[id] = flat_offsets_[spec.path];
-    cursor_end_[id] = flat_offsets_[spec.path + 1];
+    cursor_[id] = collection_.offset(spec.path);
+    cursor_end_[id] = cursor_[id] + collection_.path(spec.path).length();
     wl_[id] = spec.wavelength;
   }
 
@@ -365,7 +362,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     worm.blocked_at_link = worm.head_index;
     worm.finish_time = t;
     ++result.metrics.killed;
-    const Path& path = collection_.path(worm.path);
+    const PathView path = collection_.path(worm.path);
     result.trace.record({t, TraceKind::Kill, id, path.link(worm.head_index),
                          worm.wavelength, blocker});
     result.worms[id].blocked_by = blocker;
@@ -637,7 +634,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       worm.status = WormStatus::Running;
       status_[id] = WormStatus::Running;
       ++result.metrics.launched;
-      const Path& path = collection_.path(worm.path);
+      const PathView path = collection_.path(worm.path);
       result.trace.record({now, TraceKind::Inject, id,
                            path.empty() ? kInvalidEdge : path.link(0),
                            worm.wavelength, kInvalidWorm});
@@ -776,7 +773,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     for (WormId id : draining_) {
       if (status_[id] != WormStatus::Running) continue;  // finalized early
       Worm& worm = worms_[id];
-      const Path& path = collection_.path(worm.path);
+      const PathView path = collection_.path(worm.path);
       const SimTime done =
           worm.entry_time(path.length() - 1) + worm.length - 1;
       if (now >= done)

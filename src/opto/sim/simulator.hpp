@@ -134,8 +134,8 @@ struct PassResult {
 class Simulator {
  public:
   /// The collection must outlive the simulator and must not gain paths
-  /// while any simulator built on it is in use (construction snapshots
-  /// the collection's flattened-link cache). The graph's
+  /// while any simulator built on it is in use (the simulator reads the
+  /// collection's link arena in place). The graph's
   /// link_count × config.bandwidth must not exceed kMaxChannels
   /// (occupancy.hpp); the constructor asserts it.
   Simulator(const PathCollection& collection, SimConfig config);
@@ -185,10 +185,9 @@ class Simulator {
   OccupancyRegistry registry_;
   std::span<const std::uint8_t> held_;  ///< borrowed; see set_held()
 
-  // Immutable per-collection views, snapshotted at construction (SoA hot
-  // path): the flattened link array and the per-link "source node
-  // converts" bitmap.
-  std::span<const std::uint32_t> flat_offsets_;
+  // Immutable per-collection views (SoA hot path): the collection's link
+  // arena, every path's links concatenated in id order, and the per-link
+  // "source node converts" bitmap.
   std::span<const EdgeId> flat_links_;
   std::vector<char> link_converts_;  ///< sized iff conversion is enabled
 

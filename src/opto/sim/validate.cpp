@@ -16,7 +16,7 @@ std::string describe(WormId id, const char* what) {
 }
 
 /// Index of `link` on the worm's path, or -1.
-std::int64_t link_index(const Path& path, EdgeId link) {
+std::int64_t link_index(PathView path, EdgeId link) {
   for (std::uint32_t i = 0; i < path.length(); ++i)
     if (path.link(i) == link) return i;
   return -1;
@@ -44,7 +44,7 @@ ValidationReport validate_pass(const PathCollection& collection,
   for (WormId id = 0; id < specs.size(); ++id) {
     const WormOutcome& outcome = result.worms[id];
     const LaunchSpec& spec = specs[id];
-    const Path& path = collection.path(spec.path);
+    const PathView path = collection.path(spec.path);
     makespan = std::max(makespan, outcome.finish_time);
 
     switch (outcome.status) {

@@ -1,11 +1,11 @@
 // Allocation budgets for the per-trial instance pipeline (building a
-// mesh random function and measuring its C̃), for RWA route search, and
-// for a steady-state protocol round.
-// Counted with the obs allocation hook, so a per-path hash set, a
-// per-link vector or a per-search BFS buffer creeping back into paths/
-// or rwa/ fails here rather than only in a benchmark profile. The same
-// count shows whether a collection's C̃ is cached: a cached read
-// allocates nothing, a recomputation allocates its inversion.
+// mesh random function, measuring its C̃, one whole E7 trial), for RWA
+// route search, and for a steady-state protocol round.
+// Counted with the obs allocation hook, so a per-path vector, a per-link
+// vector or a per-search BFS buffer creeping back into paths/ or rwa/
+// fails here rather than only in a benchmark profile. The same count
+// shows whether a collection's C̃ is memoized: a memo hit allocates
+// nothing, a computation allocates its arrays.
 // Skipped when observation is compiled out (OPTO_OBS_ENABLED=0), where
 // the hook counts nothing.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "opto/benchsupport/experiment.hpp"
 #include "opto/core/schedule.hpp"
 #include "opto/core/trial_and_failure.hpp"
 #include "opto/graph/fattree.hpp"
@@ -30,12 +31,18 @@
 namespace opto {
 namespace {
 
-// Per dimension-order path: two coordinate vectors, the node route's
-// growth, the link vector. A hash set per path costs ~20 more.
-constexpr std::uint64_t kAllocsPerPath = 12;
-// One C̃ computation: the CSR offsets and users arrays, the per-path
-// results and the sharer marks — independent of the collection's size.
-constexpr std::uint64_t kAllocsPerCongestion = 8;
+// One dimension-order random function, whatever its size: the function
+// and its request list, the member records, and the link arena's growth
+// (log2 of the links). Allocating per path (the parent design paid ~8.7
+// each) fails at either size.
+constexpr std::uint64_t kAllocsPerMeshCollection = 24;
+// One E7 trial: make_mesh (3,086 at side 32, Graph's per-node adjacency),
+// the collection, the schedule, and a protocol run (151).
+constexpr std::uint64_t kAllocsPerMeshTrial = 3500;
+// One C̃ computation: the exact kernel's five arrays, or the sampled
+// estimate's inversion and marks (3) — independent of the collection's
+// size.
+constexpr std::uint64_t kAllocsPerCongestion = 5;
 // k=3 shortest routes between two radix-8 fat-tree hosts in different
 // pods: the three routes and the result vector's growth (6), plus a set
 // node and a vector per distinct Yen candidate (7 for this pair; 20 in
@@ -73,20 +80,46 @@ std::shared_ptr<const MeshTopology> mesh(std::uint32_t side) {
   return std::make_shared<const MeshTopology>(make_mesh({side, side}));
 }
 
-TEST_F(AllocBudget, MeshRandomFunctionIsBoundedPerPath) {
-  const auto topo = mesh(32);
-  Rng warm_rng(1);
-  (void)mesh_random_function(topo, warm_rng);  // grow thread-local scratch
-  for (std::uint64_t seed = 2; seed < 5; ++seed) {
-    Rng rng(seed);
-    std::uint32_t paths = 0;
-    const std::uint64_t allocs = allocations([&] {
-      const PathCollection c = mesh_random_function(topo, rng);
-      paths = c.size();
-    });
-    ASSERT_EQ(paths, 32u * 32u);
-    EXPECT_LE(allocs, kAllocsPerPath * paths) << "seed " << seed;
+TEST_F(AllocBudget, MeshRandomFunctionIsBoundedPerCollection) {
+  for (const std::uint32_t side : {8u, 32u}) {
+    const auto topo = mesh(side);
+    Rng warm_rng(1);
+    (void)mesh_random_function(topo, warm_rng);  // grow thread-local scratch
+    for (std::uint64_t seed = 2; seed < 5; ++seed) {
+      Rng rng(seed);
+      std::uint32_t paths = 0;
+      const std::uint64_t allocs = allocations([&] {
+        const PathCollection c = mesh_random_function(topo, rng);
+        paths = c.size();
+      });
+      ASSERT_EQ(paths, side * side);
+      EXPECT_LE(allocs, kAllocsPerMeshCollection)
+          << side << "x" << side << " seed " << seed;
+    }
   }
+}
+
+TEST_F(AllocBudget, MeshTrialIsBounded) {
+  // One E7 trial as the benchmark runs it: a fresh 32x32 mesh, its random
+  // function, the paper schedule sized from C̃, and the protocol.
+  ProtocolConfig config;
+  config.bandwidth = 1;
+  config.worm_length = 16;
+  config.max_rounds = 2000;
+  const ScheduleFactory schedule_factory =
+      paper_schedule_factory(config.worm_length, config.bandwidth);
+  const auto trial = [&](std::uint64_t seed) {
+    auto topo = std::make_shared<const MeshTopology>(make_mesh({32, 32}));
+    Rng rng(seed);
+    const PathCollection c = mesh_random_function(topo, rng);
+    const auto schedule = schedule_factory(c);
+    TrialAndFailure protocol(c, config, *schedule);
+    EXPECT_TRUE(protocol.run(seed).success);
+  };
+  trial(1);  // grow thread-local scratch
+  for (std::uint64_t seed = 2; seed < 4; ++seed)
+    EXPECT_LE(allocations([&] { trial(seed); }), kAllocsPerMeshTrial)
+        << "seed " << seed;
 }
 
 TEST_F(AllocBudget, PathCongestionIsConstantPerCall) {
@@ -111,24 +144,31 @@ TEST_F(AllocBudget, PathCongestionIsConstantPerCall) {
   }
 }
 
-TEST_F(AllocBudget, CongestionCacheNotCarriedByCopyOrMoveConstruction) {
+TEST_F(AllocBudget, CongestionMemoTravelsWithCopiesAndMoves) {
   auto graph = std::make_shared<Graph>(3);
   graph->add_edge(0, 1);
   graph->add_edge(1, 2);
   PathCollection original(graph);
   for (int i = 0; i < 4; ++i)
     original.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
+  // A computation allocates its arrays; a memoized read allocates nothing.
+  const PathCollection unread = original;
+  EXPECT_GT(allocations([&] { EXPECT_EQ(unread.path_congestion(), 3u); }),
+            0u);
   ASSERT_EQ(original.path_congestion(), 3u);
   EXPECT_EQ(allocations([&] { (void)original.path_congestion(); }), 0u)
-      << "cached C̃ reread allocates";
+      << "memoized C̃ reread allocates";
 
-  // A fresh cache recomputes (allocates its inversion) on the first read.
-  PathCollection copy(original);
-  EXPECT_GT(allocations([&] { EXPECT_EQ(copy.path_congestion(), 3u); }), 0u);
-  PathCollection moved(std::move(copy));
-  EXPECT_GT(allocations([&] { EXPECT_EQ(moved.path_congestion(), 3u); }), 0u);
+  const PathCollection copy(original);
+  EXPECT_EQ(allocations([&] { EXPECT_EQ(copy.path_congestion(), 3u); }), 0u)
+      << "a copy recomputes C̃";
+  PathCollection source(original);
+  const PathCollection moved(std::move(source));
+  EXPECT_EQ(allocations([&] { EXPECT_EQ(moved.path_congestion(), 3u); }), 0u)
+      << "a move recomputes C̃";
   // The moved-from collection holds no paths and no stale C̃.
-  EXPECT_EQ(copy.path_congestion(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.size(), 0u);             // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.path_congestion(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 TEST_F(AllocBudget, RouteSearchAllocatesOnlyItsResults) {

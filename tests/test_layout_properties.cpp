@@ -92,8 +92,8 @@ class LayoutProperties
 
 TEST_P(LayoutProperties, RoutesChainAndUseKeptTunnels) {
   const auto inst = make(base());
-  const auto contains = [&](const Path& tunnel) {
-    for (const Path& candidate : inst.lightpaths.paths())
+  const auto contains = [&](PathView tunnel) {
+    for (const PathView candidate : inst.lightpaths.paths())
       if (candidate == tunnel) return true;
     return false;
   };

@@ -198,7 +198,7 @@ TEST(MeshLayoutTest, LightpathsAreValidPaths) {
   const auto layout = make_mesh_layout(5, 2);
   const auto lightpaths = mesh_layout_lightpaths(layout);
   EXPECT_GT(lightpaths.size(), 0u);
-  for (const Path& p : lightpaths.paths()) {
+  for (const PathView p : lightpaths.paths()) {
     EXPECT_GE(p.length(), 1u);
     EXPECT_LE(p.length(), 4u);  // max span = 4 at side 5
   }

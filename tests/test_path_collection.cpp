@@ -1,8 +1,9 @@
 // Collection metrics — in particular the paper's path congestion C̃
 // (paths sharing a directed link), which differs from edge congestion —
 // checked against a brute-force pairwise oracle, plus the lifetime of the
-// collection's cached C̃ (what construction does to it is checked by
-// allocation count in test_alloc_budget) and of the flattened link array.
+// collection's C̃ memo (what construction does to it is checked by
+// allocation count in test_alloc_budget), the link arena and its append
+// checks, and builder output against node-list construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,18 @@
 #include <utility>
 #include <vector>
 
+#include "opto/graph/butterfly.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/random_regular.hpp"
+#include "opto/par/parallel_for.hpp"
 #include "opto/paths/bfs_shortest.hpp"
+#include "opto/paths/lightpath_layout.hpp"
+#include "opto/paths/lowerbound_structures.hpp"
 #include "opto/paths/path_collection.hpp"
+#include "opto/paths/tree_layout.hpp"
 #include "opto/paths/workloads.hpp"
 #include "opto/rng/rng.hpp"
+#include "opto/sim/simulator.hpp"
 
 namespace opto {
 namespace {
@@ -144,34 +151,59 @@ TEST(PathCollection, FromNodeLists) {
   EXPECT_EQ(collection.path(1).source(), 2u);
 }
 
-TEST(FlatPaths, MatchesPathLinks) {
+TEST(PathArena, OffsetsAndViewsAgree) {
   const auto graph = chain(6);
   const std::vector<std::vector<NodeId>> lists = {
       {0, 1, 2}, {3}, {2, 3, 4, 5}, {1, 2}};
   const PathCollection c = collection_from_node_lists(graph, lists);
-  const FlatPaths& flat = c.flat_paths();
-  ASSERT_EQ(flat.offsets.size(), c.size() + 1);
-  EXPECT_EQ(flat.offsets.front(), 0u);
-  EXPECT_EQ(flat.offsets.back(), flat.links.size());
+  std::size_t total = 0;
   for (PathId p = 0; p < c.size(); ++p) {
-    const auto links = c.path(p).links();
-    ASSERT_EQ(flat.offsets[p + 1] - flat.offsets[p], links.size());
-    for (std::size_t i = 0; i < links.size(); ++i)
-      EXPECT_EQ(flat.links[flat.offsets[p] + i], links[i]);
+    const PathView path = c.path(p);
+    EXPECT_EQ(c.offset(p), total);
+    EXPECT_EQ(path.links().data(), c.arena().data() + c.offset(p));
+    EXPECT_EQ(path.nodes(*graph), lists[p]);
+    total += path.length();
   }
+  EXPECT_EQ(c.arena().size(), total);
 }
 
-TEST(FlatPaths, InvalidatedByAdd) {
+TEST(PathArena, AddCopiesAMemberOfTheSameCollection) {
+  // Growing the arena moves it; a view into it must still copy right.
   const auto graph = chain(4);
+  PathCollection c = collection_from_node_lists(
+      graph, std::vector<std::vector<NodeId>>{{0, 1, 2, 3}, {2, 1}});
+  for (int i = 0; i < 40; ++i) c.add(c.path(static_cast<PathId>(i % 2)));
+  for (PathId p = 2; p < c.size(); ++p) EXPECT_EQ(c.path(p), c.path(p % 2));
+  EXPECT_EQ(c.path_congestion(), 20u);
+}
+
+TEST(PathArena, ReversedSwapsEndpointsAndReversesLinks) {
+  const auto graph = chain(5);
   const PathCollection c = collection_from_node_lists(
-      graph, std::vector<std::vector<NodeId>>{{0, 1}});
-  EXPECT_EQ(c.flat_paths().offsets.size(), 2u);
-  const PathCollection grown = collection_from_node_lists(
-      graph, std::vector<std::vector<NodeId>>{{0, 1}, {2, 3}});
-  PathCollection copy = c;  // also exercises the cache-dropping copy
-  copy.add(grown.path(1));
-  EXPECT_EQ(copy.flat_paths().offsets.size(), 3u);
-  EXPECT_EQ(copy.flat_paths().links.back(), grown.path(1).links().back());
+      graph, std::vector<std::vector<NodeId>>{{0, 1, 2}, {4}, {4, 3, 2, 1}});
+  const PathCollection rev = c.reversed();
+  ASSERT_EQ(rev.size(), c.size());
+  for (PathId p = 0; p < c.size(); ++p)
+    EXPECT_EQ(rev.path(p), PathView(Path(c.path(p)).reversed()));
+}
+
+TEST(PathArenaDeath, AppendKeepsEveryCheck) {
+  const auto graph = chain(4);
+  PathCollection c(graph);
+  EXPECT_DEATH(c.add_nodes(std::vector<NodeId>{0, 2}),
+               "consecutive nodes not adjacent");
+  EXPECT_DEATH(c.add_nodes(std::vector<NodeId>{0, 1, 0}),
+               "path revisits a node");
+  EXPECT_DEATH(c.add_walk(1,
+                          [](auto to) {
+                            to(2);
+                            to(1);
+                          }),
+               "path revisits a node");
+  EXPECT_DEATH(Path::from_links(*graph, {0, 4}), "links are not consecutive");
+  const EdgeId outside[] = {graph->link_count()};
+  EXPECT_DEATH(c.add(PathView(0, 1, outside)), "link outside graph");
+  EXPECT_TRUE(c.empty());
 }
 
 // --- C̃ oracle -------------------------------------------------------------
@@ -346,6 +378,206 @@ TEST(PathCongestionCache, ConcurrentFirstReadsAgree) {
     readers.emplace_back([&c, &seen, t] { seen[t] = c.path_congestion(); });
   for (std::thread& reader : readers) reader.join();
   for (std::uint32_t value : seen) EXPECT_EQ(value, expected);
+}
+
+// --- exact C̃ across block edges ----------------------------------------------
+
+/// The naive pairwise definition: member i's congestion is the number of
+/// members j != i whose directed links meet its own (sorted-merge test).
+std::vector<std::uint32_t> pairwise_congestions(const PathCollection& c,
+                                                std::span<const PathId> ids) {
+  std::vector<std::vector<EdgeId>> links(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto span = c.path(ids[i]).links();
+    links[i].assign(span.begin(), span.end());
+    std::sort(links[i].begin(), links[i].end());
+  }
+  const auto meet = [](const std::vector<EdgeId>& a,
+                       const std::vector<EdgeId>& b) {
+    auto x = a.begin();
+    auto y = b.begin();
+    while (x != a.end() && y != b.end()) {
+      if (*x == *y) return true;
+      if (*x < *y) ++x; else ++y;
+    }
+    return false;
+  };
+  std::vector<std::uint32_t> result(ids.size(), 0);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    for (std::size_t j = i + 1; j < ids.size(); ++j)
+      if (meet(links[i], links[j])) {
+        ++result[i];
+        ++result[j];
+      }
+  return result;
+}
+
+/// n members on a 9×9 torus: random dimension-order paths, with about
+/// one in eight a zero-length self-request and one in eight a duplicate
+/// of an earlier member.
+PathCollection sized_case(std::uint32_t n, std::uint64_t seed) {
+  auto topo = std::make_shared<const MeshTopology>(make_torus({9, 9}));
+  const NodeId nodes = topo->graph.node_count();
+  Rng rng(seed);
+  std::vector<std::pair<NodeId, NodeId>> requests;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const auto source = static_cast<NodeId>(rng.next_below(nodes));
+    const std::uint64_t kind = rng.next_below(8);
+    if (kind == 0)
+      requests.emplace_back(source, source);
+    else if (kind == 1 && !requests.empty())
+      requests.push_back(requests[rng.next_below(requests.size())]);
+    else
+      requests.emplace_back(source,
+                            static_cast<NodeId>(rng.next_below(nodes)));
+  }
+  return mesh_collection(topo, requests);
+}
+
+TEST(PathCongestionOracle, ExactAcrossBlockEdges) {
+  for (const std::uint32_t n : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u,
+                                1000u}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE("n " + std::to_string(n) + " seed " + std::to_string(seed));
+      const PathCollection c = sized_case(n, seed);
+      ASSERT_EQ(c.size(), n);
+      const std::vector<std::uint32_t> expected =
+          pairwise_congestions(c, all_ids(c));
+      EXPECT_EQ(c.path_congestions(), expected);
+      EXPECT_EQ(c.path_congestion(), max_value(expected));
+      EXPECT_EQ(c.path_congestion_sampled(n, seed), max_value(expected));
+      EXPECT_EQ(c.path_congestion_sampled(n + 5, seed), max_value(expected));
+
+      // A sub-multiset with repeated ids: each repeat is one more copy.
+      Rng rng(seed * 31 + n);
+      std::vector<PathId> ids;
+      for (std::uint32_t k = 0; n > 0 && k < n + n / 3; ++k)
+        ids.push_back(static_cast<PathId>(rng.next_below(n)));
+      EXPECT_EQ(c.path_congestion_of(ids),
+                max_value(pairwise_congestions(c, ids)));
+    }
+  }
+}
+
+// --- builders write the arena node-list construction would --------------
+
+/// `c` against collection_from_node_lists over `routes`: the same links
+/// and the same endpoints, member for member.
+void expect_same_as_node_lists(const PathCollection& c,
+                               const std::vector<std::vector<NodeId>>& routes) {
+  const PathCollection expected =
+      collection_from_node_lists(c.graph_ptr(), routes);
+  ASSERT_EQ(c.size(), expected.size());
+  for (PathId p = 0; p < c.size(); ++p) EXPECT_EQ(c.path(p), expected.path(p));
+  EXPECT_TRUE(std::ranges::equal(c.arena(), expected.arena()));
+}
+
+/// Every member's node route.
+std::vector<std::vector<NodeId>> node_routes(const PathCollection& c) {
+  std::vector<std::vector<NodeId>> routes;
+  for (const PathView p : c.paths()) routes.push_back(p.nodes(c.graph()));
+  return routes;
+}
+
+/// Dimension-order route computed in coordinate space.
+std::vector<NodeId> coordinate_route(const MeshTopology& topo, NodeId source,
+                                     NodeId destination) {
+  auto at = topo.coords_of(source);
+  const auto goal = topo.coords_of(destination);
+  std::vector<NodeId> route{source};
+  for (std::uint32_t d = 0; d < topo.dimensions(); ++d) {
+    const std::uint32_t side = topo.sides[d];
+    while (at[d] != goal[d]) {
+      const std::uint32_t forward = (goal[d] + side - at[d]) % side;
+      const bool up = topo.wrap ? forward <= side - forward : goal[d] > at[d];
+      at[d] = up ? (at[d] + 1) % side : (at[d] + side - 1) % side;
+      route.push_back(topo.node_at(at));
+    }
+  }
+  return route;
+}
+
+TEST(PathArena, DimensionOrderBuilderMatchesCoordinateRoutes) {
+  for (const bool wrap : {false, true}) {
+    for (const std::vector<std::uint32_t>& sides :
+         {std::vector<std::uint32_t>{7, 5}, {4, 3, 5}, {6}}) {
+      auto topo = std::make_shared<const MeshTopology>(
+          wrap ? make_torus(sides) : make_mesh(sides));
+      Rng rng(sides.size() * 2 + wrap);
+      const auto requests = random_q_function_requests(
+          topo->graph.node_count(), 2, rng);
+      std::vector<std::vector<NodeId>> routes;
+      for (const auto& [s, d] : requests)
+        routes.push_back(coordinate_route(*topo, s, d));
+      expect_same_as_node_lists(mesh_collection(topo, requests), routes);
+    }
+  }
+}
+
+TEST(PathArena, BuildersMatchNodeListConstruction) {
+  Rng rng(5);
+  auto cube = std::make_shared<const Graph>(make_random_regular(20, 3, 9));
+  const PathCollection bfs = bfs_random_function(cube, rng);
+  std::vector<std::vector<NodeId>> bfs_routes;
+  for (const PathView p : bfs.paths())
+    bfs_routes.push_back(
+        bfs_shortest_path(*cube, p.source(), p.destination()).nodes(*cube));
+  expect_same_as_node_lists(bfs, bfs_routes);
+
+  std::vector<PathCollection> built;
+  built.push_back(butterfly_random_q_function(
+      std::make_shared<const ButterflyTopology>(make_butterfly(4)), 2, rng));
+  built.push_back(make_staircase_collection(2, 4, 6, 4));
+  built.push_back(make_bundle_collection(2, 3, 4));
+  built.push_back(make_triangle_collection(2, 6, 4));
+  built.push_back(tree_layout_lightpaths(
+      make_tree_layout({0, 0, 0, 1, 1, 2, 3, 3, 5, 8}, 2)));
+  built.push_back(layout_lightpaths(make_chain_layout(17, 2)));
+  built.push_back(mesh_layout_lightpaths(make_mesh_layout(5, 2)));
+  built.push_back(ring_layout_lightpaths(make_ring_layout(16, 2)));
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    SCOPED_TRACE("builder " + std::to_string(i));
+    EXPECT_GT(built[i].size(), 0u);
+    expect_same_as_node_lists(built[i], node_routes(built[i]));
+  }
+}
+
+// --- one const collection shared by pool threads -----------------------------
+
+TEST(PathArena, PoolThreadsShareOneConstCollection) {
+  Rng rng(3);
+  const PathCollection c = mesh_random_function(
+      std::make_shared<const MeshTopology>(make_mesh({12, 12})), rng);
+  const std::uint32_t expected = max_value(pairwise_congestions(c, all_ids(c)));
+  std::vector<LaunchSpec> specs;
+  for (PathId id = 0; id < c.size(); ++id) {
+    LaunchSpec spec;
+    spec.path = id;
+    spec.start_time = static_cast<SimTime>(id % 7);
+    spec.length = 3;
+    specs.push_back(spec);
+  }
+  const auto delivered = [&c, &specs] {
+    Simulator sim(c, SimConfig{});
+    return sim.run(specs).metrics.delivered;
+  };
+  const auto reference = delivered();
+
+  ThreadPool pool(4);
+  constexpr std::size_t kTasks = 32;
+  std::vector<std::uint32_t> congestion(kTasks, 0);
+  std::vector<decltype(delivered())> seen(kTasks, 0);
+  parallel_for(
+      0, kTasks,
+      [&](std::size_t i) {
+        congestion[i] = c.path_congestion();
+        seen[i] = delivered();
+      },
+      &pool);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(congestion[i], expected) << "task " << i;
+    EXPECT_EQ(seen[i], reference) << "task " << i;
+  }
 }
 
 }  // namespace

@@ -499,7 +499,7 @@ TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
   std::vector<PinnedSlot> slots;
   for (PathId c = 0; c < kChains; ++c) {
     const auto wl = static_cast<Wavelength>(c % 2);
-    const Path& path = collection.path(c);
+    const PathView path = collection.path(c);
     specs.push_back(spec(c, 0, wl, 3));
     if (c % 5 == 0) specs.push_back(spec(c, 1, wl, 3));  // meets an occupant
     if (c % 3 == 0) slots.push_back({path.link(2), wl});

@@ -42,7 +42,7 @@ TEST(Structures, StaircaseSharing) {
 
 TEST(Structures, StaircaseLengthsAndNodes) {
   const auto collection = make_staircase_collection(1, 4, 10, 6);  // d = 3
-  for (const Path& p : collection.paths()) EXPECT_EQ(p.length(), 10u);
+  for (const PathView p : collection.paths()) EXPECT_EQ(p.length(), 10u);
   // Node count: 4·11 positions minus 2 shared per adjacent pair.
   EXPECT_EQ(collection.graph().node_count(), 4u * 11u - 3u * 2u);
 }

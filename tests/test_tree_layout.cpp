@@ -90,8 +90,8 @@ TEST(TreeLayout, RouteTunnelsComeFromTheLightpathSet) {
   const auto parents = random_tree_parents(30, rng);
   const auto layout = make_tree_layout(parents, 2);
   const auto lightpaths = tree_layout_lightpaths(layout);
-  const auto contains = [&](const Path& tunnel) {
-    for (const Path& candidate : lightpaths.paths())
+  const auto contains = [&](PathView tunnel) {
+    for (const PathView candidate : lightpaths.paths())
       if (candidate == tunnel) return true;
     return false;
   };

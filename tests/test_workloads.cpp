@@ -78,7 +78,7 @@ TEST(Workloads, BfsRandomPermutationCoversAllDestinations) {
   Rng rng(37);
   const auto collection = bfs_random_permutation(cube, rng);
   std::set<NodeId> destinations;
-  for (const Path& p : collection.paths())
+  for (const PathView p : collection.paths())
     destinations.insert(p.destination());
   EXPECT_EQ(destinations.size(), 8u);
 }
