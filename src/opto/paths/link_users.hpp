@@ -1,10 +1,10 @@
-// Directed link → users inversion, shared by the paths layer's sharing
-// computations (C̃ in path_collection.cpp, the conflict graph and the
-// assignment check in wavelength_assignment.cpp). Internal to paths/.
+// Directed link → users inversion, shared by the paths layer's per-path
+// sharing computations (the sampled C̃ estimate in path_collection.cpp,
+// the conflict graph and the assignment check in
+// wavelength_assignment.cpp). Internal to paths/.
 //
-// Members are numbered 0..members-1 by the caller (path ids, or positions
-// in a sub-multiset) and described by `links_of(m)`, any callable
-// returning an iterable of EdgeId.
+// Members are numbered 0..members-1 by the caller and described by
+// `links_of(m)`, any callable returning an iterable of EdgeId.
 #pragma once
 
 #include <cstdint>
@@ -65,18 +65,6 @@ void for_each_sharer(const LinkUsers& users, const LinksOf& links_of,
       visit(other);
     }
   }
-}
-
-/// Number of members sharing a directed link with `member`, each counted
-/// once (same stamping contract as for_each_sharer).
-template <class LinksOf>
-std::uint32_t count_sharers(const LinkUsers& users, const LinksOf& links_of,
-                            std::uint32_t member, std::uint32_t stamp,
-                            std::vector<std::uint32_t>& marks) {
-  std::uint32_t sharers = 0;
-  for_each_sharer(users, links_of, member, stamp, marks,
-                  [&sharers](std::uint32_t) { ++sharers; });
-  return sharers;
 }
 
 }  // namespace opto::detail

@@ -11,7 +11,7 @@ namespace opto {
 
 namespace {
 
-using detail::count_sharers;
+using detail::for_each_sharer;
 using detail::invert_links;
 using detail::LinkUsers;
 
@@ -191,7 +191,10 @@ std::uint32_t PathCollection::path_congestion_sampled(
   std::uint32_t best = 0;
   for (std::uint32_t sample = 0; sample < samples; ++sample) {
     const auto id = static_cast<PathId>(rng.next_below(size()));
-    best = std::max(best, count_sharers(users, links_of, id, sample, stamp));
+    std::uint32_t sharers = 0;
+    for_each_sharer(users, links_of, id, sample, stamp,
+                    [&sharers](std::uint32_t) { ++sharers; });
+    best = std::max(best, sharers);
   }
   return best;
 }
