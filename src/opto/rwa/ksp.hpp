@@ -2,11 +2,11 @@
 //
 // Routes are enumerated in the canonical total order
 //   (length, lexicographic node sequence)
-// exactly: the shortest-path subroutine returns the lexicographically
-// smallest shortest path under the active node/link bans, which makes
-// Yen's candidate heap a faithful enumeration of that order (the
-// brute-force oracle in tests/test_rwa_oracle.cpp checks this
-// sequence-for-sequence). Determinism is load-bearing — every RWA
+// exactly: every spur search returns the lexicographically smallest
+// shortest path under the active node/link bans, and the next route is
+// always the least of Yen's candidate list in that order, so the
+// enumeration is a faithful walk of it (the brute-force oracle in
+// tests/test_rwa_oracle.cpp checks this sequence-for-sequence). Determinism is load-bearing — every RWA
 // strategy derives its candidate routes from this enumeration, so two
 // runs of a strategy see identical candidates on any thread count.
 #pragma once

@@ -7,10 +7,12 @@
 #include <sstream>
 #include <utility>
 
+#include "opto/rwa/ksp.hpp"
 #include "opto/rwa/schedule.hpp"
 #include "opto/rwa/strategy.hpp"
 #include "opto/sim/reference.hpp"
 #include "opto/sim/validate.hpp"
+#include "opto/testlib/reference_ksp.hpp"
 
 namespace opto::testlib {
 namespace {
@@ -251,9 +253,38 @@ std::optional<std::uint64_t> replay_strategy(
   return blocked_first_round;
 }
 
-/// Stage 6: every RWA strategy over the case's path endpoints — decision
-/// invariants via the manual replay, then two independent scheduled runs
-/// that must agree field-for-field (counter-based RNG determinism).
+/// The library's route search against the plain Yen reference for every
+/// distinct (source, destination) of the requests, at k = 4.
+void check_route_search(const Graph& graph,
+                        std::span<const rwa::RwaRequest> requests,
+                        std::vector<std::string>* issues) {
+  constexpr std::uint32_t kRoutes = 4;
+  std::set<std::pair<NodeId, NodeId>> pairs;
+  for (const rwa::RwaRequest& request : requests)
+    pairs.emplace(request.source, request.destination);
+  for (const auto& [source, destination] : pairs) {
+    const auto routes =
+        rwa::k_shortest_routes(graph, source, destination, kRoutes);
+    const auto expected =
+        reference_k_shortest_routes(graph, source, destination, kRoutes);
+    if (routes == expected) continue;
+    std::size_t at = 0;
+    while (at < routes.size() && at < expected.size() &&
+           routes[at] == expected[at])
+      ++at;
+    std::ostringstream os;
+    os << "[rwa] k_shortest_routes(" << source << "->" << destination
+       << ", k=" << kRoutes << ") differs from the reference Yen at route "
+       << at << " (" << routes.size() << " vs " << expected.size()
+       << " routes)";
+    issues->push_back(os.str());
+  }
+}
+
+/// Stage 6: the route search against its reference, then every RWA
+/// strategy over the case's path endpoints — decision invariants via the
+/// manual replay, then two independent scheduled runs that must agree
+/// field-for-field (counter-based RNG determinism).
 void diff_rwa(std::shared_ptr<const Graph> graph, const FuzzCase& fuzz,
               DiffReport* report) {
   std::vector<rwa::RwaRequest> requests;
@@ -262,6 +293,7 @@ void diff_rwa(std::shared_ptr<const Graph> graph, const FuzzCase& fuzz,
     requests.push_back(rwa::RwaRequest{nodes.front(), nodes.back()});
   if (requests.empty()) return;
   report->rwa_requests = requests.size();
+  check_route_search(*graph, requests, &report->issues);
 
   rwa::StrategyScheduleConfig config;
   config.rwa.bandwidth = fuzz.bandwidth;

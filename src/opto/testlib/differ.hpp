@@ -17,8 +17,10 @@
 //     a case whose fault plan has all-zero rates still reaches 5,
 //     which pins the "disabled plan is bit-identical to no plan"
 //     contract);
-//  6. an RWA strategy stage: the case's path endpoints become requests
-//     and every rwa/ strategy routes them — a manual replay checks each
+//  6. an RWA stage: the case's path endpoints become requests. For each
+//     distinct request, k_shortest_routes(…, 4) must equal the plain Yen
+//     of reference_ksp.hpp route for route. Then every rwa/ strategy
+//     routes the requests — a manual replay checks each
 //     accepted decision (routes connect source to destination, every λ
 //     is inside the band, no two accepted routes share a (link, λ)
 //     channel in a round), then two independent run_strategy_schedule

@@ -44,10 +44,11 @@ constexpr std::uint64_t kAllocsPerMeshTrial = 3500;
 // size.
 constexpr std::uint64_t kAllocsPerCongestion = 5;
 // k=3 shortest routes between two radix-8 fat-tree hosts in different
-// pods: the three routes and the result vector's growth (6), plus a set
-// node and a vector per distinct Yen candidate (7 for this pair; 20 in
-// all). A BFS buffer allocated per spur search would add 13 or more.
-constexpr std::uint64_t kAllocsPerKsp = 24;
+// pods: the three routes and the result vector's growth (6), and nothing
+// else — the destination row, the fallback BFS and the flat candidate
+// list live in the thread's search workspace. A BFS buffer or a
+// candidate vector allocated per spur search would add one per spur.
+constexpr std::uint64_t kAllocsPerKsp = 6;
 
 class AllocBudget : public ::testing::Test {
  protected:

@@ -3,7 +3,8 @@
 // brute-force k-shortest-path oracle (exhaustive simple-path enumeration
 // in the canonical (length, lexicographic) order) cross-checked against
 // the Yen implementation and shortest_route over a few hundred generated
-// graphs, and an independent recomputation of Valiant's routes.
+// graphs and every pair of four structured ones, hand-pinned fat-tree
+// spurs, and an independent recomputation of Valiant's routes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,8 @@
 #include "opto/graph/fattree.hpp"
 #include "opto/graph/graph.hpp"
 #include "opto/graph/graph_algo.hpp"
+#include "opto/graph/hypercube.hpp"
+#include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
 #include "opto/rng/philox.hpp"
 #include "opto/rng/rng.hpp"
@@ -164,22 +167,21 @@ TEST(RwaOracle, FatTreeHostsInOnePodStayBelowTheCore) {
   EXPECT_EQ(cross_pod.front().size(), 7u);
 }
 
-/// Exhaustive oracle: every simple path source→destination of at most
-/// `max_hops` links by DFS, in the same canonical (length, lexicographic
-/// node sequence) order the Yen enumeration promises.
-std::vector<std::vector<NodeId>> brute_force_routes(
-    const Graph& graph, NodeId source, NodeId destination, std::uint32_t k,
-    std::size_t max_hops = ~std::size_t{0}) {
-  std::vector<std::vector<NodeId>> all;
+/// Every simple path from `source` of at most `max_hops` links by DFS,
+/// grouped by destination, each group in the canonical (length,
+/// lexicographic node sequence) order the Yen enumeration promises.
+/// Given a `stop` node, only the paths to it are kept (the other groups
+/// stay empty), and none continues through it.
+std::vector<std::vector<std::vector<NodeId>>> brute_force_routes_from(
+    const Graph& graph, NodeId source, std::size_t max_hops,
+    NodeId stop = kInvalidNode) {
+  std::vector<std::vector<std::vector<NodeId>>> routes(graph.node_count());
   std::vector<NodeId> walk{source};
   std::vector<char> visited(graph.node_count(), 0);
   visited[source] = 1;
   const auto dfs = [&](auto&& self, NodeId at) -> void {
-    if (at == destination) {
-      all.push_back(walk);
-      return;
-    }
-    if (walk.size() > max_hops) return;
+    if (stop == kInvalidNode || at == stop) routes[at].push_back(walk);
+    if (at == stop || walk.size() > max_hops) return;
     for (const EdgeId link : graph.out_links(at)) {
       const NodeId next = graph.target(link);
       if (visited[next]) continue;
@@ -191,11 +193,22 @@ std::vector<std::vector<NodeId>> brute_force_routes(
     }
   };
   dfs(dfs, source);
-  std::sort(all.begin(), all.end(),
-            [](const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
+  for (auto& group : routes)
+    std::sort(group.begin(), group.end(),
+              [](const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
+                if (a.size() != b.size()) return a.size() < b.size();
+                return a < b;
+              });
+  return routes;
+}
+
+/// Exhaustive oracle: the first `k` simple paths source→destination of at
+/// most `max_hops` links in the canonical order.
+std::vector<std::vector<NodeId>> brute_force_routes(
+    const Graph& graph, NodeId source, NodeId destination, std::uint32_t k,
+    std::size_t max_hops = ~std::size_t{0}) {
+  auto all = std::move(brute_force_routes_from(graph, source, max_hops,
+                                               destination)[destination]);
   if (all.size() > k) all.resize(k);
   return all;
 }
@@ -283,6 +296,97 @@ TEST(RwaOracle, YenMatchesBruteForceOnGeneratedGraphs) {
   EXPECT_GE(sparse.nonempty, 300u);
   EXPECT_GE(sparse.truncated, 200u);
   EXPECT_GE(sparse.early_exit, 200u);
+}
+
+TEST(RwaOracle, YenMatchesBruteForceOnStructuredGraphs) {
+  // Every ordered pair of four structured graphs at k = 3, 4 and 8, so
+  // Lawler's rule (spurs start at the deviation index) runs on routes
+  // past the second. The oracle enumerates only routes of at most
+  // `max_hops` links; Yen's routes up to that length must be exactly
+  // the oracle's. A probe is pinned outright when the oracle finds k
+  // routes or `max_hops` admits every simple path.
+  struct Band {
+    const char* name;
+    Graph graph;
+    std::size_t max_hops;
+    bool runs_out;  ///< some pair has fewer than 3 routes
+  };
+  std::vector<Band> bands;
+  bands.push_back({"fat-tree-4", make_fat_tree(4).graph, 8, true});
+  bands.push_back({"mesh-4x4", make_mesh({4, 4}).graph, 9, false});
+  bands.push_back({"hypercube-4", make_hypercube(4), 6, false});
+  bands.push_back({"ring-8", make_ring(8), 7, true});
+  for (const Band& band : bands) {
+    const Graph& graph = band.graph;
+    std::uint64_t probes = 0, pinned = 0, fewer = 0;
+    for (NodeId source = 0; source < graph.node_count(); ++source) {
+      const auto oracle =
+          brute_force_routes_from(graph, source, band.max_hops);
+      for (NodeId destination = 0; destination < graph.node_count();
+           ++destination) {
+        for (const std::uint32_t k : {3u, 4u, 8u}) {
+          const auto actual =
+              k_shortest_routes(graph, source, destination, k);
+          std::vector<std::vector<NodeId>> within;
+          for (const auto& route : actual)
+            if (route.size() <= band.max_hops + 1) within.push_back(route);
+          const auto& all = oracle[destination];
+          const std::vector<std::vector<NodeId>> expected(
+              all.begin(), all.begin() + std::min<std::size_t>(k, all.size()));
+          ASSERT_EQ(within, expected)
+              << band.name << " (" << source << "→" << destination
+              << ", k=" << k << ")";
+          ++probes;
+          if (expected.size() == k || band.max_hops + 1 >= graph.node_count())
+            ++pinned;
+          if (source != destination && actual.size() < 3) ++fewer;
+        }
+      }
+    }
+    // Most probes are pinned outright. The ring (two routes per pair)
+    // and the fat tree's same-edge host pairs (one) run out of routes;
+    // the mesh and the hypercube never do.
+    const std::uint64_t pairs =
+        std::uint64_t{graph.node_count()} * graph.node_count();
+    EXPECT_EQ(probes, 3 * pairs) << band.name;
+    EXPECT_GE(pinned, probes * 3 / 4) << band.name;
+    EXPECT_EQ(fewer > 0, band.runs_out) << band.name;
+  }
+}
+
+TEST(RwaOracle, FatTreeSpursByHand) {
+  // Radix 4: cores 0–3; pod p has aggregation switches 4+4p, 5+4p and
+  // edge switches 6+4p, 7+4p; hosts 20–35, two per edge switch.
+  // Aggregation switch i of a pod uplinks to cores 2i and 2i+1.
+  const FatTreeTopology topo = make_fat_tree(4);
+  const NodeId a = topo.hosts[0], b = topo.hosts[4];
+  ASSERT_EQ(a, 20u);
+  ASSERT_EQ(b, 24u);
+  // Inter-pod: four routes of six links (2 aggregation × 2 core
+  // choices). Route 2 is route 1's spur at aggregation switch 4 (core 1
+  // instead of core 0). The host spur is dead: a host has one uplink, and
+  // route 1 bans it. Route 3 is route 1's edge-switch spur: with 6→4
+  // banned it climbs through the other aggregation switch, 5, at the
+  // same length. Route 4 is route 3's spur at 5. Route 5 is longer.
+  const auto routes = k_shortest_routes(topo.graph, a, b, 8);
+  ASSERT_EQ(routes.size(), 8u);
+  const std::vector<std::vector<NodeId>> shortest{
+      {20, 6, 4, 0, 8, 10, 24},
+      {20, 6, 4, 1, 8, 10, 24},
+      {20, 6, 5, 2, 9, 10, 24},
+      {20, 6, 5, 3, 9, 10, 24}};
+  EXPECT_TRUE(std::equal(shortest.begin(), shortest.end(), routes.begin()));
+  for (std::size_t r = 4; r < routes.size(); ++r)
+    EXPECT_EQ(routes[r].size(), 9u) << "route " << r;
+  EXPECT_EQ(routes, brute_force_routes(topo.graph, a, b, 8, 8));
+
+  // Same edge switch: host, edge switch, host is the only route. Every
+  // spur is cut: the source host's one uplink is banned, and the edge
+  // switch's one link to the destination host is banned.
+  const NodeId c = topo.hosts[1];
+  const auto same_edge = k_shortest_routes(topo.graph, a, c, 8);
+  ASSERT_EQ(same_edge.size(), 1u);
+  EXPECT_EQ(same_edge.front(), (std::vector<NodeId>{a, 6, c}));
 }
 
 TEST(RwaOracle, ValiantMatchesAnIndependentRecomputationOnAFatTree) {
