@@ -1,9 +1,12 @@
 #include "opto/rwa/ksp.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <span>
+#include <mutex>
 
 #include "opto/graph/graph_algo.hpp"
+#include "opto/obs/obs.hpp"
 #include "opto/util/assert.hpp"
 
 namespace opto::rwa {
@@ -34,14 +37,18 @@ struct ReverseBfs {
     tail = 1;
   }
 
-  /// Expands the search until `node` has a label or nothing is left to
-  /// expand. `admit(y, e)` says whether node y and its link e = y → x may
-  /// be used. BFS assigns labels in non-decreasing order, so once `node`
-  /// has label d every node nearer the destination than d is labelled
-  /// with its final value; farther nodes may still read kUnreachable.
+  /// Expands the search until `node` has a label, nothing is left to
+  /// expand, or every node still to expand lies `max_hops` from the
+  /// destination, so that `node` can get no label of at most `max_hops`.
+  /// `admit(y, e)` says whether node y and its link e = y → x may be
+  /// used. BFS assigns labels in non-decreasing order, so once `node` has
+  /// label d every node nearer the destination than d is labelled with
+  /// its final value; farther nodes may still read kUnreachable.
   template <class Admit>
-  void reach(const Graph& graph, NodeId node, Admit admit) {
-    while (head < tail && hops[node] == kUnreachable) {
+  void reach(const Graph& graph, NodeId node, Admit admit,
+             std::uint32_t max_hops = kUnreachable) {
+    while (head < tail && hops[node] == kUnreachable &&
+           hops[order[head]] < max_hops) {
       const NodeId x = order[head++];
       // The incoming link y → x is the reverse of the outgoing x → y.
       for (EdgeId e : graph.out_links(x)) {
@@ -73,15 +80,17 @@ struct Candidate {
 /// resets only what it touched and rebinding to a graph of the same
 /// shape needs no work.
 struct SearchWorkspace {
-  ReverseBfs row;     ///< unbanned hops to the call's destination
+  ReverseBfs row;     ///< past HopTable::kMaxNodes: the call's own row
   ReverseBfs banned;  ///< the fallback's BFS under a spur's bans
+  std::vector<std::uint16_t> spare;  ///< a row another thread is filling
+  std::vector<NodeId> queue;         ///< a row fill's BFS order
   std::vector<char> banned_node;
   std::vector<char> banned_link;
   std::vector<EdgeId> touched;  ///< links banned by the current spur
   std::vector<std::uint32_t> dead;  ///< == stamp: no route on from here
   std::uint32_t stamp = 0;
   std::vector<NodeId> arena;  ///< candidate node sequences
-  std::vector<Candidate> candidates;
+  std::vector<Candidate> candidates;  ///< by size, non-decreasing
 
   void bind(const Graph& graph) {
     if (dead.size() == graph.node_count() &&
@@ -89,6 +98,8 @@ struct SearchWorkspace {
       return;
     row.bind(graph.node_count());
     banned.bind(graph.node_count());
+    spare.assign(graph.node_count(), 0);
+    queue.assign(graph.node_count(), 0);
     banned_node.assign(graph.node_count(), 0);
     banned_link.assign(graph.link_count(), 0);
     dead.assign(graph.node_count(), 0);
@@ -115,6 +126,45 @@ SearchWorkspace& workspace(const Graph& graph) {
   return ws;
 }
 
+/// One search's tallies, added to the obs counters once per call.
+struct SearchTally {
+  std::uint64_t spurs = 0;      ///< spur nodes left by Lawler's rule
+  std::uint64_t capped = 0;     ///< spurs the length cap ended, no BFS
+  std::uint64_t fallbacks = 0;  ///< spurs that ran the banned BFS
+};
+
+void record(const SearchTally& tally) {
+  static obs::Counter spurs{"rwa.ksp.spurs"};
+  static obs::Counter capped{"rwa.ksp.capped"};
+  static obs::Counter fallbacks{"rwa.ksp.fallbacks"};
+  if (tally.spurs != 0) spurs.add(tally.spurs);
+  if (tally.capped != 0) capped.add(tally.capped);
+  if (tally.fallbacks != 0) fallbacks.add(tally.fallbacks);
+}
+
+enum RowState : std::uint8_t { kRowEmpty, kRowFilling, kRowReady };
+
+/// Writes every node's unbanned hop count to `destination` into `hops`
+/// (HopTable::kNoRoute when it cannot reach it): a full reverse BFS
+/// through `queue`.
+void fill_row(const Graph& graph, NodeId destination, std::uint16_t* hops,
+              std::vector<NodeId>& queue) {
+  static obs::Counter rows_filled{"rwa.rows.filled"};
+  rows_filled.add(1);
+  std::fill(hops, hops + graph.node_count(), HopTable::kNoRoute);
+  hops[destination] = 0;
+  queue[0] = destination;
+  for (std::size_t head = 0, tail = 1; head < tail; ++head) {
+    const NodeId x = queue[head];
+    for (EdgeId e : graph.out_links(x)) {
+      const NodeId y = graph.target(e);
+      if (hops[y] != HopTable::kNoRoute) continue;
+      hops[y] = static_cast<std::uint16_t>(hops[x] + 1);
+      queue[tail++] = y;
+    }
+  }
+}
+
 /// Appends to `out` the lexicographically smallest route source →
 /// destination of exactly `hops[source]` links whose every link u → v has
 /// hops[v] == hops[u] - 1 and is admitted by the workspace's bans; returns
@@ -126,9 +176,9 @@ SearchWorkspace& workspace(const Graph& graph) {
 /// hops strictly fall, so no route revisits a node). On a row computed
 /// under the same bans every labelled node has an admitted next node, so
 /// there the walk never backs out: it is the greedy lex-min walk.
-bool walk(const Graph& graph, const std::vector<std::uint32_t>& hops,
-          NodeId source, NodeId destination, SearchWorkspace& ws,
-          std::vector<NodeId>& out) {
+template <class Hop>
+bool walk(const Graph& graph, const Hop* hops, NodeId source,
+          NodeId destination, SearchWorkspace& ws, std::vector<NodeId>& out) {
   const std::size_t base = out.size();
   const std::uint32_t stamp = ws.fresh_stamp();
   out.push_back(source);
@@ -154,58 +204,118 @@ bool walk(const Graph& graph, const std::vector<std::uint32_t>& hops,
 
 constexpr auto kAnyLink = [](NodeId, EdgeId) { return true; };
 
+/// The unbanned hops to one call's destination: the destination's row of
+/// the graph's table or, for a graph the table keeps no rows for, the
+/// workspace's reverse BFS, extended only as far as the call asks.
+class DestinationRow {
+ public:
+  DestinationRow(const HopTable& table, NodeId destination,
+                 SearchWorkspace& ws)
+      : graph_(table.graph()), full_(table.row(destination).data()),
+        lazy_(ws.row) {
+    if (full_ == nullptr) lazy_.start(destination);
+  }
+  ~DestinationRow() {
+    if (full_ == nullptr) lazy_.clear();
+  }
+  DestinationRow(const DestinationRow&) = delete;
+  DestinationRow& operator=(const DestinationRow&) = delete;
+
+  /// v's unbanned hop count, kUnreachable when v cannot reach the
+  /// destination.
+  std::uint32_t hops(NodeId v) {
+    if (full_ != nullptr)
+      return full_[v] == HopTable::kNoRoute ? kUnreachable : full_[v];
+    lazy_.reach(graph_, v, kAnyLink);
+    return lazy_.hops[v];
+  }
+
+  /// `walk` on this row; `hops(source)` must have been asked first.
+  bool walk(NodeId source, NodeId destination, SearchWorkspace& ws,
+            std::vector<NodeId>& out) const {
+    return full_ != nullptr
+               ? rwa::walk(graph_, full_, source, destination, ws, out)
+               : rwa::walk(graph_, lazy_.hops.data(), source, destination,
+                           ws, out);
+  }
+
+ private:
+  const Graph& graph_;
+  const std::uint16_t* full_;
+  ReverseBfs& lazy_;
+};
+
 /// Appends to `out` the lexicographically smallest shortest route
 /// source → destination with no bans, allocating only that route;
-/// returns false when the destination is unreachable. `ws.row` must be
-/// started at `destination`.
-bool first_route(const Graph& graph, NodeId source, NodeId destination,
+/// returns false when the destination is unreachable.
+bool first_route(DestinationRow& row, NodeId source, NodeId destination,
                  SearchWorkspace& ws, std::vector<NodeId>& out) {
-  ws.row.reach(graph, source, kAnyLink);
-  if (ws.row.hops[source] == kUnreachable) return false;
-  out.reserve(out.size() + ws.row.hops[source] + 1);
-  return walk(graph, ws.row.hops, source, destination, ws, out);
+  const std::uint32_t hops = row.hops(source);
+  if (hops == kUnreachable) return false;
+  out.reserve(out.size() + hops + 1);
+  return row.walk(source, destination, ws, out);
 }
 
 /// Appends to `out` the lexicographically smallest shortest route
-/// source → destination under the workspace's bans; returns false,
-/// appending nothing, when none exists. `ws.row` must be started at
-/// `destination`; the source is a node of an accepted route other than
-/// the destination, and is not banned. Bans only remove links, so no banned route is shorter
+/// source → destination under the workspace's bans, provided it has at
+/// most `budget` links; returns false, appending nothing, otherwise. The
+/// source is a node of an accepted route other than the destination, is
+/// not banned, and is at most `budget` unbanned hops from the
+/// destination. Bans only remove links, so no banned route is shorter
 /// than the unbanned distance: a route along the unbanned row's
 /// shortest-route DAG, when the bans leave one, is the answer. Only when
-/// they cut all of them does a BFS under the bans run.
-bool lex_min_shortest(const Graph& graph, NodeId source, NodeId destination,
-                      SearchWorkspace& ws, std::vector<NodeId>& out) {
+/// they cut all of them, and a route one link longer fits the budget,
+/// does a BFS under the bans run, stopped at the budget.
+bool lex_min_shortest(const Graph& graph, DestinationRow& row, NodeId source,
+                      NodeId destination, std::uint32_t budget,
+                      SearchWorkspace& ws, SearchTally& tally,
+                      std::vector<NodeId>& out) {
   const auto out_links = graph.out_links(source);
   if (std::none_of(out_links.begin(), out_links.end(), [&](EdgeId e) {
         return ws.admits(graph.target(e), e);
       }))
     return false;
 
-  ws.row.reach(graph, source, kAnyLink);
-  if (walk(graph, ws.row.hops, source, destination, ws, out)) return true;
+  if (row.walk(source, destination, ws, out)) return true;
+  if (row.hops(source) + 1 > budget) {
+    ++tally.capped;
+    return false;
+  }
 
+  ++tally.fallbacks;
   ReverseBfs& bfs = ws.banned;
   bfs.start(destination);
-  bfs.reach(graph, source,
-            [&](NodeId y, EdgeId e) { return ws.admits(y, e); });
+  bfs.reach(
+      graph, source, [&](NodeId y, EdgeId e) { return ws.admits(y, e); },
+      budget);
   const bool found = bfs.hops[source] != kUnreachable;
   if (found) {
-    const bool walked = walk(graph, bfs.hops, source, destination, ws, out);
+    const bool walked =
+        walk(graph, bfs.hops.data(), source, destination, ws, out);
     OPTO_ASSERT(walked);
   }
   bfs.clear();
   return found;
 }
 
-/// Yen's enumeration with Lawler's rule, `ws.row` started at
-/// `destination` and the first route already in `accepted`.
-void yen(const Graph& graph, NodeId destination, std::uint32_t k,
-         SearchWorkspace& ws, std::vector<std::vector<NodeId>>& accepted) {
+/// Yen's enumeration with Lawler's rule and the length cap, the first
+/// route already in `accepted`.
+void yen(const Graph& graph, DestinationRow& row, NodeId destination,
+         std::uint32_t k, SearchWorkspace& ws, SearchTally& tally,
+         std::vector<std::vector<NodeId>>& accepted) {
   std::vector<NodeId>& arena = ws.arena;
   std::vector<Candidate>& candidates = ws.candidates;
   const auto route_of = [&](const Candidate& c) {
     return std::span<const NodeId>(arena.data() + c.offset, c.size);
+  };
+  // The cap: with need = k - |accepted| routes still to accept, a spur
+  // route longer than the need-th shortest candidate can never be
+  // accepted (DESIGN.md §11). A route of exactly that length can still
+  // win on lex order, so the cap keeps it.
+  const auto cap = [&] {
+    const std::size_t need = k - accepted.size();
+    return candidates.size() < need ? kUnreachable
+                                    : candidates[need - 1].size - 1;
   };
   std::uint32_t deviation = 0;  // of the newest accepted route
   while (accepted.size() < k) {
@@ -215,6 +325,17 @@ void yen(const Graph& graph, NodeId destination, std::uint32_t k,
     // was accepted; spurring it again only repeats candidates (DESIGN.md
     // §11 has the argument).
     for (std::size_t i = deviation; i + 1 < prev.size(); ++i) {
+      ++tally.spurs;
+      const std::uint32_t limit = cap();
+      if (i + row.hops(prev[i]) > limit) {
+        // A link lowers the unbanned hop count by at most one, so the
+        // root plus the spur node's hops never falls along prev, and the
+        // cap never rises: every later spur is capped as well.
+        const std::uint64_t rest = prev.size() - 1 - i;
+        tally.spurs += rest - 1;
+        tally.capped += rest;
+        break;
+      }
       // Deviate at spur node prev[i]: keep the root prev[0..i], ban the
       // next-links of every accepted route sharing that root, and ban
       // the root's interior nodes so the spur route stays loopless.
@@ -232,7 +353,9 @@ void yen(const Graph& graph, NodeId destination, std::uint32_t k,
       const std::size_t base = arena.size();
       arena.insert(arena.end(), prev.begin(), prev.begin() + i);
       const bool found =
-          lex_min_shortest(graph, prev[i], destination, ws, arena);
+          lex_min_shortest(graph, row, prev[i], destination,
+                           limit - static_cast<std::uint32_t>(i), ws, tally,
+                           arena);
 
       for (std::size_t j = 0; j < i; ++j) ws.banned_node[prev[j]] = 0;
       for (EdgeId e : ws.touched) ws.banned_link[e] = 0;
@@ -244,29 +367,34 @@ void yen(const Graph& graph, NodeId destination, std::uint32_t k,
                                 [&](const Candidate& c) {
                                   return std::ranges::equal(route_of(c),
                                                             candidate);
-                                }))
-        candidates.push_back(
-            Candidate{static_cast<std::uint32_t>(base),
-                      static_cast<std::uint32_t>(candidate.size()),
-                      static_cast<std::uint32_t>(i)});
-      else
+                                })) {
+        const Candidate added{static_cast<std::uint32_t>(base),
+                              static_cast<std::uint32_t>(candidate.size()),
+                              static_cast<std::uint32_t>(i)};
+        candidates.insert(
+            std::upper_bound(candidates.begin(), candidates.end(), added,
+                             [](const Candidate& a, const Candidate& b) {
+                               return a.size < b.size;
+                             }),
+            added);
+      } else {
         arena.resize(base);
+      }
     }
     if (candidates.empty()) break;
 
-    // The list holds no repeats, so its least route is unique.
-    const auto best = std::min_element(
-        candidates.begin(), candidates.end(),
-        [&](const Candidate& a, const Candidate& b) {
-          const auto x = route_of(a), y = route_of(b);
-          if (x.size() != y.size()) return x.size() < y.size();
-          return std::ranges::lexicographical_compare(x, y);
-        });
+    // The list holds no repeats, so its least route is unique: the
+    // lex-least of the shortest ones, which lead the list.
+    auto best = candidates.begin();
+    for (auto it = best + 1; it != candidates.end() && it->size == best->size;
+         ++it)
+      if (std::ranges::lexicographical_compare(route_of(*it),
+                                               route_of(*best)))
+        best = it;
     const auto route = route_of(*best);
     accepted.emplace_back(route.begin(), route.end());
     deviation = best->deviation;
-    *best = candidates.back();
-    candidates.pop_back();
+    candidates.erase(best);
   }
   arena.clear();
   candidates.clear();
@@ -274,35 +402,96 @@ void yen(const Graph& graph, NodeId destination, std::uint32_t k,
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> k_shortest_routes(const Graph& graph,
+HopTable::HopTable(const Graph& graph) : graph_(&graph) {
+  const std::size_t nodes = graph.node_count();
+  if (nodes == 0 || nodes > kMaxNodes) return;
+  // A row is written in full before it is published or read. Should the
+  // mapping fail, the table keeps no rows and searches compute their own.
+  const std::size_t bytes = nodes * nodes * sizeof(std::uint16_t);
+  void* const rows = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (rows == MAP_FAILED) return;
+  hops_ = {static_cast<std::uint16_t*>(rows), detail::UnmapRows{bytes}};
+  state_ = std::make_unique<std::atomic<std::uint8_t>[]>(nodes);
+}
+
+void detail::UnmapRows::operator()(std::uint16_t* rows) const {
+  munmap(rows, bytes);
+}
+
+std::span<const std::uint16_t> HopTable::row(NodeId destination) const {
+  OPTO_ASSERT(destination < graph_->node_count());
+  if (!keeps_rows()) return {};
+  const std::size_t nodes = graph_->node_count();
+  std::uint16_t* const row = hops_.get() + destination * nodes;
+  std::atomic<std::uint8_t>& state = state_[destination];
+  std::uint8_t seen = state.load(std::memory_order_acquire);
+  if (seen == kRowReady) return {row, nodes};
+
+  SearchWorkspace& ws = workspace(*graph_);
+  if (seen == kRowEmpty &&
+      state.compare_exchange_strong(seen, kRowFilling,
+                                    std::memory_order_acquire)) {
+    fill_row(*graph_, destination, row, ws.queue);
+    state.store(kRowReady, std::memory_order_release);
+    return {row, nodes};
+  }
+  if (seen == kRowReady) return {row, nodes};
+  fill_row(*graph_, destination, ws.spare.data(), ws.queue);
+  return {ws.spare.data(), nodes};
+}
+
+std::shared_ptr<const HopTable> shared_hop_table(
+    const std::shared_ptr<const Graph>& graph) {
+  OPTO_ASSERT(graph != nullptr);
+  struct Entry {
+    std::weak_ptr<const Graph> graph;
+    std::shared_ptr<const HopTable> table;
+  };
+  static std::mutex mutex;
+  static std::vector<Entry> entries;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::erase_if(entries, [](const Entry& e) { return e.graph.expired(); });
+  // Aliasing pointers can share an owner yet point at different graphs.
+  for (const Entry& e : entries)
+    if (!e.graph.owner_before(graph) && !graph.owner_before(e.graph) &&
+        &e.table->graph() == graph.get())
+      return e.table;
+  entries.push_back(Entry{graph, std::make_shared<const HopTable>(*graph)});
+  return entries.back().table;
+}
+
+std::vector<std::vector<NodeId>> k_shortest_routes(const HopTable& table,
                                                    NodeId source,
                                                    NodeId destination,
                                                    std::uint32_t k) {
+  const Graph& graph = table.graph();
   OPTO_ASSERT(source < graph.node_count() &&
               destination < graph.node_count());
   std::vector<std::vector<NodeId>> accepted;
   if (k == 0) return accepted;
 
   SearchWorkspace& ws = workspace(graph);
-  ws.row.start(destination);
+  DestinationRow row(table, destination, ws);
   std::vector<NodeId> first;
-  if (first_route(graph, source, destination, ws, first)) {
+  if (first_route(row, source, destination, ws, first)) {
     accepted.push_back(std::move(first));
-    yen(graph, destination, k, ws, accepted);
+    SearchTally tally;
+    yen(graph, row, destination, k, ws, tally, accepted);
+    record(tally);
   }
-  ws.row.clear();
   return accepted;
 }
 
-std::vector<NodeId> shortest_route(const Graph& graph, NodeId source,
+std::vector<NodeId> shortest_route(const HopTable& table, NodeId source,
                                    NodeId destination) {
+  const Graph& graph = table.graph();
   OPTO_ASSERT(source < graph.node_count() &&
               destination < graph.node_count());
   SearchWorkspace& ws = workspace(graph);
+  DestinationRow row(table, destination, ws);
   std::vector<NodeId> route;
-  ws.row.start(destination);
-  first_route(graph, source, destination, ws, route);
-  ws.row.clear();
+  first_route(row, source, destination, ws, route);
   return route;
 }
 

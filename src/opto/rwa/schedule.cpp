@@ -21,10 +21,12 @@ StrategyRunResult run_strategy_schedule(std::shared_ptr<const Graph> graph,
   std::vector<std::uint32_t> pending(requests.size());
   std::iota(pending.begin(), pending.end(), 0);
   std::vector<char> color_used(config.rwa.bandwidth, 0);
+  // Shared with every other run on this graph, across calls and threads.
+  const std::shared_ptr<const HopTable> routes = shared_hop_table(graph);
 
   for (std::uint32_t round = 1;
        round <= config.max_rounds && !pending.empty(); ++round) {
-    strategy.begin(*graph, config.rwa, round);
+    strategy.begin(*routes, config.rwa, round);
 
     PathCollection collection(graph);
     std::vector<LaunchSpec> specs;
@@ -99,6 +101,8 @@ StrategyAggregate run_strategy_trials(const InstanceFactory& factory,
     // reuse across trials exercises the re-entrancy contract (the KSP
     // cache restarts cold at each trial's round 1 — trial graphs are
     // independently allocated, so address reuse must not alias them).
+    // The hop table is not per chunk: run_strategy_schedule takes the
+    // one registered for the trial's graph.
     const std::unique_ptr<Strategy> strategy = make_strategy(kind);
     for (std::size_t trial = lo; trial < hi; ++trial) {
       // Same per-trial seed derivation as benchsupport run_trials, so a

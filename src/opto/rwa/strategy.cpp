@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "opto/rng/philox.hpp"
-#include "opto/rwa/ksp.hpp"
 #include "opto/util/assert.hpp"
 
 namespace opto::rwa {
@@ -46,16 +45,19 @@ std::vector<StrategyKind> all_strategy_kinds() {
           StrategyKind::Valiant};
 }
 
-void Strategy::begin(const Graph& graph, const RwaConfig& config,
+void Strategy::begin(const HopTable& routes, const RwaConfig& config,
                      std::uint32_t round) {
   OPTO_ASSERT(config.bandwidth >= 1 && config.candidates >= 1 &&
               config.split_ways >= 1);
-  // The cache is only trustworthy while the bound graph provably hasn't
+  // The cache is only trustworthy while the bound table provably hasn't
   // changed. Pointer identity alone is not enough across runs: a freed
-  // graph's address can be reused by a different topology (the strategy
-  // does not own the graph), so every new run (round 1) starts cold and
-  // the cache stays warm only across the rounds of one schedule run.
-  if (round <= 1 || graph_ != &graph) route_cache_.clear();
+  // table's address can be reused by a different topology's (the
+  // strategy does not own the table), so every new run (round 1) starts
+  // cold and the cache stays warm only across the rounds of one schedule
+  // run.
+  if (round <= 1 || routes_ != &routes) route_cache_.clear();
+  routes_ = &routes;
+  const Graph& graph = routes.graph();
   graph_ = &graph;
   config_ = config;
   round_ = round;
@@ -72,7 +74,7 @@ const std::vector<std::vector<NodeId>>& Strategy::candidates(
   auto it = route_cache_.find(key);
   if (it == route_cache_.end())
     it = route_cache_
-             .emplace(key, k_shortest_routes(*graph_, source, destination,
+             .emplace(key, k_shortest_routes(*routes_, source, destination,
                                              config_.candidates))
              .first;
   return it->second;
@@ -247,7 +249,7 @@ class ValiantStrategy final : public Strategy {
   /// oblivious, only the wavelength reacts to load.
   RwaDecision assign(const RwaRequest& request, std::uint32_t uid) override {
     std::vector<NodeId> direct =
-        shortest_route(*graph_, request.source, request.destination);
+        shortest_route(*routes_, request.source, request.destination);
     if (direct.empty()) return {};
     if (direct.size() == 1) return accept(*graph_, direct, 0);
 
@@ -257,10 +259,11 @@ class ValiantStrategy final : public Strategy {
       const NodeId mid = static_cast<NodeId>(rng.below(
           graph_->node_count(), uid, kSlotRwaWaypoint + attempt));
       if (mid == request.source || mid == request.destination) continue;
-      std::vector<NodeId> leg1 = shortest_route(*graph_, request.source, mid);
+      std::vector<NodeId> leg1 =
+          shortest_route(*routes_, request.source, mid);
       if (leg1.empty()) continue;
       const std::vector<NodeId> leg2 =
-          shortest_route(*graph_, mid, request.destination);
+          shortest_route(*routes_, mid, request.destination);
       if (leg2.empty() || !disjoint_legs(leg1, leg2)) continue;
       leg1.insert(leg1.end(), leg2.begin() + 1, leg2.end());
       route_nodes = std::move(leg1);

@@ -2,9 +2,12 @@
 // family, measured head-to-head against Trial-and-Failure (E19).
 //
 // A Strategy is re-entrant the way ProtocolSession is: begin() binds it
-// to a graph and clears all per-round wavelength occupancy (candidate
-// routes are cached across rounds — they depend only on the graph), and
-// assign() serves one request at a time in admission (uid) order. Every
+// to a graph's hop table (ksp.hpp) and clears all per-round wavelength
+// occupancy (candidate routes are cached across rounds — they depend
+// only on the graph), and assign() serves one request at a time in
+// admission (uid) order. Every strategy kind and every pool worker
+// searching one graph reads the same table, so a destination's hop row
+// is computed once per graph, not once per strategy or thread. Every
 // decision is a pure function of (graph, config, round, uid, previously
 // accepted set): the only randomness is drawn from the counter-based
 // Philox RNG keyed by (seed, round, uid, slot), so Random-Fit and
@@ -27,6 +30,7 @@
 #include "opto/graph/graph.hpp"
 #include "opto/optical/worm.hpp"
 #include "opto/paths/path.hpp"
+#include "opto/rwa/ksp.hpp"
 
 namespace opto::rwa {
 
@@ -73,13 +77,14 @@ class Strategy {
   virtual StrategyKind kind() const = 0;
   const char* name() const { return to_string(kind()); }
 
-  /// Re-binds the strategy to `graph` for one assignment round and
-  /// clears all wavelength occupancy. The graph must outlive the round.
+  /// Re-binds the strategy to the graph of `routes` for one assignment
+  /// round and clears all wavelength occupancy; its route searches read
+  /// `routes`. The table and its graph must outlive the round.
   /// Candidate-route caches survive across the rounds of one schedule
-  /// run (begin() calls with round > 1 on the same graph) and reset at
-  /// round 1 — the strategy does not own the graph, so a reused heap
+  /// run (begin() calls with round > 1 on the same table) and reset at
+  /// round 1 — the strategy does not own the table, so a reused heap
   /// address must never revive routes cached for a previous topology.
-  virtual void begin(const Graph& graph, const RwaConfig& config,
+  virtual void begin(const HopTable& routes, const RwaConfig& config,
                      std::uint32_t round);
 
   /// Serves one request; uid is its stable identity across rounds (the
@@ -88,7 +93,8 @@ class Strategy {
   virtual RwaDecision assign(const RwaRequest& request, std::uint32_t uid) = 0;
 
  protected:
-  /// Candidate routes for (source, destination), cached per graph.
+  /// Candidate routes for (source, destination), cached per graph: the
+  /// table shares hop rows, this cache whole route lists.
   const std::vector<std::vector<NodeId>>& candidates(NodeId source,
                                                      NodeId destination);
 
@@ -102,7 +108,8 @@ class Strategy {
   RwaDecision accept(const Graph& graph, const std::vector<NodeId>& route,
                      Wavelength lambda);
 
-  const Graph* graph_ = nullptr;
+  const HopTable* routes_ = nullptr;
+  const Graph* graph_ = nullptr;  ///< the graph of routes_
   RwaConfig config_;
   std::uint32_t round_ = 0;
   /// occupancy_[link * bandwidth + λ]: channel claimed this round.

@@ -186,7 +186,7 @@ void compare_traces_exact(const PassResult& a, const PassResult& b,
 /// re-derives the invariants from the decisions and reports). Returns
 /// the round-1 blocked count, or nullopt if any invariant broke.
 std::optional<std::uint64_t> replay_strategy(
-    const Graph& graph, std::span<const rwa::RwaRequest> requests,
+    const rwa::HopTable& routes, std::span<const rwa::RwaRequest> requests,
     rwa::StrategyKind kind, const rwa::StrategyScheduleConfig& config,
     std::vector<std::string>* issues) {
   const std::size_t before = issues->size();
@@ -205,7 +205,7 @@ std::optional<std::uint64_t> replay_strategy(
   std::iota(pending.begin(), pending.end(), 0);
   for (std::uint32_t round = 1;
        round <= config.max_rounds && !pending.empty(); ++round) {
-    strategy->begin(graph, config.rwa, round);
+    strategy->begin(routes, config.rwa, round);
     std::set<std::pair<EdgeId, Wavelength>> claimed;
     std::vector<std::uint32_t> still_pending;
     for (const std::uint32_t uid : pending) {
@@ -255,7 +255,7 @@ std::optional<std::uint64_t> replay_strategy(
 
 /// The library's route search against the plain Yen reference for every
 /// distinct (source, destination) of the requests, at k = 4.
-void check_route_search(const Graph& graph,
+void check_route_search(const rwa::HopTable& routes,
                         std::span<const rwa::RwaRequest> requests,
                         std::vector<std::string>* issues) {
   constexpr std::uint32_t kRoutes = 4;
@@ -263,19 +263,19 @@ void check_route_search(const Graph& graph,
   for (const rwa::RwaRequest& request : requests)
     pairs.emplace(request.source, request.destination);
   for (const auto& [source, destination] : pairs) {
-    const auto routes =
-        rwa::k_shortest_routes(graph, source, destination, kRoutes);
-    const auto expected =
-        reference_k_shortest_routes(graph, source, destination, kRoutes);
-    if (routes == expected) continue;
+    const auto actual =
+        rwa::k_shortest_routes(routes, source, destination, kRoutes);
+    const auto expected = reference_k_shortest_routes(
+        routes.graph(), source, destination, kRoutes);
+    if (actual == expected) continue;
     std::size_t at = 0;
-    while (at < routes.size() && at < expected.size() &&
-           routes[at] == expected[at])
+    while (at < actual.size() && at < expected.size() &&
+           actual[at] == expected[at])
       ++at;
     std::ostringstream os;
     os << "[rwa] k_shortest_routes(" << source << "->" << destination
        << ", k=" << kRoutes << ") differs from the reference Yen at route "
-       << at << " (" << routes.size() << " vs " << expected.size()
+       << at << " (" << actual.size() << " vs " << expected.size()
        << " routes)";
     issues->push_back(os.str());
   }
@@ -293,7 +293,8 @@ void diff_rwa(std::shared_ptr<const Graph> graph, const FuzzCase& fuzz,
     requests.push_back(rwa::RwaRequest{nodes.front(), nodes.back()});
   if (requests.empty()) return;
   report->rwa_requests = requests.size();
-  check_route_search(*graph, requests, &report->issues);
+  const rwa::HopTable routes(*graph);
+  check_route_search(routes, requests, &report->issues);
 
   rwa::StrategyScheduleConfig config;
   config.rwa.bandwidth = fuzz.bandwidth;
@@ -304,7 +305,7 @@ void diff_rwa(std::shared_ptr<const Graph> graph, const FuzzCase& fuzz,
   config.max_rounds = 4;
 
   for (const rwa::StrategyKind kind : rwa::all_strategy_kinds()) {
-    const auto blocked = replay_strategy(*graph, requests, kind, config,
+    const auto blocked = replay_strategy(routes, requests, kind, config,
                                          &report->issues);
     // An invalid assignment would trip run_strategy_schedule's own
     // collision assert; the replay already reported it, so stop here.

@@ -45,9 +45,12 @@ constexpr std::uint64_t kAllocsPerMeshTrial = 3500;
 constexpr std::uint64_t kAllocsPerCongestion = 5;
 // k=3 shortest routes between two radix-8 fat-tree hosts in different
 // pods: the three routes and the result vector's growth (6), and nothing
-// else — the destination row, the fallback BFS and the flat candidate
-// list live in the thread's search workspace. A BFS buffer or a
-// candidate vector allocated per spur search would add one per spur.
+// else — the destination row lives in the graph's hop table, filled in
+// place, and the fallback BFS and the flat candidate list in the
+// thread's search workspace. A BFS buffer or a candidate vector
+// allocated per spur search would add one per spur. Re-measured with the
+// shared table and the length cap: still 6, whether or not the call
+// fills the row.
 constexpr std::uint64_t kAllocsPerKsp = 6;
 
 class AllocBudget : public ::testing::Test {
@@ -175,18 +178,29 @@ TEST_F(AllocBudget, CongestionMemoTravelsWithCopiesAndMoves) {
 TEST_F(AllocBudget, RouteSearchAllocatesOnlyItsResults) {
   const FatTreeTopology topo = make_fat_tree(8);
   const NodeId source = topo.hosts.front(), destination = topo.hosts.back();
-  // The first call grows the thread's search workspace.
-  (void)rwa::k_shortest_routes(topo.graph, source, destination, 3);
+  const rwa::HopTable table(topo.graph);
+  // The first call grows the thread's search workspace and fills the
+  // destination's row.
+  (void)rwa::k_shortest_routes(table, source, destination, 3);
   std::size_t found = 0;
   const std::uint64_t ksp = allocations([&] {
-    found = rwa::k_shortest_routes(topo.graph, source, destination, 3).size();
+    found = rwa::k_shortest_routes(table, source, destination, 3).size();
   });
   const std::uint64_t one = allocations([&] {
-    EXPECT_EQ(rwa::shortest_route(topo.graph, source, destination).size(), 7u);
+    EXPECT_EQ(rwa::shortest_route(table, source, destination).size(), 7u);
   });
   ASSERT_EQ(found, 3u);
   EXPECT_LE(ksp, kAllocsPerKsp);
   EXPECT_EQ(one, 1u) << "shortest_route allocates more than its route";
+
+  // A fresh table: filling the destination's row allocates nothing.
+  const rwa::HopTable cold(topo.graph);
+  EXPECT_LE(allocations([&] {
+              EXPECT_EQ(
+                  rwa::k_shortest_routes(cold, source, destination, 3).size(),
+                  3u);
+            }),
+            kAllocsPerKsp);
 }
 
 TEST_F(AllocBudget, ProtocolRoundAllocatesNothing) {

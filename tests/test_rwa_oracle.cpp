@@ -4,12 +4,17 @@
 // in the canonical (length, lexicographic) order) cross-checked against
 // the Yen implementation and shortest_route over a few hundred generated
 // graphs and every pair of four structured ones, hand-pinned fat-tree
-// spurs, and an independent recomputation of Valiant's routes.
+// spurs, hand-built graphs on the boundary of Yen's length cap, and an
+// independent recomputation of Valiant's routes. The hop table the
+// searches read is checked against a fresh BFS, across graph lifetimes,
+// under concurrent fills, and against a graph past its node limit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +24,8 @@
 #include "opto/graph/hypercube.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
+#include "opto/obs/obs.hpp"
+#include "opto/par/thread_pool.hpp"
 #include "opto/rng/philox.hpp"
 #include "opto/rng/rng.hpp"
 #include "opto/rwa/ksp.hpp"
@@ -53,11 +60,12 @@ TEST(RwaOracle, FirstFitOnChainByHand) {
   // link-disjoint from both so the lowest index λ0 is free again;
   // (0→5) then needs 1→2 where both wavelengths are taken → blocked.
   const Graph graph = make_chain(6);
+  const HopTable routes(graph);
   RwaConfig config;
   config.bandwidth = 2;
   config.candidates = 3;
   const auto strategy = make_strategy(StrategyKind::FirstFit);
-  strategy->begin(graph, config, 1);
+  strategy->begin(routes, config, 1);
   EXPECT_EQ(serve(*strategy, 0, 3, 0), Wavelength{0});
   EXPECT_EQ(serve(*strategy, 1, 2, 1), Wavelength{1});
   EXPECT_EQ(serve(*strategy, 3, 5, 2), Wavelength{0});
@@ -70,11 +78,12 @@ TEST(RwaOracle, LeastUsedSpreadsOverInServiceWavelengthsByHand) {
   // route has both wavelengths free: First-Fit takes λ0, Least-Used
   // takes the lighter in-service λ1.
   const Graph graph = make_chain(6);
+  const HopTable routes(graph);
   RwaConfig config;
   config.bandwidth = 2;
   config.candidates = 3;
   const auto strategy = make_strategy(StrategyKind::LeastUsed);
-  strategy->begin(graph, config, 1);
+  strategy->begin(routes, config, 1);
   EXPECT_EQ(serve(*strategy, 0, 3, 0), Wavelength{0});
   EXPECT_EQ(serve(*strategy, 1, 2, 1), Wavelength{1});
   EXPECT_EQ(serve(*strategy, 3, 5, 2), Wavelength{1});
@@ -84,10 +93,11 @@ TEST(RwaOracle, LeastUsedOpensTheBandAsReluctantlyAsFirstFit) {
   // With nothing in service Least-Used must fall back to the lowest
   // unused index, not jump to a high one: the band opens λ0 first.
   const Graph graph = make_ring(8);
+  const HopTable routes(graph);
   RwaConfig config;
   config.bandwidth = 4;
   const auto strategy = make_strategy(StrategyKind::LeastUsed);
-  strategy->begin(graph, config, 1);
+  strategy->begin(routes, config, 1);
   EXPECT_EQ(serve(*strategy, 0, 2, 0), Wavelength{0});
   // Ring routes 0→2 and 2→4 share no directed link; λ0 stays feasible
   // and is the only in-service wavelength, so it is reused, not λ1.
@@ -100,12 +110,13 @@ TEST(RwaOracle, RandomFitMatchesTheKeyedPhiloxDrawByHand) {
   // (slot 8 = kSlotRwaWavelength in rwa/strategy.cpp) with
   // free = {0, …, B-1}.
   const Graph graph = make_ring(8);
+  const HopTable routes(graph);
   RwaConfig config;
   config.bandwidth = 4;
   config.seed = 0x5eedULL;
   const auto strategy = make_strategy(StrategyKind::RandomFit);
   for (const std::uint32_t round : {1u, 2u, 5u}) {
-    strategy->begin(graph, config, round);
+    strategy->begin(routes, config, round);
     const CounterRng rng(config.seed, round);
     // Node-disjoint requests: each pick sees the full free band.
     std::uint32_t uid = 0;
@@ -128,7 +139,8 @@ TEST(RwaOracle, RadixTwoFatTreeIsATreeWithTheUniqueRoute) {
   ASSERT_EQ(topo.graph.node_count(), 7u);
   ASSERT_EQ(topo.hosts.size(), 2u);
   const NodeId a = topo.hosts[0], b = topo.hosts[1];
-  const auto routes = k_shortest_routes(topo.graph, a, b, 4);
+  const HopTable table(topo.graph);
+  const auto routes = k_shortest_routes(table, a, b, 4);
   ASSERT_EQ(routes.size(), 1u);
   const std::vector<NodeId> expected{a, topo.edge(0, 0), topo.aggregation(0, 0),
                                      topo.core(0), topo.aggregation(1, 0),
@@ -140,7 +152,7 @@ TEST(RwaOracle, RadixTwoFatTreeIsATreeWithTheUniqueRoute) {
   RwaConfig config;
   config.bandwidth = 1;
   const auto strategy = make_strategy(StrategyKind::FirstFit);
-  strategy->begin(topo.graph, config, 1);
+  strategy->begin(table, config, 1);
   EXPECT_EQ(serve(*strategy, a, b, 0), Wavelength{0});
   EXPECT_EQ(serve(*strategy, b, a, 1), Wavelength{0});
   // A second same-direction request has nowhere to go at B=1.
@@ -153,16 +165,17 @@ TEST(RwaOracle, FatTreeHostsInOnePodStayBelowTheCore) {
   // climb to a core (length 6).
   const FatTreeTopology topo = make_fat_tree(4);
   ASSERT_GE(topo.hosts.size(), 5u);
+  const HopTable table(topo.graph);
   const auto same_edge =
-      k_shortest_routes(topo.graph, topo.hosts[0], topo.hosts[1], 1);
+      k_shortest_routes(table, topo.hosts[0], topo.hosts[1], 1);
   ASSERT_EQ(same_edge.size(), 1u);
   EXPECT_EQ(same_edge.front().size(), 3u);
   const auto same_pod =
-      k_shortest_routes(topo.graph, topo.hosts[0], topo.hosts[2], 1);
+      k_shortest_routes(table, topo.hosts[0], topo.hosts[2], 1);
   ASSERT_EQ(same_pod.size(), 1u);
   EXPECT_EQ(same_pod.front().size(), 5u);
   const auto cross_pod =
-      k_shortest_routes(topo.graph, topo.hosts[0], topo.hosts[4], 1);
+      k_shortest_routes(table, topo.hosts[0], topo.hosts[4], 1);
   ASSERT_EQ(cross_pod.size(), 1u);
   EXPECT_EQ(cross_pod.front().size(), 7u);
 }
@@ -227,16 +240,17 @@ struct ProbeTally {
 void probe_against_brute_force(const Graph& graph, Rng& rng,
                                std::uint64_t g, ProbeTally& tally) {
   const NodeId nodes = graph.node_count();
+  const HopTable table(graph);
   for (std::uint32_t probe = 0; probe < 4; ++probe) {
     const NodeId source = static_cast<NodeId>(rng.next_below(nodes));
     const NodeId destination = static_cast<NodeId>(rng.next_below(nodes));
     const std::uint32_t k = 1u << rng.next_below(4);  // 1, 2, 4, 8
     const auto expected = brute_force_routes(graph, source, destination, k);
-    const auto actual = k_shortest_routes(graph, source, destination, k);
+    const auto actual = k_shortest_routes(table, source, destination, k);
     ASSERT_EQ(actual, expected)
         << "graph " << g << " probe " << probe << " (" << source << "→"
         << destination << ", k=" << k << ")";
-    const auto first = shortest_route(graph, source, destination);
+    const auto first = shortest_route(table, source, destination);
     if (expected.empty())
       EXPECT_TRUE(first.empty()) << "graph " << g << " probe " << probe;
     else
@@ -299,12 +313,13 @@ TEST(RwaOracle, YenMatchesBruteForceOnGeneratedGraphs) {
 }
 
 TEST(RwaOracle, YenMatchesBruteForceOnStructuredGraphs) {
-  // Every ordered pair of four structured graphs at k = 3, 4 and 8, so
+  // Every ordered pair of four structured graphs at k = 2, 3, 4 and 8, so
   // Lawler's rule (spurs start at the deviation index) runs on routes
-  // past the second. The oracle enumerates only routes of at most
-  // `max_hops` links; Yen's routes up to that length must be exactly
-  // the oracle's. A probe is pinned outright when the oracle finds k
-  // routes or `max_hops` admits every simple path.
+  // past the second and the length cap on every pool size. The oracle
+  // enumerates only routes of at most `max_hops` links; Yen's routes up
+  // to that length must be exactly the oracle's. A probe is pinned
+  // outright when the oracle finds k routes or `max_hops` admits every
+  // simple path.
   struct Band {
     const char* name;
     Graph graph;
@@ -318,15 +333,16 @@ TEST(RwaOracle, YenMatchesBruteForceOnStructuredGraphs) {
   bands.push_back({"ring-8", make_ring(8), 7, true});
   for (const Band& band : bands) {
     const Graph& graph = band.graph;
+    const HopTable table(graph);
     std::uint64_t probes = 0, pinned = 0, fewer = 0;
     for (NodeId source = 0; source < graph.node_count(); ++source) {
       const auto oracle =
           brute_force_routes_from(graph, source, band.max_hops);
       for (NodeId destination = 0; destination < graph.node_count();
            ++destination) {
-        for (const std::uint32_t k : {3u, 4u, 8u}) {
+        for (const std::uint32_t k : {2u, 3u, 4u, 8u}) {
           const auto actual =
-              k_shortest_routes(graph, source, destination, k);
+              k_shortest_routes(table, source, destination, k);
           std::vector<std::vector<NodeId>> within;
           for (const auto& route : actual)
             if (route.size() <= band.max_hops + 1) within.push_back(route);
@@ -339,7 +355,7 @@ TEST(RwaOracle, YenMatchesBruteForceOnStructuredGraphs) {
           ++probes;
           if (expected.size() == k || band.max_hops + 1 >= graph.node_count())
             ++pinned;
-          if (source != destination && actual.size() < 3) ++fewer;
+          if (k >= 3 && source != destination && actual.size() < 3) ++fewer;
         }
       }
     }
@@ -348,7 +364,7 @@ TEST(RwaOracle, YenMatchesBruteForceOnStructuredGraphs) {
     // the mesh and the hypercube never do.
     const std::uint64_t pairs =
         std::uint64_t{graph.node_count()} * graph.node_count();
-    EXPECT_EQ(probes, 3 * pairs) << band.name;
+    EXPECT_EQ(probes, 4 * pairs) << band.name;
     EXPECT_GE(pinned, probes * 3 / 4) << band.name;
     EXPECT_EQ(fewer > 0, band.runs_out) << band.name;
   }
@@ -362,13 +378,14 @@ TEST(RwaOracle, FatTreeSpursByHand) {
   const NodeId a = topo.hosts[0], b = topo.hosts[4];
   ASSERT_EQ(a, 20u);
   ASSERT_EQ(b, 24u);
+  const HopTable table(topo.graph);
   // Inter-pod: four routes of six links (2 aggregation × 2 core
   // choices). Route 2 is route 1's spur at aggregation switch 4 (core 1
   // instead of core 0). The host spur is dead: a host has one uplink, and
   // route 1 bans it. Route 3 is route 1's edge-switch spur: with 6→4
   // banned it climbs through the other aggregation switch, 5, at the
   // same length. Route 4 is route 3's spur at 5. Route 5 is longer.
-  const auto routes = k_shortest_routes(topo.graph, a, b, 8);
+  const auto routes = k_shortest_routes(table, a, b, 8);
   ASSERT_EQ(routes.size(), 8u);
   const std::vector<std::vector<NodeId>> shortest{
       {20, 6, 4, 0, 8, 10, 24},
@@ -384,7 +401,7 @@ TEST(RwaOracle, FatTreeSpursByHand) {
   // spur is cut: the source host's one uplink is banned, and the edge
   // switch's one link to the destination host is banned.
   const NodeId c = topo.hosts[1];
-  const auto same_edge = k_shortest_routes(topo.graph, a, c, 8);
+  const auto same_edge = k_shortest_routes(table, a, c, 8);
   ASSERT_EQ(same_edge.size(), 1u);
   EXPECT_EQ(same_edge.front(), (std::vector<NodeId>{a, 6, c}));
 }
@@ -400,6 +417,7 @@ TEST(RwaOracle, ValiantMatchesAnIndependentRecomputationOnAFatTree) {
   // host permutations of a radix-4 fat tree.
   const FatTreeTopology topo = make_fat_tree(4);
   const Graph& graph = topo.graph;
+  const HopTable routes(graph);
   RwaConfig config;
   config.bandwidth = 2;
   config.seed = 0x7a1ULL;
@@ -420,7 +438,7 @@ TEST(RwaOracle, ValiantMatchesAnIndependentRecomputationOnAFatTree) {
       std::vector<NodeId> destinations = topo.hosts;
       Rng perm_rng = Rng::stream(0x7a11, perm);
       perm_rng.shuffle(destinations);
-      strategy->begin(graph, config, round);
+      strategy->begin(routes, config, round);
       std::vector<char> busy(
           static_cast<std::size_t>(graph.link_count()) * config.bandwidth, 0);
       for (std::uint32_t uid = 0; uid < topo.hosts.size(); ++uid) {
@@ -489,9 +507,295 @@ TEST(RwaOracle, ValiantMatchesAnIndependentRecomputationOnAFatTree) {
 
 TEST(RwaOracle, SourceEqualsDestinationIsTheZeroLengthRoute) {
   const Graph graph = make_chain(4);
-  const auto routes = k_shortest_routes(graph, 2, 2, 5);
+  const auto routes = k_shortest_routes(HopTable(graph), 2, 2, 5);
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes.front(), std::vector<NodeId>{2});
+}
+
+/// A ladder of `levels` rungs: the main route 0 → 1 → … → levels → T
+/// (T = levels + 1) and, from each main node j < levels, a branch of
+/// fresh nodes back to T of the same total length. Branch nodes are
+/// numbered after the main ones, so the main route is the lex-least
+/// shortest route, and the branch leaving at j is lex-smaller than every
+/// branch leaving before j: every route has the same length and the
+/// later a route leaves the main route, the earlier it comes.
+Graph make_ladder(NodeId levels) {
+  const NodeId target = levels + 1;
+  NodeId nodes = target + 1;
+  for (NodeId j = 0; j < levels; ++j) nodes += levels - j;
+  Graph graph(nodes, "ladder");
+  for (NodeId j = 0; j + 1 < target; ++j) graph.add_edge(j, j + 1);
+  graph.add_edge(levels, target);
+  NodeId next = target + 1;
+  for (NodeId j = 0; j < levels; ++j) {
+    NodeId at = j;
+    for (NodeId step = 0; step < levels - j; ++step) {
+      graph.add_edge(at, next);
+      at = next++;
+    }
+    graph.add_edge(at, target);
+  }
+  return graph;
+}
+
+TEST(RwaOracle, CapKeepsASpurRouteOfExactlyTheKthCandidateLength) {
+  // On ladder(k) every route has length k + 1. After the main route,
+  // the spurs at main nodes 0 … k-2 fill the pool with k - 1 candidates,
+  // so the cap L* is k + 1 when the spur at main node k-1 runs: its root
+  // plus its unbanned hops is exactly L*, and its route (along the
+  // branch leaving at k-1) is lex-smaller than every pooled candidate.
+  // It must be accepted second; a cap of < L* would skip it.
+  for (const std::uint32_t k : {2u, 3u, 4u}) {
+    const Graph graph = make_ladder(k);
+    const HopTable table(graph);
+    const NodeId target = k + 1;
+    const auto routes = k_shortest_routes(table, 0, target, k);
+    ASSERT_EQ(routes.size(), k) << "k=" << k;
+    std::vector<NodeId> main_route(target + 1);
+    for (NodeId v = 0; v <= target; ++v) main_route[v] = v;
+    EXPECT_EQ(routes[0], main_route) << "k=" << k;
+    // The second route leaves the main route at its last rung.
+    EXPECT_EQ(routes[1][k - 1], k - 1) << "k=" << k;
+    EXPECT_NE(routes[1][k], k) << "k=" << k;
+    for (const auto& route : routes)
+      EXPECT_EQ(route.size(), target + 1u) << "k=" << k;
+    EXPECT_EQ(routes, brute_force_routes(graph, 0, target, k)) << "k=" << k;
+  }
+}
+
+/// 0 → 1 → 2 → 5, with a second way on from 0 (3, 4, 6) and from 1 (7,
+/// 8), each one link longer.
+Graph make_cap_fallback() {
+  Graph graph(9, "cap-fallback");
+  for (const auto& [u, v] :
+       {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {2, 5}, {0, 3}, {3, 4},
+        {4, 6}, {6, 5}, {1, 7}, {7, 8}, {8, 5}})
+    graph.add_edge(u, v);
+  return graph;
+}
+
+TEST(RwaOracle, CapKeepsAFallbackRouteOfExactlyTheKthCandidateLength) {
+  // 0 → 1 → 2 → 5 is the only route of three links. Both routes of four
+  // leave it where its bans cut every three-link way on: at 0 (via 3, 4,
+  // 6) and at 1 (via 7, 8). The spur at 0 runs first and pools
+  // [0 3 4 6 5], so the cap is 4 when the spur at 1 runs: its DAG walk
+  // fails, its root plus one more than its unbanned hops is exactly 4,
+  // and its banned BFS must reach depth 4 - 1 = 3 to find [0 1 7 8 5],
+  // the lex-smaller of the two. A strict cap, or a BFS stopped one short,
+  // drops the k-th route for the other.
+  const Graph graph = make_cap_fallback();
+  const HopTable table(graph);
+  const std::vector<std::vector<NodeId>> expected{
+      {0, 1, 2, 5}, {0, 1, 7, 8, 5}, {0, 3, 4, 6, 5}};
+  for (const std::uint32_t k : {2u, 3u}) {
+    const auto routes = k_shortest_routes(table, 0, 5, k);
+    EXPECT_EQ(routes, std::vector<std::vector<NodeId>>(
+                          expected.begin(), expected.begin() + k))
+        << "k=" << k;
+    EXPECT_EQ(routes, brute_force_routes(graph, 0, 5, k)) << "k=" << k;
+  }
+}
+
+/// Row d of `table` against a fresh BFS from d (links come in both
+/// directions, so a BFS from d gives every node's hops to d).
+void expect_rows_match_bfs(const HopTable& table, const char* name) {
+  const Graph& graph = table.graph();
+  for (NodeId d = 0; d < graph.node_count(); ++d) {
+    const auto dist = bfs_distances(graph, d);
+    const auto row = table.row(d);
+    ASSERT_EQ(row.size(), graph.node_count()) << name;
+    for (NodeId v = 0; v < graph.node_count(); ++v)
+      ASSERT_EQ(row[v], dist[v] == kUnreachable
+                            ? HopTable::kNoRoute
+                            : static_cast<std::uint16_t>(dist[v]))
+          << name << " row " << d << " node " << v;
+  }
+}
+
+TEST(HopTable, EveryRowIsAFreshReverseBfs) {
+  // Every destination of the oracle graphs: the four structured ones, a
+  // chain, the ladders, and the generated ones (disconnected pairs
+  // included, which read kNoRoute). Each row is read twice: filled, then
+  // published.
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("fat-tree-4", make_fat_tree(4).graph);
+  graphs.emplace_back("mesh-4x4", make_mesh({4, 4}).graph);
+  graphs.emplace_back("hypercube-4", make_hypercube(4));
+  graphs.emplace_back("ring-8", make_ring(8));
+  graphs.emplace_back("chain-6", make_chain(6));
+  graphs.emplace_back("ladder-4", make_ladder(4));
+  for (std::uint64_t g = 0; g < 50; ++g) {
+    Rng rng = Rng::stream(0xac1e, g);
+    const NodeId nodes = static_cast<NodeId>(2 + rng.next_below(7));
+    Graph graph(nodes);
+    for (NodeId u = 0; u < nodes; ++u)
+      for (NodeId v = u + 1; v < nodes; ++v)
+        if (rng.next_bernoulli(0.4)) graph.add_edge(u, v);
+    graphs.emplace_back("generated", std::move(graph));
+  }
+  for (const auto& [name, graph] : graphs) {
+    const HopTable table(graph);
+    ASSERT_TRUE(table.keeps_rows()) << name;
+    for (int pass = 0; pass < 2; ++pass) {
+      expect_rows_match_bfs(table, name);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(HopTable, ANewGraphNeverInheritsADeadGraphsRows) {
+  // A is ring-8; B has the same node and link counts but other links
+  // (the ring visited in steps of 3). The registry keys tables by owner
+  // identity and holds A only weakly, so once A dies B gets a table of
+  // its own, wherever B is allocated.
+  const Graph ring = make_ring(8);
+  Graph stepped(8, "ring-step-3");
+  for (NodeId i = 0; i < 8; ++i) stepped.add_edge(i * 3 % 8, (i + 1) * 3 % 8);
+  ASSERT_EQ(stepped.link_count(), ring.link_count());
+
+  auto a = std::make_shared<const Graph>(ring);
+  std::shared_ptr<const HopTable> table_a = shared_hop_table(a);
+  EXPECT_EQ(shared_hop_table(a), table_a) << "one owner, one table";
+  expect_rows_match_bfs(*table_a, "A");
+  const auto a_routes = k_shortest_routes(*table_a, 0, 3, 2);
+  table_a.reset();
+  a.reset();
+
+  const auto b = std::make_shared<const Graph>(stepped);
+  const std::shared_ptr<const HopTable> table_b = shared_hop_table(b);
+  ASSERT_EQ(&table_b->graph(), b.get());
+  expect_rows_match_bfs(*table_b, "B");
+  const auto b_routes = k_shortest_routes(*table_b, 0, 3, 2);
+  EXPECT_EQ(b_routes, brute_force_routes(*b, 0, 3, 2));
+  EXPECT_NE(a_routes, b_routes);
+
+  // Aliasing pointers share one owner but point at different graphs.
+  const auto both = std::make_shared<const std::pair<Graph, Graph>>(
+      make_ring(8), make_chain(8));
+  const std::shared_ptr<const Graph> first(both, &both->first);
+  const std::shared_ptr<const Graph> second(both, &both->second);
+  EXPECT_EQ(&shared_hop_table(first)->graph(), first.get());
+  EXPECT_EQ(&shared_hop_table(second)->graph(), second.get());
+}
+
+TEST(HopTable, ConcurrentFillsPublishIdenticalRows) {
+  // Four pool threads read every row of fresh tables at once, each from
+  // a different starting destination so that fills race, and each
+  // copies what it got. Every copy must be the BFS row, whether the
+  // thread filled and published it, read it published, or lost the race
+  // and filled its own.
+  const FatTreeTopology topo = make_fat_tree(8);
+  const Graph& graph = topo.graph;
+  const NodeId nodes = graph.node_count();
+  std::vector<std::uint16_t> expected;
+  for (NodeId d = 0; d < nodes; ++d)
+    for (const std::uint32_t hops : bfs_distances(graph, d))
+      expected.push_back(static_cast<std::uint16_t>(hops));
+  constexpr std::size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  for (int round = 0; round < 8; ++round) {
+    const HopTable table(graph);
+    std::vector<std::vector<std::uint16_t>> seen(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t)
+      pool.submit([&, t] {
+        seen[t].resize(expected.size());
+        for (NodeId i = 0; i < nodes; ++i) {
+          const NodeId d = static_cast<NodeId>((i + t * 7) % nodes);
+          const auto row = table.row(d);
+          std::copy(row.begin(), row.end(),
+                    seen[t].begin() + std::size_t{d} * nodes);
+        }
+      });
+    pool.wait_idle();
+    for (std::size_t t = 0; t < kThreads; ++t)
+      ASSERT_EQ(seen[t], expected) << "round " << round << " thread " << t;
+  }
+}
+
+TEST(HopTable, AGraphPastTheNodeLimitFindsTheSameRoutes) {
+  // Hypercube-4 with a chain of 1,100 nodes hanging off node 0 passes
+  // the node limit, so its table keeps no rows and every search computes
+  // its own. A chain is a dead end for simple paths, so the routes
+  // between cube nodes are the plain cube's, and a route from the chain's
+  // far end is the chain followed by a route from node 0.
+  const Graph cube = make_hypercube(4);
+  constexpr NodeId kChain = 1100;
+  Graph padded(cube.node_count() + kChain, "hypercube-4+chain");
+  for (NodeId u = 0; u < cube.node_count(); ++u)
+    for (const EdgeId e : cube.out_links(u))
+      if (u < cube.target(e)) padded.add_edge(u, cube.target(e));
+  padded.add_edge(0, cube.node_count());
+  for (NodeId c = cube.node_count(); c + 1 < padded.node_count(); ++c)
+    padded.add_edge(c, c + 1);
+  const HopTable small(cube), large(padded);
+  ASSERT_TRUE(small.keeps_rows());
+  ASSERT_GT(padded.node_count(), HopTable::kMaxNodes);
+  ASSERT_FALSE(large.keeps_rows());
+  EXPECT_TRUE(large.row(0).empty());
+
+  for (NodeId s = 0; s < cube.node_count(); ++s)
+    for (NodeId d = 0; d < cube.node_count(); ++d) {
+      for (const std::uint32_t k : {1u, 2u, 4u, 8u})
+        ASSERT_EQ(k_shortest_routes(large, s, d, k),
+                  k_shortest_routes(small, s, d, k))
+            << s << "→" << d << " k=" << k;
+      ASSERT_EQ(shortest_route(large, s, d), shortest_route(small, s, d));
+    }
+
+  const NodeId far = padded.node_count() - 1;
+  std::vector<NodeId> chain;
+  for (NodeId c = far; c >= cube.node_count(); --c) chain.push_back(c);
+  for (const NodeId d : {NodeId{0}, NodeId{5}, NodeId{15}}) {
+    auto expected = k_shortest_routes(small, 0, d, 4);
+    for (auto& route : expected) route.insert(route.begin(), chain.begin(),
+                                               chain.end());
+    EXPECT_EQ(k_shortest_routes(large, far, d, 4), expected) << "→" << d;
+  }
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& snapshot : obs::counters())
+    if (snapshot.name == name) return snapshot.value;
+  return 0;
+}
+
+TEST(HopTable, SearchCountersTallySpursFallbacksCapsAndRowFills) {
+  if (!obs::enabled()) GTEST_SKIP() << "observation is switched off";
+  const auto counters = [] {
+    return std::vector<std::uint64_t>{
+        counter_value("rwa.ksp.spurs"), counter_value("rwa.ksp.fallbacks"),
+        counter_value("rwa.ksp.capped"), counter_value("rwa.rows.filled")};
+  };
+  // The fallback case above at k = 2: three spurs (at 0, 1 and 2), of
+  // which 0 and 1 run the banned BFS and 2 is a dead spur node; nothing
+  // is capped; one row filled. A second search fills nothing.
+  const Graph graph = make_cap_fallback();
+  const HopTable table(graph);
+  auto before = counters();
+  (void)k_shortest_routes(table, 0, 5, 2);
+  auto after = counters();
+  EXPECT_EQ(after[0] - before[0], 3u);
+  EXPECT_EQ(after[1] - before[1], 2u);
+  EXPECT_EQ(after[2] - before[2], 0u);
+  EXPECT_EQ(after[3] - before[3], 1u);
+  before = after;
+  (void)shortest_route(table, 3, 5);
+  after = counters();
+  EXPECT_EQ(after, before);
+
+  // The radix-4 fat tree, all host pairs at k = 3: one row per host,
+  // and the cap ends some spurs.
+  const FatTreeTopology topo = make_fat_tree(4);
+  const HopTable fat(topo.graph);
+  before = counters();
+  for (const NodeId s : topo.hosts)
+    for (const NodeId d : topo.hosts) (void)k_shortest_routes(fat, s, d, 3);
+  after = counters();
+  EXPECT_EQ(after[3] - before[3], topo.hosts.size());
+  EXPECT_GT(after[1] - before[1], 0u);
+  EXPECT_GT(after[2] - before[2], 0u);
+  EXPECT_GE(after[0] - before[0],
+            (after[1] - before[1]) + (after[2] - before[2]));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "opto/graph/graph.hpp"
 #include "opto/rng/rng.hpp"
 #include "opto/rng/splitmix64.hpp"
+#include "opto/rwa/ksp.hpp"
 #include "opto/rwa/schedule.hpp"
 #include "opto/rwa/strategy.hpp"
 
@@ -52,6 +53,7 @@ std::pair<Graph, std::vector<RwaRequest>> random_instance(
 TEST(RwaProperties, AcceptedRoutesNeverShareAChannel) {
   for (std::uint64_t instance = 0; instance < 40; ++instance) {
     const auto [graph, requests] = random_instance(instance);
+    const HopTable routes(graph);
     RwaConfig config;
     config.bandwidth = static_cast<std::uint16_t>(1 + instance % 3);
     config.candidates = 2 + instance % 2;
@@ -60,7 +62,7 @@ TEST(RwaProperties, AcceptedRoutesNeverShareAChannel) {
     for (const StrategyKind kind : all_strategy_kinds()) {
       const auto strategy = make_strategy(kind);
       for (std::uint32_t round = 1; round <= 3; ++round) {
-        strategy->begin(graph, config, round);
+        strategy->begin(routes, config, round);
         std::set<std::pair<EdgeId, Wavelength>> claimed;
         for (std::uint32_t uid = 0; uid < requests.size(); ++uid) {
           const RwaDecision decision =
@@ -157,12 +159,13 @@ TEST(RwaProperties, RandomFitDrawIgnoresTheRestOfTheBatch) {
   const RwaRequest probe{topo.hosts[0], topo.hosts[1]};  // same edge switch
   const std::uint32_t probe_uid = 9;
 
+  const HopTable routes(topo.graph);
   const auto strategy = make_strategy(StrategyKind::RandomFit);
-  strategy->begin(topo.graph, config, 1);
+  strategy->begin(routes, config, 1);
   const RwaDecision alone = strategy->assign(probe, probe_uid);
   ASSERT_TRUE(alone.accepted);
 
-  strategy->begin(topo.graph, config, 1);
+  strategy->begin(routes, config, 1);
   // Different pod entirely: no shared directed link with the probe.
   const RwaDecision unrelated =
       strategy->assign(RwaRequest{topo.hosts[4], topo.hosts[5]}, 0);
