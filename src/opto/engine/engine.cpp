@@ -167,7 +167,21 @@ std::uint32_t Engine::acquire_connection(PathId path, bool measured) {
 
 void Engine::release_connection(std::uint32_t id) {
   release_channels(id);
+  free_connection(id);
+}
+
+void Engine::free_connection(std::uint32_t id) {
+  connections_[id].measured = false;  // a free id is no request
   free_ids_.push_back(id);
+}
+
+std::uint64_t Engine::measured_in_flight() const {
+  // A live connection holds channels once established; one still in the
+  // session holds none (every route has a link). Free ids read unmeasured.
+  std::uint64_t pending = 0;
+  for (const Connection& connection : connections_)
+    pending += connection.measured && connection.slots.empty() ? 1 : 0;
+  return pending;
 }
 
 std::optional<Wavelength> Engine::choose_wavelength(PathId path,
@@ -319,7 +333,7 @@ void Engine::run_round() {
              })) {
       const auto id = static_cast<std::uint32_t>(gone.tag);
       if (connections_[id].measured) ++result_.blocked;
-      free_ids_.push_back(id);
+      free_connection(id);
     }
   }
 
@@ -332,7 +346,7 @@ void Engine::run_round() {
       ++result_.blocked;
       ++result_.expired;
     }
-    free_ids_.push_back(id);
+    free_connection(id);
   }
 }
 
@@ -387,6 +401,9 @@ EngineResult Engine::run() {
       ++generated;
       next_arrival = now_ + arrivals_.next_gap();
     }
+    // Every measured request is admitted, blocked, or still setting up.
+    OPTO_DASSERT(result_.offered ==
+                 result_.admitted + result_.blocked + measured_in_flight());
   }
 
   // Every measured request left the session admitted or blocked.

@@ -113,6 +113,9 @@ class Engine {
 
   std::uint32_t acquire_connection(PathId path, bool measured);
   void release_connection(std::uint32_t id);
+  void free_connection(std::uint32_t id);
+  /// Measured requests still setting up (a debug-build invariant check).
+  std::uint64_t measured_in_flight() const;
   std::optional<Wavelength> choose_wavelength(PathId path, std::uint64_t tag);
   void claim_channel(std::uint32_t id, EdgeId link, Wavelength wavelength);
   void release_channels(std::uint32_t id);

@@ -28,25 +28,34 @@ EdgeId checked_link_count(const Graph& graph, std::uint16_t bandwidth) {
   return graph.link_count();
 }
 
-/// LSD radix sort over the low `passes` bytes of each key (higher bytes
-/// must be zero). For the per-step attempt keys — a few hundred to a few
-/// thousand nearly-random integers — the branch-free counting passes beat
+/// LSD radix sort of `keys` by their low `bits` bits, in as few
+/// count-and-scatter passes of at most `max_digit` bits as that takes.
+/// Higher bits ride along, so keys equal in the low bits keep their input
+/// order. For the per-step attempt keys — a few hundred to a few thousand
+/// nearly-random integers — the branch-free counting passes beat
 /// introsort's mispredicted compares by ~2x.
 void radix_sort(std::vector<std::uint64_t>& keys,
-                std::vector<std::uint64_t>& scratch, unsigned passes) {
+                std::vector<std::uint64_t>& scratch,
+                std::vector<std::uint32_t>& counts, unsigned bits,
+                unsigned max_digit) {
+  if (bits == 0) return;
+  const unsigned passes = (bits + max_digit - 1) / max_digit;
+  const unsigned digit = (bits + passes - 1) / passes;
   scratch.resize(keys.size());
   for (unsigned pass = 0; pass < passes; ++pass) {
-    const unsigned shift = pass * 8;
-    std::uint32_t offsets[256] = {};
-    for (const std::uint64_t v : keys) ++offsets[(v >> shift) & 0xff];
+    const unsigned shift = pass * digit;
+    const unsigned width = std::min(digit, bits - shift);
+    const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+    counts.assign(std::size_t{1} << width, 0);
+    for (const std::uint64_t v : keys) ++counts[(v >> shift) & mask];
     std::uint32_t sum = 0;
-    for (std::uint32_t& slot : offsets) {
+    for (std::uint32_t& slot : counts) {
       const std::uint32_t here = slot;
       slot = sum;
       sum += here;
     }
     for (const std::uint64_t v : keys)
-      scratch[offsets[(v >> shift) & 0xff]++] = v;
+      scratch[counts[(v >> shift) & mask]++] = v;
     keys.swap(scratch);
   }
 }
@@ -76,23 +85,38 @@ struct SimObsCounters {
   obs::Counter corrupted_arrivals{"sim.corrupted_arrivals"};
   obs::Counter registry_probes{"sim.registry_probes"};
   obs::Counter registry_hits{"sim.registry_hits"};
+  /// Worms the contention screen settled in closed form, and those it
+  /// left to the step loop: per round, the contended count is the
+  /// residual path congestion behind Lemma 2.10.
+  obs::Counter screened_worms{"sim.screened_worms"};
+  obs::Counter contended_worms{"sim.contended_worms"};
 };
 
-void record_pass_observation(const PassMetrics& metrics) {
+/// `screened` and `contended` split the worms of a screened pass (both
+/// stay 0 for a traced or faulty pass, which the screen does not see).
+/// Zero adds are skipped: each add is an atomic on a line that every pool
+/// thread's passes share, and most of a small pass's counts are zero.
+void record_pass_observation(const PassMetrics& metrics,
+                             std::uint64_t screened, std::uint64_t contended) {
   static SimObsCounters counters;
+  const auto add = [](obs::Counter& counter, std::uint64_t n) {
+    if (n != 0) counter.add(n);
+  };
   counters.passes.add(1);
-  counters.steps.add(metrics.steps);
-  counters.worm_steps.add(metrics.worm_steps);
-  counters.launched.add(metrics.launched);
-  counters.delivered.add(metrics.delivered);
-  counters.killed.add(metrics.killed);
-  counters.truncated.add(metrics.truncated);
-  counters.contentions.add(metrics.contentions);
-  counters.retunes.add(metrics.retunes);
-  counters.fault_kills.add(metrics.fault_kills);
-  counters.corrupted_arrivals.add(metrics.corrupted_arrivals);
-  counters.registry_probes.add(metrics.registry_probes);
-  counters.registry_hits.add(metrics.registry_hits);
+  add(counters.screened_worms, screened);
+  add(counters.contended_worms, contended);
+  add(counters.steps, metrics.steps);
+  add(counters.worm_steps, metrics.worm_steps);
+  add(counters.launched, metrics.launched);
+  add(counters.delivered, metrics.delivered);
+  add(counters.killed, metrics.killed);
+  add(counters.truncated, metrics.truncated);
+  add(counters.contentions, metrics.contentions);
+  add(counters.retunes, metrics.retunes);
+  add(counters.fault_kills, metrics.fault_kills);
+  add(counters.corrupted_arrivals, metrics.corrupted_arrivals);
+  add(counters.registry_probes, metrics.registry_probes);
+  add(counters.registry_hits, metrics.registry_hits);
 }
 
 }  // namespace
@@ -234,6 +258,195 @@ void Simulator::apply_truncation(WormId victim, std::uint32_t cut_link_index,
   }
 }
 
+std::uint32_t Simulator::screen(std::span<const LaunchSpec> specs,
+                                PassMetrics& metrics) {
+  const auto count = static_cast<WormId>(specs.size());
+  const bool convert = config_.conversion != ConversionMode::None;
+  const std::uint16_t bandwidth = config_.bandwidth;
+  contended_.assign(count, 0);
+
+  // Replay the pass as if no worm ever lost: every head enters link i at
+  // s + i. Each screen key — the channel link·B + λ, or under conversion
+  // the link alone, since a contended worm may retune onto any λ — keeps
+  // the furthest window end seen so far (its reach) and the owner of its
+  // latest window. The windows of one key arrive in start order, so an
+  // entrant at `now` meets an earlier window iff the reach is > now. Then
+  // the entrant is contended, and so is the latest owner: either its own
+  // window reaches `now`, or an earlier one reached past the latest's
+  // start and marked it already. That marks exactly the worms one of
+  // whose windows [a, a + L) meets another's, two windows of one worm (a
+  // walk re-entering a channel) included.
+  //
+  // Reaches are stored as offsets from a base that moves past every
+  // stored value at each pass, so stale entries read as expired and the
+  // table is cleared only when the base wraps.
+  SimTime origin = std::numeric_limits<SimTime>::max();
+  SimTime horizon = std::numeric_limits<SimTime>::min();
+  for (WormId id = 0; id < count; ++id) {
+    const std::uint32_t n = cursor_end_[id] - cursor_[id];
+    if (n == 0) continue;
+    origin = std::min(origin, specs[id].start_time);
+    horizon = std::max(horizon, specs[id].start_time +
+                                    static_cast<SimTime>(n - 1) +
+                                    specs[id].length);
+  }
+  if (origin <= horizon) {
+    constexpr std::uint64_t kReachLimit =
+        std::numeric_limits<std::uint32_t>::max();
+    const auto span = static_cast<std::uint64_t>(horizon) -
+                      static_cast<std::uint64_t>(origin);
+    if (span >= kReachLimit) {  // no such pass in practice: step it whole
+      contended_.assign(count, 1);
+      return 0;
+    }
+    if (screen_table_.empty() || screen_base_ > kReachLimit - span - 1) {
+      const EdgeId links = collection_.graph().link_count();
+      screen_table_.assign(
+          convert ? links : static_cast<std::size_t>(links) * bandwidth, 0);
+      screen_base_ = 0;
+    }
+    const std::uint64_t base = screen_base_ + 1;  // every stored reach < base
+    screen_base_ = static_cast<std::uint32_t>(base + span);
+    screen_heads_.clear();
+    screen_heads_.reserve(count);
+    std::uint64_t* const table = screen_table_.data();
+    std::uint8_t* const marks = contended_.data();
+    const EdgeId* const links = flat_links_.data();
+    const std::uint8_t* const holds = held_.empty() ? nullptr : held_.data();
+    std::size_t next = 0;
+    SimTime now = origin;
+    while (next < count || !screen_heads_.empty()) {
+      if (screen_heads_.empty())
+        now = std::max(now, specs[injection_order_[next]].start_time);
+      for (; next < count && specs[injection_order_[next]].start_time <= now;
+           ++next) {
+        const WormId id = injection_order_[next];
+        const LaunchSpec& spec = specs[id];
+        if (cursor_end_[id] > cursor_[id])
+          screen_heads_.push_back({cursor_[id], cursor_end_[id], id,
+                                   spec.length, spec.wavelength});
+      }
+      const std::uint64_t at = base + static_cast<std::uint64_t>(now - origin);
+      // Raw pointers: the byte stores to the marks may alias anything, and
+      // would otherwise reload every vector's data pointer per hop.
+      ScreenHead* const heads = screen_heads_.data();
+      const std::size_t live = screen_heads_.size();
+      std::size_t keep = 0;
+      for (std::size_t h = 0; h < live; ++h) {
+        ScreenHead head = heads[h];
+        const EdgeId link = links[head.next];
+        const std::size_t channel =
+            static_cast<std::size_t>(link) * bandwidth + head.wavelength;
+        // A held channel kills or retunes whoever enters it. Holds on
+        // other wavelengths only add probe hits at a converting router,
+        // which settling counts.
+        if (holds != nullptr && holds[channel] != 0) marks[head.worm] = 1;
+        std::uint64_t& slot = table[convert ? link : channel];
+        std::uint64_t reach = at + head.length;
+        if ((slot >> 32) > at) {
+          marks[head.worm] = 1;
+          marks[static_cast<WormId>(slot)] = 1;
+          reach = std::max(reach, slot >> 32);
+        }
+        slot = (reach << 32) | head.worm;
+        if (++head.next < head.end) heads[keep++] = head;
+      }
+      screen_heads_.resize(keep);
+      ++now;
+    }
+  }
+
+  // Settle the unmarked: the head enters link i at s + i and the tail
+  // leaves the last link at s + n − 1 + L − 1. Each hop would have been
+  // one registry miss, or B lookups at a converting router, a hit for
+  // each held λ there.
+  std::uint32_t settled = 0;
+  for (WormId id = 0; id < count; ++id) {
+    if (contended_[id] != 0) continue;
+    const LaunchSpec& spec = specs[id];
+    const std::uint32_t n = cursor_end_[id] - cursor_[id];
+    Worm& worm = worms_[id];
+    worm.status = WormStatus::Delivered;
+    status_[id] = WormStatus::Delivered;
+    worm.finish_time =
+        n == 0 ? spec.start_time
+               : spec.start_time + static_cast<SimTime>(n) + spec.length - 2;
+    retire_[id] = worm.finish_time;
+    ++settled;
+    metrics.worm_steps += n;
+    metrics.link_busy_steps += static_cast<std::uint64_t>(n) * spec.length;
+    if (!convert) {
+      metrics.registry_probes += n;
+    } else {
+      for (std::uint32_t j = cursor_[id]; j < cursor_end_[id]; ++j) {
+        const EdgeId link = flat_links_[j];
+        if (link_converts_[link] == 0) {
+          ++metrics.registry_probes;
+          continue;
+        }
+        metrics.registry_probes += bandwidth;
+        if (!held_.empty())
+          for (Wavelength w = 0; w < bandwidth; ++w)
+            metrics.registry_hits += held(link, w) ? 1 : 0;
+      }
+    }
+  }
+  metrics.launched += settled;
+  metrics.delivered += settled;
+  return settled;
+}
+
+void Simulator::account_iterations(PassMetrics& metrics) {
+  // The union of the [start, retire] intervals, swept in start order; the
+  // retire times of worms with a path, as offsets from the first start,
+  // go out for sorting.
+  const SimTime origin = worms_[injection_order_.front()].start_time;
+  std::uint64_t steps = 0;
+  SimTime covered = origin - 1;
+  std::uint64_t latest = 0;
+  attempt_keys_.clear();
+  attempt_keys_.reserve(injection_order_.size());
+  for (const WormId id : injection_order_) {
+    const SimTime start = worms_[id].start_time;
+    const SimTime retire = retire_[id];
+    OPTO_DASSERT(retire >= start);
+    if (retire > covered) {
+      steps += static_cast<std::uint64_t>(
+                   retire - std::max(start, covered + 1)) + 1;
+      covered = retire;
+    }
+    if (!collection_.path(worms_[id].path).empty()) {
+      const auto offset = static_cast<std::uint64_t>(retire - origin);
+      latest = std::max(latest, offset);
+      attempt_keys_.push_back(offset);
+    }
+  }
+  metrics.steps = steps;
+
+  // In flight at iteration t: worms with a path, injected at or before t
+  // and retired at or after t. Retire times ascend after the sort, so one
+  // merge with the start order gives the peak.
+  if (attempt_keys_.size() < 128)
+    std::sort(attempt_keys_.begin(), attempt_keys_.end());
+  else
+    radix_sort(attempt_keys_, attempt_keys_scratch_, radix_counts_,
+               static_cast<unsigned>(std::bit_width(latest)), 12);
+  std::uint64_t live = 0;
+  std::uint64_t peak = 0;
+  std::size_t retired = 0;
+  for (const WormId id : injection_order_) {
+    if (collection_.path(worms_[id].path).empty()) continue;
+    const auto start =
+        static_cast<std::uint64_t>(worms_[id].start_time - origin);
+    while (attempt_keys_[retired] < start) {
+      --live;
+      ++retired;
+    }
+    peak = std::max(peak, ++live);
+  }
+  metrics.peak_inflight = peak;
+}
+
 PassResult Simulator::run(std::span<const LaunchSpec> specs) {
   PassResult result;
   run(specs, result);
@@ -303,27 +516,41 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
 
   // Injection order: by start time, ties in worm id (the order a stable
   // sort over the identity permutation would give). Start times fitting in
-  // 31 bits — every practical workload — sort as packed (time << 32) | id
-  // keys: one flat std::sort over POD integers beats a comparator that
-  // chases worms_[] on every compare. Exotic start times fall back to the
-  // indirect sort.
+  // 31 bits — every practical workload — sort as packed (time << id_bits) |
+  // id keys: flat counting passes over POD integers (introsort below 128
+  // worms) beat a comparator that chases worms_[] on every compare.
+  // Exotic start times fall back to the indirect sort.
   injection_order_.resize(count);
   bool packable = true;
+  SimTime latest_start = 0;
   for (WormId id = 0; id < count; ++id) {
     const SimTime start = worms_[id].start_time;
     if (start < 0 || start >= (SimTime{1} << 31)) {
       packable = false;
       break;
     }
+    latest_start = std::max(latest_start, start);
   }
   if (packable) {
+    const auto order_id_bits =
+        static_cast<unsigned>(std::bit_width(std::max<WormId>(count, 1) - 1));
     injection_keys_.resize(count);
     for (WormId id = 0; id < count; ++id)
       injection_keys_[id] =
-          (static_cast<std::uint64_t>(worms_[id].start_time) << 32) | id;
-    std::sort(injection_keys_.begin(), injection_keys_.end());
+          (static_cast<std::uint64_t>(worms_[id].start_time) << order_id_bits) |
+          id;
+    if (count < 128)
+      std::sort(injection_keys_.begin(), injection_keys_.end());
+    else
+      radix_sort(injection_keys_, attempt_keys_scratch_, radix_counts_,
+                 order_id_bits + static_cast<unsigned>(std::bit_width(
+                                     static_cast<std::uint64_t>(latest_start))),
+                 11);
+    const std::uint64_t order_id_mask =
+        (std::uint64_t{1} << order_id_bits) - 1;
     for (WormId i = 0; i < count; ++i)
-      injection_order_[i] = static_cast<WormId>(injection_keys_[i]);
+      injection_order_[i] =
+          static_cast<WormId>(injection_keys_[i] & order_id_mask);
   } else {
     std::iota(injection_order_.begin(), injection_order_.end(), 0u);
     std::sort(injection_order_.begin(), injection_order_.end(),
@@ -333,13 +560,29 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
                 return sa != sb ? sa < sb : a < b;
               });
   }
+  // The contention screen settles the overlap-free worms of an untraced,
+  // fault-free pass; the step loop injects only the contended rest (all
+  // worms of any other pass).
+  retire_.resize(count);
+  const std::uint32_t settled =
+      count > 0 && !config_.record_trace && !faults_on
+          ? screen(specs, result.metrics)
+          : 0;
+  std::span<const WormId> order = injection_order_;
+  if (settled > 0) {
+    loop_order_.clear();
+    loop_order_.reserve(count - settled);
+    for (const WormId id : injection_order_)
+      if (contended_[id] != 0) loop_order_.push_back(id);
+    order = loop_order_;
+  }
 
   running_.clear();
   draining_.clear();
   running_.reserve(count);
 
   std::size_t next_injection = 0;
-  SimTime now = count > 0 ? worms_[injection_order_.front()].start_time : 0;
+  SimTime now = order.empty() ? 0 : worms_[order.front()].start_time;
 
   // The group key (≤ 22 bits under the channel budget; attempt_kernel.hpp)
   // and the worm id pack into one 64-bit sort word (see step 2 below).
@@ -616,19 +859,20 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     }
   };
 
-  while (next_injection < count || !running_.empty() || !draining_.empty()) {
+  while (next_injection < order.size() || !running_.empty() ||
+         !draining_.empty()) {
     // Fast-forward across idle gaps (large startup-delay ranges leave long
     // stretches with nothing in flight).
     if (running_.empty() && draining_.empty()) {
-      OPTO_ASSERT(next_injection < count);
-      now = std::max(now, worms_[injection_order_[next_injection]].start_time);
+      OPTO_ASSERT(next_injection < order.size());
+      now = std::max(now, worms_[order[next_injection]].start_time);
     }
     ++result.metrics.steps;
 
     // 1. Inject worms whose startup delay expired.
-    while (next_injection < count &&
-           worms_[injection_order_[next_injection]].start_time <= now) {
-      const WormId id = injection_order_[next_injection++];
+    while (next_injection < order.size() &&
+           worms_[order[next_injection]].start_time <= now) {
+      const WormId id = order[next_injection++];
       Worm& worm = worms_[id];
       OPTO_ASSERT(worm.status == WormStatus::Waiting);
       worm.status = WormStatus::Running;
@@ -641,6 +885,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       if (path.empty()) {
         // Zero-length path: source == destination, no link contention.
         finish_delivery(id, now);
+        retire_[id] = now;
       } else {
         running_.push_back(id);
       }
@@ -700,7 +945,8 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     if (attempt_keys_.size() < 128)
       std::sort(attempt_keys_.begin(), attempt_keys_.end());
     else
-      radix_sort(attempt_keys_, attempt_keys_scratch_, radix_passes);
+      radix_sort(attempt_keys_, attempt_keys_scratch_, radix_counts_,
+                 radix_passes * 8, 8);
     // Pre-screen the sorted words: a singleton fixed-wavelength group
     // whose channel is free in the registry admits immediately —
     // no group build, no find(). Runs in every lane mode (the kernel
@@ -757,7 +1003,10 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     //    early by a truncation), move finished heads to the draining set.
     std::size_t keep = 0;
     for (WormId id : running_) {
-      if (status_[id] != WormStatus::Running) continue;
+      if (status_[id] != WormStatus::Running) {
+        retire_[id] = now;
+        continue;
+      }
       OPTO_DASSERT(worms_[id].status == WormStatus::Running);
       if (cursor_[id] == cursor_end_[id])  // head entered its last link
         draining_.push_back(id);
@@ -771,15 +1020,20 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     //    finalizes inside apply_truncation, so `done` is never stale here.
     keep = 0;
     for (WormId id : draining_) {
-      if (status_[id] != WormStatus::Running) continue;  // finalized early
+      if (status_[id] != WormStatus::Running) {  // finalized early
+        retire_[id] = now;
+        continue;
+      }
       Worm& worm = worms_[id];
       const PathView path = collection_.path(worm.path);
       const SimTime done =
           worm.entry_time(path.length() - 1) + worm.length - 1;
-      if (now >= done)
+      if (now >= done) {
         finish_delivery(id, done);
-      else
+        retire_[id] = now;
+      } else {
         draining_[keep++] = id;
+      }
     }
     draining_.resize(keep);
 
@@ -816,19 +1070,30 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     result.wavelength_offsets.reserve(count + 1);
     result.wavelength_offsets.push_back(0);
     for (WormId id = 0; id < count; ++id) {
-      result.wavelengths.insert(result.wavelengths.end(),
-                                wavelength_history_[id].begin(),
-                                wavelength_history_[id].end());
+      if (settled > 0 && contended_[id] == 0)  // the launch λ throughout
+        result.wavelengths.insert(result.wavelengths.end(),
+                                  cursor_end_[id] - cursor_[id],
+                                  worms_[id].wavelength);
+      else
+        result.wavelengths.insert(result.wavelengths.end(),
+                                  wavelength_history_[id].begin(),
+                                  wavelength_history_[id].end());
       result.wavelength_offsets.push_back(
           static_cast<std::uint32_t>(result.wavelengths.size()));
     }
   }
-  result.metrics.registry_probes = registry_.stats().probes;
-  result.metrics.registry_hits = registry_.stats().hits;
+  // Settled worms' probes are already counted; the step loop's add on.
+  result.metrics.registry_probes += registry_.stats().probes;
+  result.metrics.registry_hits += registry_.stats().hits;
+  if (settled > 0) account_iterations(result.metrics);
   if (profile)
     result.metrics.wall_ns =
         static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
-  if (obs::enabled()) record_pass_observation(result.metrics);
+  if (obs::enabled()) {
+    const bool screened = count > 0 && !config_.record_trace && !faults_on;
+    record_pass_observation(result.metrics, settled,
+                            screened ? count - settled : 0);
+  }
 }
 
 }  // namespace opto

@@ -18,6 +18,18 @@
 // (link, wavelength) order; within-step truncations cannot free a link for
 // the same step (the remnant's tail is still on it), so this order does
 // not affect occupancy decisions.
+//
+// Contention screen (DESIGN.md §12): an untraced, fault-free pass is
+// first replayed as if no worm ever lost, keying every nominal window
+// [s+i, s+i+L) by channel (by link alone under conversion, where a worm
+// may retune onto any λ). A worm none of whose windows meets another of
+// its key, and whose own channel is never held, can be neither blocked,
+// cut nor retuned: it is delivered intact at s+n+L−2 (s for an empty
+// path) and never enters the step loop. The contended rest is stepped
+// as above; it never sees a settled worm's claims, since those are
+// expired at every step a contended worm probes them, so its outcomes
+// are unchanged. Every PassMetrics field, engine counters included, is
+// byte-identical to a fully stepped pass.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +67,7 @@ struct SimConfig {
   ContentionRule rule = ContentionRule::ServeFirst;
   TiePolicy tie = TiePolicy::KillAll;
   std::uint16_t bandwidth = 1;  ///< wavelengths per fiber (B)
-  bool record_trace = false;
+  bool record_trace = false;  ///< a traced pass is stepped whole (no screen)
   ConversionMode conversion = ConversionMode::None;
   /// Per-node converter flags, indexed by NodeId; consulted only in
   /// Sparse mode (Full converts everywhere). The coupler feeding link e
@@ -174,6 +186,19 @@ class Simulator {
 
   bool converts_at(NodeId node) const;
 
+  /// The contention screen: marks contended_[id] for every worm one of
+  /// whose windows meets another window of its screen key, or whose own
+  /// channel is held, and settles the rest in closed form (status, finish
+  /// time, retire_, and their share of `metrics`). Returns the worms
+  /// settled. `injection_order_` must be built.
+  std::uint32_t screen(std::span<const LaunchSpec> specs,
+                       PassMetrics& metrics);
+
+  /// `steps` and `peak_inflight` of a pass the screen thinned, from every
+  /// worm's [start, retire_] interval: the step loop iterates at t exactly
+  /// when some worm is present at t.
+  void account_iterations(PassMetrics& metrics);
+
   bool held(EdgeId link, Wavelength wavelength) const {
     return !held_.empty() &&
            held_[static_cast<std::size_t>(link) * config_.bandwidth +
@@ -210,8 +235,28 @@ class Simulator {
   std::vector<std::uint64_t> injection_keys_;  ///< packed (start_time, id)
   std::vector<WormId> running_;   ///< head still has links to enter
   std::vector<WormId> draining_;  ///< head done, tail still arriving
-  std::vector<std::uint64_t> attempt_keys_;   ///< packed (group key, worm)
+  /// Packed (group key, worm) attempt words; after the step loop of a
+  /// screened pass, the sorted retire times.
+  std::vector<std::uint64_t> attempt_keys_;
   std::vector<std::uint64_t> attempt_keys_scratch_;  ///< radix ping-pong
+  std::vector<std::uint32_t> radix_counts_;          ///< radix digit counts
+  std::vector<std::uint8_t> contended_;  ///< screen verdict per worm
+  /// Per screen key (channel, or link under conversion): reach << 32 |
+  /// latest owner, reaches offset by screen_base_; see screen().
+  std::vector<std::uint64_t> screen_table_;
+  std::uint32_t screen_base_ = 0;
+  /// A running head of the screen's replay: its next flat-link position
+  /// and the end of its path there, with the launch fields it reads.
+  struct ScreenHead {
+    std::uint32_t next;
+    std::uint32_t end;
+    WormId worm;
+    std::uint32_t length;
+    Wavelength wavelength;
+  };
+  std::vector<ScreenHead> screen_heads_;
+  std::vector<SimTime> retire_;  ///< last step loop iteration a worm is in
+  std::vector<WormId> loop_order_;  ///< contended worms in injection order
   std::vector<std::uint8_t> admit_mask_;  ///< free-singleton prescan flags
   std::vector<WormId> group_worms_;           ///< one contention group's ids
   std::vector<Contender> contenders_;

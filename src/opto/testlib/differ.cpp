@@ -39,8 +39,7 @@ void report_metric(std::vector<std::string>* issues, const char* source,
 /// model-level counters; the fast engine's instrumentation counters —
 /// probes, steps, peak_inflight — have no reference analogue).
 void compare_to_reference(const PassResult& fast, const PassResult& ref,
-                          std::vector<std::string>* issues) {
-  const char* src = "reference";
+                          std::vector<std::string>* issues, const char* src) {
   for (WormId id = 0; id < fast.worms.size(); ++id) {
     const WormOutcome& a = fast.worms[id];
     const WormOutcome& b = ref.worms[id];
@@ -99,10 +98,17 @@ void compare_to_reference(const PassResult& fast, const PassResult& ref,
 /// Exact comparison between two runs of the production engine that must
 /// agree on every field, instrumentation included (wall_ns excluded: it
 /// is real time, not model time). Used by the determinism stage (two
-/// identical runs) and the SIMD stage (scalar kernels vs lane kernels,
-/// which the attempt_kernel contract requires to be byte-identical).
+/// identical runs), the SIMD stage (scalar kernels vs lane kernels,
+/// which the attempt_kernel contract requires to be byte-identical) and
+/// the screen stage (an untraced pass against the traced one).
 void compare_runs(const PassResult& a, const PassResult& b,
                   std::vector<std::string>* issues, const char* src) {
+  if (a.wavelength_offsets != b.wavelength_offsets ||
+      a.wavelengths != b.wavelengths) {
+    std::ostringstream os;
+    os << "[" << src << "] per-link wavelength histories differ";
+    issues->push_back(os.str());
+  }
   for (WormId id = 0; id < a.worms.size(); ++id) {
     const WormOutcome& x = a.worms[id];
     const WormOutcome& y = b.worms[id];
@@ -407,11 +413,23 @@ DiffReport diff_case(const FuzzCase& fuzz) {
 
   const bool faults_active =
       config.faults != nullptr && config.faults->enabled();
+  std::optional<PassResult> ref;
   if (!faults_active) {
-    const PassResult ref =
-        reference_run(built->collection, config, fuzz.specs, pinned);
-    compare_to_reference(fast, ref, &report.issues);
+    ref = reference_run(built->collection, config, fuzz.specs, pinned);
+    compare_to_reference(fast, *ref, &report.issues, "reference");
   }
+
+  // Screen stage: every run above records the trace, and a traced pass
+  // is stepped whole. The same case untraced goes through the contention
+  // screen and must reproduce the traced pass bit for bit, and the
+  // reference engine too.
+  SimConfig untraced_config = config;
+  untraced_config.record_trace = false;
+  Simulator untraced_sim(built->collection, untraced_config);
+  untraced_sim.set_held(held);
+  const PassResult untraced = untraced_sim.run(fuzz.specs);
+  compare_runs(fast, untraced, &report.issues, "screen");
+  if (ref) compare_to_reference(untraced, *ref, &report.issues, "screen");
 
   diff_rwa(built->graph, fuzz, &report);
   return report;

@@ -17,7 +17,13 @@
 //     a case whose fault plan has all-zero rates still reaches 5,
 //     which pins the "disabled plan is bit-identical to no plan"
 //     contract);
-//  6. an RWA stage: the case's path endpoints become requests. For each
+//  6. a screen stage: the case run again with record_trace off, so the
+//     simulator's contention screen settles its overlap-free worms in
+//     closed form (a traced pass never screens). The untraced run must
+//     equal the traced run of stage 2 bit for bit — instrumentation
+//     counters and wavelength histories included — and, when stage 5
+//     runs, the reference engine field for field;
+//  7. an RWA stage: the case's path endpoints become requests. For each
 //     distinct request, k_shortest_routes(…, 4) must equal the plain Yen
 //     of reference_ksp.hpp route for route. Then every rwa/ strategy
 //     routes the requests — a manual replay checks each
@@ -39,8 +45,8 @@ namespace opto::testlib {
 
 struct DiffReport {
   /// Human-readable disagreements, each prefixed with its source: [case],
-  /// [determinism], [simd], [validate], [occupancy], [reference], or
-  /// [rwa].
+  /// [determinism], [simd], [validate], [occupancy], [reference],
+  /// [screen], or [rwa].
   std::vector<std::string> issues;
   /// Production-engine metrics of the run (zeroed when the case never
   /// built); lets callers select cases by behavior without re-running.

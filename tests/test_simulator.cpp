@@ -19,6 +19,7 @@
 #include "opto/sim/reference.hpp"
 #include "opto/sim/simulator.hpp"
 #include "opto/sim/validate.hpp"
+#include "screen_check.hpp"
 
 namespace opto {
 namespace {
@@ -480,6 +481,9 @@ TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
   // ≥ 32 singleton attempts, so the free-singleton prescan runs, and it
   // cannot see holds. Holds on some worms' channels (at links 0 and 2)
   // must still block them, and late same-channel worms die to occupants.
+  // The pass records its trace, so it is stepped whole: untraced, the
+  // contention screen would settle the unheld, uncontested worms and
+  // leave fewer than 32 attempts per step.
   constexpr NodeId kChains = 40;
   constexpr NodeId kChainNodes = 5;
   auto graph = std::make_shared<Graph>(kChains * kChainNodes, "chains");
@@ -495,6 +499,7 @@ TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
   }
   SimConfig config;
   config.bandwidth = 2;
+  config.record_trace = true;
   std::vector<LaunchSpec> specs;
   std::vector<PinnedSlot> slots;
   for (PathId c = 0; c < kChains; ++c) {
@@ -619,6 +624,140 @@ TEST(SimulatorLargeGraph, PackedKeysPastTwoToTheFifteenLinksMatchReference) {
     EXPECT_TRUE(validate_pass(collection, config, specs, result).ok());
     EXPECT_TRUE(validate_occupancy(collection, specs, result).ok());
   }
+}
+
+// --- contention screen ----------------------------------------------------
+// An untraced pass settles the worms whose windows [s+i, s+i+L) meet no
+// other window on the same channel; screen_check::run compares it with the
+// stepped (traced) pass and the reference engine.
+
+TEST(SimulatorScreen, TouchingWindowsAreBothScreened) {
+  // b = a + L: the second head enters each link the step the first tail
+  // leaves it (half-open windows), so neither worm can see the other.
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 2);
+  const auto pass = screen_check::run(
+      collection, {},
+      std::vector<LaunchSpec>{spec(0, 0, 0, 3), spec(1, 3, 0, 3)});
+  EXPECT_EQ(pass.settled, 2u);
+  EXPECT_EQ(pass.contended, 0u);
+  EXPECT_TRUE(pass.result.worms[0].delivered_intact());
+  EXPECT_EQ(pass.result.worms[0].finish_time, 0 + 4 + 3 - 2);
+  EXPECT_EQ(pass.result.worms[1].finish_time, 3 + 4 + 3 - 2);
+  EXPECT_EQ(pass.result.metrics.steps, 9u);  // t = 0..8, one busy span
+  EXPECT_EQ(pass.result.metrics.peak_inflight, 2u);
+}
+
+TEST(SimulatorScreen, WindowsOverlappingByOneStepAreContended) {
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 2);
+  const auto pass = screen_check::run(
+      collection, {},
+      std::vector<LaunchSpec>{spec(0, 0, 0, 3), spec(1, 2, 0, 3)});
+  EXPECT_EQ(pass.settled, 0u);
+  EXPECT_EQ(pass.contended, 2u);
+  EXPECT_TRUE(pass.result.worms[0].delivered_intact());
+  EXPECT_EQ(pass.result.worms[1].status, WormStatus::Killed);
+  EXPECT_EQ(pass.result.worms[1].blocked_by, 0u);
+}
+
+TEST(SimulatorScreen, ShortWormInsideALongWindowMarksTheThird) {
+  // One link. A holds it over [0, 10); B's [3, 5) lies inside; C's [6, 8)
+  // misses B but not A, so comparing each window with its neighbour alone
+  // would settle C. D's [10, 12) touches A's end and is screened.
+  const auto graph = make_chain(2);
+  const auto collection = chain_bundle(graph, 0, 1, 4);
+  const auto pass = screen_check::run(
+      collection, {},
+      std::vector<LaunchSpec>{spec(0, 0, 0, 10), spec(1, 3, 0, 2),
+                              spec(2, 6, 0, 2), spec(3, 10, 0, 2)});
+  EXPECT_EQ(pass.settled, 1u);
+  EXPECT_EQ(pass.contended, 3u);
+  EXPECT_TRUE(pass.result.worms[0].delivered_intact());
+  EXPECT_EQ(pass.result.worms[1].status, WormStatus::Killed);
+  EXPECT_EQ(pass.result.worms[2].status, WormStatus::Killed);
+  EXPECT_EQ(pass.result.worms[2].blocked_by, 0u);
+  EXPECT_TRUE(pass.result.worms[3].delivered_intact());
+}
+
+TEST(SimulatorScreen, HeldChannelOnThePathIsAPinnedKill) {
+  // Worm 0 alone on λ0 crosses a held channel at its second link: the
+  // screen must leave it to the step loop. Worm 1 on λ1 is screened.
+  const auto graph = make_chain(4);
+  const auto collection = chain_bundle(graph, 0, 3, 2);
+  SimConfig config;
+  config.bandwidth = 2;
+  const std::vector<PinnedSlot> held{{collection.path(0).link(1), 0}};
+  const auto pass = screen_check::run(
+      collection, config,
+      std::vector<LaunchSpec>{spec(0, 0, 0, 2), spec(1, 0, 1, 2)}, held);
+  EXPECT_EQ(pass.settled, 1u);
+  EXPECT_EQ(pass.contended, 1u);
+  EXPECT_TRUE(pass.result.worms[0].pinned_loss);
+  EXPECT_EQ(pass.result.worms[0].blocked_at_link, 1u);
+  EXPECT_TRUE(pass.result.worms[1].delivered_intact());
+  EXPECT_EQ(pass.result.metrics.pinned_blocks, 1u);
+}
+
+TEST(SimulatorScreen, EmptyPathSettlesAtItsStart) {
+  // The empty-path worm at t=20 opens an iteration of its own past the
+  // contended pair's span; it counts in steps but never in flight.
+  const auto graph = make_chain(4);
+  PathCollection collection = chain_bundle(graph, 0, 3, 2);
+  collection.add(Path::from_nodes(*graph, std::vector<NodeId>{2}));
+  const auto pass = screen_check::run(
+      collection, {},
+      std::vector<LaunchSpec>{spec(0, 0, 0, 2), spec(1, 1, 0, 2),
+                              spec(2, 20, 0, 5)});
+  EXPECT_EQ(pass.settled, 1u);
+  EXPECT_EQ(pass.contended, 2u);
+  EXPECT_TRUE(pass.result.worms[2].delivered_intact());
+  EXPECT_EQ(pass.result.worms[2].finish_time, 20);
+  EXPECT_EQ(pass.result.metrics.makespan, 20);
+  EXPECT_EQ(pass.result.metrics.peak_inflight, 2u);
+}
+
+TEST(SimulatorScreen, OneWormPassIsSettled) {
+  const auto graph = make_chain(6);
+  const auto collection = chain_bundle(graph, 0, 5, 1);
+  const auto pass = screen_check::run(
+      collection, {}, std::vector<LaunchSpec>{spec(0, 7, 0, 4)});
+  EXPECT_EQ(pass.settled, 1u);
+  EXPECT_EQ(pass.result.worms[0].finish_time, 7 + 5 + 4 - 2);
+  EXPECT_EQ(pass.result.metrics.steps, 8u);
+  EXPECT_EQ(pass.result.metrics.registry_probes, 5u);
+  EXPECT_EQ(pass.result.metrics.link_busy_steps, 5u * 4u);
+}
+
+TEST(SimulatorScreen, SettledAndSteppedWormsShareStepsAndPeak) {
+  // Random functions on a 6x6 mesh with startup spreads wide enough that
+  // some worms meet and most do not: the screened pass's step count and
+  // in-flight peak fold settled intervals into the step loop's own.
+  const auto topo = std::make_shared<const MeshTopology>(make_mesh({6, 6}));
+  std::uint64_t settled = 0;
+  std::uint64_t contended = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const PathCollection collection = mesh_random_function(topo, rng);
+    std::vector<LaunchSpec> specs;
+    for (PathId p = 0; p < collection.size(); ++p)
+      specs.push_back(spec(p, static_cast<SimTime>(rng.next_below(60)),
+                           static_cast<Wavelength>(rng.next_below(2)),
+                           1 + static_cast<std::uint32_t>(rng.next_below(6)),
+                           static_cast<std::uint32_t>(p)));
+    for (const ContentionRule rule :
+         {ContentionRule::ServeFirst, ContentionRule::Priority}) {
+      SimConfig config;
+      config.bandwidth = 2;
+      config.rule = rule;
+      const auto pass = screen_check::run(collection, config, specs);
+      settled += pass.settled;
+      contended += pass.contended;
+    }
+  }
+  EXPECT_GT(settled, 0u);
+  EXPECT_GT(contended, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "opto/paths/lowerbound_structures.hpp"
 #include "opto/paths/path_collection.hpp"
 #include "opto/sim/simulator.hpp"
+#include "screen_check.hpp"
 
 namespace opto {
 namespace {
@@ -222,6 +223,100 @@ TEST(Conversion, TruncationShortensHistoryWavelengthClaims) {
   EXPECT_EQ(result.metrics.truncated, 1u);
   // The weakest (w1, rank 3) was cut.
   EXPECT_TRUE(result.worms[1].truncated);
+}
+
+// --- contention screen under conversion ----------------------------------
+// A contended worm may retune onto any λ downstream, so the screen keys a
+// converting pass by link alone; screen_check::run compares the screened
+// pass with the stepped (traced) one and the reference engine.
+
+TEST(ConversionScreen, SameLinkDifferentLambdaIsContended) {
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 2);
+  SimConfig config;
+  config.bandwidth = 2;
+  const std::vector<LaunchSpec> specs{spec(0, 0, 0, 3), spec(1, 1, 1, 3)};
+  config.conversion = ConversionMode::Full;
+  const auto converting = screen_check::run(collection, config, specs);
+  EXPECT_EQ(converting.settled, 0u);
+  EXPECT_EQ(converting.contended, 2u);
+  EXPECT_EQ(converting.result.metrics.delivered, 2u);
+  EXPECT_EQ(converting.result.metrics.retunes, 0u);
+  // Without conversion the two wavelengths never interact.
+  config.conversion = ConversionMode::None;
+  const auto fixed = screen_check::run(collection, config, specs);
+  EXPECT_EQ(fixed.settled, 2u);
+}
+
+TEST(ConversionScreen, TouchingWindowsKeepTheirLaunchWavelength) {
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 2);
+  SimConfig config;
+  config.bandwidth = 2;
+  config.conversion = ConversionMode::Full;
+  const auto pass = screen_check::run(
+      collection, config,
+      std::vector<LaunchSpec>{spec(0, 0, 1, 3), spec(1, 3, 1, 3)});
+  EXPECT_EQ(pass.settled, 2u);
+  EXPECT_EQ(pass.result.wavelength_offsets,
+            (std::vector<std::uint32_t>{0, 4, 8}));
+  EXPECT_EQ(pass.result.wavelengths, std::vector<Wavelength>(8, 1));
+  // Every hop at a converting router probes all B wavelengths.
+  EXPECT_EQ(pass.result.metrics.registry_probes, 2u * 4u * 2u);
+}
+
+TEST(ConversionScreen, HoldOnAnotherLambdaOnlyAddsAProbeHit) {
+  // The worm's own λ0 is free everywhere and λ1 is held on its third
+  // link: the converting router there reads the hold as one probe hit and
+  // admits the worm on λ0, so the screen settles it.
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 1);
+  SimConfig config;
+  config.bandwidth = 2;
+  config.conversion = ConversionMode::Full;
+  const std::vector<PinnedSlot> held{{collection.path(0).link(2), 1}};
+  const auto pass = screen_check::run(
+      collection, config, std::vector<LaunchSpec>{spec(0, 0, 0, 3)}, held);
+  EXPECT_EQ(pass.settled, 1u);
+  EXPECT_TRUE(pass.result.worms[0].delivered_intact());
+  EXPECT_EQ(pass.result.metrics.registry_probes, 4u * 2u);
+  EXPECT_EQ(pass.result.metrics.registry_hits, 1u);
+}
+
+TEST(ConversionScreen, HoldOnTheOwnLambdaIsContendedAndRetunes) {
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 1);
+  SimConfig config;
+  config.bandwidth = 2;
+  config.conversion = ConversionMode::Full;
+  const std::vector<PinnedSlot> held{{collection.path(0).link(2), 0}};
+  const auto pass = screen_check::run(
+      collection, config, std::vector<LaunchSpec>{spec(0, 0, 0, 3)}, held);
+  EXPECT_EQ(pass.contended, 1u);
+  EXPECT_TRUE(pass.result.worms[0].delivered_intact());
+  EXPECT_EQ(pass.result.metrics.retunes, 1u);
+  EXPECT_EQ(pass.result.wavelengths, (std::vector<Wavelength>{0, 0, 1, 1}));
+}
+
+TEST(ConversionScreen, SparseProbesFollowEachRouter) {
+  // One converter, at node 2: a settled worm probes B wavelengths on the
+  // link that node feeds and one channel on every other link.
+  const auto graph = make_chain(6);
+  const auto collection = chain_bundle(graph, 0, 5, 3);
+  SimConfig config;
+  config.bandwidth = 3;
+  config.conversion = ConversionMode::Sparse;
+  config.converters.assign(graph->node_count(), 0);
+  config.converters[2] = 1;
+  const auto pass = screen_check::run(
+      collection, config,
+      std::vector<LaunchSpec>{spec(0, 0, 0, 2), spec(1, 0, 0, 2),
+                              spec(2, 9, 2, 2)});
+  EXPECT_EQ(pass.settled, 1u);    // worm 2
+  EXPECT_EQ(pass.contended, 2u);  // the t=0 pair meets at link 0 and dies
+  EXPECT_EQ(pass.result.worms[0].status, WormStatus::Killed);
+  EXPECT_EQ(pass.result.worms[1].status, WormStatus::Killed);
+  EXPECT_TRUE(pass.result.worms[2].delivered_intact());
 }
 
 }  // namespace
