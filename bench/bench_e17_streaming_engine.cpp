@@ -44,8 +44,8 @@ int main() {
   {
     // Two nodes, one fiber: each direction is an independent M/M/B/B
     // system at half the total arrival rate.
-    auto graph = std::make_shared<Graph>(2, "single-link");
-    graph->add_edge(0, 1);
+    auto graph =
+        std::make_shared<Graph>(make_graph(2, {{0, 1}}, "single-link"));
 
     Table table("single link, Erlang-B cross-check, B=8");
     table.set_header({"offered rho", "measured", "Erlang B", "rel err"});

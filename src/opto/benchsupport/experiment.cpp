@@ -51,36 +51,34 @@ TrialAggregate run_trials(const CollectionFactory& factory,
   }
 
   std::vector<TrialOutcome> outcomes(trials);
-  parallel_for_chunked(0, trials, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t trial = lo; trial < hi; ++trial) {
-      const std::uint64_t seed =
-          splitmix64_once(base_seed + 0x9e3779b97f4a7c15ull * (trial + 1));
-      const PathCollection collection = factory(seed);
-      const auto schedule = schedule_factory(collection);
-      TrialAndFailure protocol(collection, config, *schedule);
-      const ProtocolResult result = protocol.run(seed ^ 0xabcdef);
+  parallel_for(0, trials, [&](std::size_t trial) {
+    const std::uint64_t seed =
+        splitmix64_once(base_seed + 0x9e3779b97f4a7c15ull * (trial + 1));
+    const PathCollection collection = factory(seed);
+    const auto schedule = schedule_factory(collection);
+    TrialAndFailure protocol(collection, config, *schedule);
+    const ProtocolResult result = protocol.run(seed ^ 0xabcdef);
 
-      TrialOutcome& outcome = outcomes[trial];
-      // Loss accounting covers every trial — failed ones especially, since
-      // under fault injection the failures are the interesting signal.
-      for (const RoundReport& round : result.rounds) {
-        outcome.fault_losses += static_cast<double>(round.fault_losses);
-        outcome.contention_losses +=
-            static_cast<double>(round.contention_losses);
-        outcome.ack_drops += round.ack_drops;
-      }
-      outcome.success = result.success;
-      if (!result.success) continue;
-      outcome.rounds = static_cast<double>(result.rounds_used);
-      outcome.charged_time = static_cast<double>(result.total_charged_time);
-      outcome.actual_time = static_cast<double>(result.total_actual_time);
-      // C̃ is cached on the collection: when the schedule factory sized
-      // the schedule from it, this reads the value rather than recomputing.
-      outcome.path_congestion =
-          static_cast<double>(collection.path_congestion());
-      outcome.dilation = static_cast<double>(collection.dilation());
-      outcome.duplicates = result.duplicate_deliveries;
+    TrialOutcome& outcome = outcomes[trial];
+    // Loss accounting covers every trial — failed ones especially, since
+    // under fault injection the failures are the interesting signal.
+    for (const RoundReport& round : result.rounds) {
+      outcome.fault_losses += static_cast<double>(round.fault_losses);
+      outcome.contention_losses +=
+          static_cast<double>(round.contention_losses);
+      outcome.ack_drops += round.ack_drops;
     }
+    outcome.success = result.success;
+    if (!result.success) return;
+    outcome.rounds = static_cast<double>(result.rounds_used);
+    outcome.charged_time = static_cast<double>(result.total_charged_time);
+    outcome.actual_time = static_cast<double>(result.total_actual_time);
+    // C̃ is cached on the collection: when the schedule factory sized
+    // the schedule from it, this reads the value rather than recomputing.
+    outcome.path_congestion =
+        static_cast<double>(collection.path_congestion());
+    outcome.dilation = static_cast<double>(collection.dilation());
+    outcome.duplicates = result.duplicate_deliveries;
   });
 
   // Sequential fold in trial order: deterministic in (base_seed, trials)

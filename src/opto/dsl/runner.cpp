@@ -39,20 +39,16 @@ std::shared_ptr<const Graph> build_graph(const TopologySpec& topo) {
     return std::make_shared<Graph>(make_hypercube(topo.dim));
   if (topo.family == "complete")
     return std::make_shared<Graph>(make_complete(topo.nodes));
-  if (topo.family == "single_link") {
-    auto graph = std::make_shared<Graph>(2, "single-link");
-    graph->add_edge(0, 1);
-    return graph;
-  }
+  if (topo.family == "single_link")
+    return std::make_shared<Graph>(make_graph(2, {{0, 1}}, "single-link"));
   if (topo.family == "fattree")
     return std::make_shared<Graph>(
         std::move(make_fat_tree(topo.radix).graph));
   if (topo.family == "bcube")
     return std::make_shared<Graph>(
         std::move(make_bcube(topo.ports, topo.levels).graph));
-  auto graph = std::make_shared<Graph>(topo.nodes, "explicit");
-  for (const auto& [u, v] : topo.edges) graph->add_edge(u, v);
-  return graph;
+  return std::make_shared<Graph>(
+      make_graph(topo.nodes, topo.edges, "explicit"));
 }
 
 /// Request list for the declared workload, drawing from `rng` exactly

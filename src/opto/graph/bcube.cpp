@@ -19,7 +19,7 @@ BCubeTopology make_bcube(std::uint32_t ports, std::uint32_t levels) {
   topo.levels = levels;
   const std::uint32_t servers = static_cast<std::uint32_t>(server_count);
   const std::uint32_t per_level = servers / ports;
-  topo.graph = Graph(servers + levels * per_level,
+  GraphBuilder graph(servers + levels * per_level,
                      "bcube-" + std::to_string(ports) + "-" +
                          std::to_string(levels));
   topo.servers.reserve(servers);
@@ -34,10 +34,11 @@ BCubeTopology make_bcube(std::uint32_t ports, std::uint32_t levels) {
       const std::uint32_t low = s % low_weight;
       const std::uint32_t high = s / (low_weight * ports);
       const std::uint32_t index = high * low_weight + low;
-      topo.graph.add_edge(s, topo.switch_at(level, index));
+      graph.add_edge(s, topo.switch_at(level, index));
       low_weight *= ports;
     }
   }
+  topo.graph = std::move(graph).build();
   return topo;
 }
 

@@ -16,7 +16,7 @@ ButterflyTopology make_bfly(std::uint32_t dim, bool wrap) {
   topo.wrap = wrap;
   const std::uint64_t rows = topo.rows();
   const std::uint64_t node_count = static_cast<std::uint64_t>(topo.levels()) * rows;
-  topo.graph = Graph(static_cast<NodeId>(node_count),
+  GraphBuilder graph(static_cast<NodeId>(node_count),
                      (wrap ? "wrap-butterfly-" : "butterfly-") +
                          std::to_string(dim));
 
@@ -26,10 +26,11 @@ ButterflyTopology make_bfly(std::uint32_t dim, bool wrap) {
     const std::uint32_t next = wrap ? (level + 1) % dim : level + 1;
     for (std::uint32_t row = 0; row < rows; ++row) {
       const NodeId from = topo.node_at(level, row);
-      topo.graph.add_edge(from, topo.node_at(next, row));
-      topo.graph.add_edge(from, topo.node_at(next, row ^ (1u << level)));
+      graph.add_edge(from, topo.node_at(next, row));
+      graph.add_edge(from, topo.node_at(next, row ^ (1u << level)));
     }
   }
+  topo.graph = std::move(graph).build();
   return topo;
 }
 

@@ -9,7 +9,7 @@ namespace opto {
 Graph make_debruijn(std::uint32_t dim) {
   OPTO_ASSERT(dim >= 2 && dim <= 20);
   const NodeId count = NodeId{1} << dim;
-  Graph graph(count, "debruijn-" + std::to_string(dim));
+  GraphBuilder graph(count, "debruijn-" + std::to_string(dim));
   const NodeId mask = count - 1;
   for (NodeId u = 0; u < count; ++u) {
     for (NodeId b = 0; b <= 1; ++b) {
@@ -18,7 +18,7 @@ Graph make_debruijn(std::uint32_t dim) {
       if (!graph.has_edge(u, v)) graph.add_edge(u, v);
     }
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 }  // namespace opto

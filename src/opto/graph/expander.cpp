@@ -17,7 +17,7 @@ Graph make_circulant(std::uint32_t n, std::vector<std::uint32_t> offsets) {
       "duplicate circulant offsets");
   std::string name = "circulant-" + std::to_string(n);
   for (const std::uint32_t s : offsets) name += "-" + std::to_string(s);
-  Graph graph(n, name);
+  GraphBuilder graph(n, name);
   for (const std::uint32_t s : offsets) {
     OPTO_ASSERT(s >= 1 && s <= n / 2);
     for (NodeId u = 0; u < n; ++u) {
@@ -25,13 +25,13 @@ Graph make_circulant(std::uint32_t n, std::vector<std::uint32_t> offsets) {
       if (!graph.has_edge(u, v)) graph.add_edge(u, v);
     }
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 Graph make_margulis_expander(std::uint32_t m) {
   OPTO_ASSERT(m >= 2 && m <= 1024);
   const NodeId count = m * m;
-  Graph graph(count, "margulis-" + std::to_string(m));
+  GraphBuilder graph(count, "margulis-" + std::to_string(m));
   const auto node = [m](std::uint32_t x, std::uint32_t y) {
     return static_cast<NodeId>(x * m + y);
   };
@@ -57,7 +57,7 @@ Graph make_margulis_expander(std::uint32_t m) {
       }
     }
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 double sampled_edge_expansion(const Graph& graph, std::uint32_t samples,

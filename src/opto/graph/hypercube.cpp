@@ -9,14 +9,14 @@ namespace opto {
 Graph make_hypercube(std::uint32_t dim) {
   OPTO_ASSERT(dim >= 1 && dim <= 20);
   const NodeId count = NodeId{1} << dim;
-  Graph graph(count, "hypercube-" + std::to_string(dim));
+  GraphBuilder graph(count, "hypercube-" + std::to_string(dim));
   for (NodeId u = 0; u < count; ++u) {
     for (std::uint32_t bit = 0; bit < dim; ++bit) {
       const NodeId v = hypercube_neighbor(u, bit);
       if (u < v) graph.add_edge(u, v);
     }
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 }  // namespace opto

@@ -5,9 +5,8 @@
 #include "opto/util/assert.hpp"
 
 namespace opto {
-namespace {
 
-MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
+MeshTopology detail::make_grid(std::vector<std::uint32_t> sides, bool wrap) {
   OPTO_ASSERT(!sides.empty());
   std::uint64_t total = 1;
   for (std::uint32_t side : sides) {
@@ -22,26 +21,31 @@ MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
   topo.wrap = wrap;
   std::string name = wrap ? "torus" : "mesh";
   for (std::uint32_t side : topo.sides) name += "-" + std::to_string(side);
-  topo.graph = Graph(static_cast<NodeId>(total), name);
 
+  // Each node links to its +1 neighbour in every dimension, dimension 0
+  // first (the -1 neighbour is covered by the neighbour's own +1 edge);
+  // on a torus the last coordinate wraps to 0. The neighbours are row-
+  // major id arithmetic, so the edges are distinct without a check.
   const std::uint32_t dims = topo.dimensions();
+  std::uint64_t edges = 0;
+  for (std::uint32_t d = 0; d < dims; ++d) {
+    const std::uint32_t side = topo.sides[d];
+    if (side > 1) edges += total / side * (wrap ? side : side - 1);
+  }
+  std::vector<NodeId> targets;
+  targets.reserve(2 * edges);
   std::vector<std::uint32_t> coords(dims, 0);
-  std::vector<std::uint32_t> next(dims, 0);
   for (NodeId node = 0; node < total; ++node) {
-    // Connect each node to its +1 neighbor in every dimension (the -1
-    // neighbor is covered by the neighbor's own +1 edge).
+    std::uint64_t stride = total;
     for (std::uint32_t d = 0; d < dims; ++d) {
       const std::uint32_t side = topo.sides[d];
-      if (side == 1) continue;
-      if (coords[d] + 1 < side) {
-        next = coords;
-        ++next[d];
-        topo.graph.add_edge(node, topo.node_at(next));
-      } else if (wrap) {
-        next = coords;
-        next[d] = 0;
-        topo.graph.add_edge(node, topo.node_at(next));
-      }
+      stride /= side;
+      if (side == 1 || (coords[d] + 1 == side && !wrap)) continue;
+      const std::uint64_t next = coords[d] + 1 < side
+                                     ? node + stride
+                                     : node - (side - 1) * stride;
+      targets.push_back(static_cast<NodeId>(next));
+      targets.push_back(node);
     }
     // Advance row-major coordinates (last dimension fastest).
     for (std::uint32_t d = dims; d-- > 0;) {
@@ -49,10 +53,11 @@ MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
       coords[d] = 0;
     }
   }
+  OPTO_ASSERT(targets.size() == 2 * edges);
+  topo.graph =
+      Graph(std::move(name), static_cast<NodeId>(total), std::move(targets));
   return topo;
 }
-
-}  // namespace
 
 NodeId MeshTopology::node_at(std::span<const std::uint32_t> coords) const {
   OPTO_ASSERT(coords.size() == sides.size());
@@ -76,11 +81,11 @@ std::vector<std::uint32_t> MeshTopology::coords_of(NodeId node) const {
 }
 
 MeshTopology make_mesh(std::vector<std::uint32_t> sides) {
-  return make_grid(std::move(sides), /*wrap=*/false);
+  return detail::make_grid(std::move(sides), /*wrap=*/false);
 }
 
 MeshTopology make_torus(std::vector<std::uint32_t> sides) {
-  return make_grid(std::move(sides), /*wrap=*/true);
+  return detail::make_grid(std::move(sides), /*wrap=*/true);
 }
 
 }  // namespace opto

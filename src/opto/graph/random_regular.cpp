@@ -39,10 +39,10 @@ Graph make_random_regular(std::uint32_t n, std::uint32_t degree,
     }
     if (!simple) continue;
 
-    Graph graph(n, "random-regular-" + std::to_string(n) + "-" +
+    GraphBuilder graph(n, "random-regular-" + std::to_string(n) + "-" +
                        std::to_string(degree));
     for (const auto& [a, b] : edges) graph.add_edge(a, b);
-    return graph;
+    return std::move(graph).build();
   }
   OPTO_ASSERT_MSG(false, "configuration model failed to produce a simple "
                          "graph (degree too close to n?)");

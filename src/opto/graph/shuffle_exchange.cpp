@@ -9,7 +9,7 @@ namespace opto {
 Graph make_shuffle_exchange(std::uint32_t dim) {
   OPTO_ASSERT(dim >= 2 && dim <= 20);
   const NodeId count = NodeId{1} << dim;
-  Graph graph(count, "shuffle-exchange-" + std::to_string(dim));
+  GraphBuilder graph(count, "shuffle-exchange-" + std::to_string(dim));
   for (NodeId u = 0; u < count; ++u) {
     const NodeId exchanged = u ^ 1;
     if (u < exchanged) graph.add_edge(u, exchanged);
@@ -17,7 +17,7 @@ Graph make_shuffle_exchange(std::uint32_t dim) {
     if (shuffled != u && !graph.has_edge(u, shuffled))
       graph.add_edge(u, shuffled);
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 }  // namespace opto

@@ -14,8 +14,8 @@ namespace {
 
 /// Completion latch local to one parallel_for call, so nested or concurrent
 /// calls on the shared pool do not interfere. Captures the first exception
-/// a chunk throws; wait() rethrows it on the calling thread once every
-/// chunk has arrived (arrival is RAII in the task, so a throwing body can
+/// a worker throws; wait() rethrows it on the calling thread once every
+/// worker has arrived (arrival is RAII in the task, so a throwing body can
 /// never strand the latch).
 class Completion {
  public:
@@ -45,7 +45,7 @@ class Completion {
   std::exception_ptr error_;
 };
 
-/// RAII arrival: runs even when the chunk body throws.
+/// RAII arrival: runs even when the worker throws.
 struct ArriveGuard {
   Completion& completion;
   ~ArriveGuard() { completion.arrive(); }
@@ -53,36 +53,29 @@ struct ArriveGuard {
 
 }  // namespace
 
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    ThreadPool* pool) {
+void parallel_for_workers(std::size_t begin, std::size_t end,
+                          const std::function<void(IndexClaims&)>& worker,
+                          ThreadPool* pool) {
   if (begin >= end) return;
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t count = end - begin;
   const std::size_t workers = pool->thread_count();
+  IndexClaims claims(begin, end);
   // Run inline from a worker of the same pool: blocking in wait() while
-  // our chunks sit behind other blocked workers' chunks can deadlock the
+  // our tasks sit behind other blocked workers' tasks can deadlock the
   // pool (nested parallel_for, e.g. run_many or run_trials called from a
   // task already running on the pool).
   if (workers <= 1 || count == 1 || pool->on_worker_thread()) {
-    body(begin, end);
+    worker(claims);
     return;
   }
-  // A couple of chunks per worker balances uneven iteration costs without
-  // drowning the queue in tiny tasks.
-  const std::size_t chunks = std::min(count, workers * 2);
-  const std::size_t chunk_size = (count + chunks - 1) / chunks;
-  std::size_t actual_chunks = 0;
-  for (std::size_t lo = begin; lo < end; lo += chunk_size) ++actual_chunks;
-
-  Completion completion(actual_chunks);
-  for (std::size_t lo = begin; lo < end; lo += chunk_size) {
-    const std::size_t hi = std::min(lo + chunk_size, end);
-    pool->submit([&body, &completion, lo, hi] {
+  const std::size_t tasks = std::min(count, workers);
+  Completion completion(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    pool->submit([&worker, &completion, &claims] {
       ArriveGuard guard{completion};
       try {
-        body(lo, hi);
+        worker(claims);
       } catch (...) {
         // Routed to the caller of wait(), not to the pool's wait_idle():
         // the exception belongs to this parallel_for, and the task itself
@@ -97,12 +90,20 @@ void parallel_for_chunked(
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   ThreadPool* pool) {
-  parallel_for_chunked(
+  parallel_for_workers(
       begin, end,
-      [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
+      [&body](IndexClaims& claims) {
+        for (std::size_t i; claims.next(i);) body(i);
       },
       pool);
+}
+
+void parallel_for_chunked(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body,
+    ThreadPool* pool) {
+  parallel_for(
+      begin, end, [&body](std::size_t i) { body(i, i + 1); }, pool);
 }
 
 }  // namespace opto

@@ -51,9 +51,9 @@ ChainLayout make_chain_layout(std::uint32_t nodes, std::uint32_t base) {
   OPTO_ASSERT(nodes >= 2);
   OPTO_ASSERT(base >= 2);
   ChainLayout layout;
-  auto graph = std::make_shared<Graph>(nodes, "chain-" + std::to_string(nodes));
-  for (NodeId u = 0; u + 1 < nodes; ++u) graph->add_edge(u, u + 1);
-  layout.graph = std::move(graph);
+  GraphBuilder graph(nodes, "chain-" + std::to_string(nodes));
+  for (NodeId u = 0; u + 1 < nodes; ++u) graph.add_edge(u, u + 1);
+  layout.graph = std::make_shared<const Graph>(std::move(graph).build());
   layout.nodes = nodes;
   layout.base = base;
   layout.spans = span_ladder(nodes - 1, base);
@@ -136,16 +136,16 @@ MeshLayout make_mesh_layout(std::uint32_t side, std::uint32_t base) {
   layout.spans = span_ladder(side - 1, base);
   layout.levels = static_cast<std::uint32_t>(layout.spans.size());
 
-  auto graph = std::make_shared<Graph>(
+  GraphBuilder graph(
       side * side, "mesh-" + std::to_string(side) + "x" + std::to_string(side));
   for (std::uint32_t x = 0; x < side; ++x)
     for (std::uint32_t y = 0; y < side; ++y) {
       if (x + 1 < side)
-        graph->add_edge(layout.node_at(x, y), layout.node_at(x + 1, y));
+        graph.add_edge(layout.node_at(x, y), layout.node_at(x + 1, y));
       if (y + 1 < side)
-        graph->add_edge(layout.node_at(x, y), layout.node_at(x, y + 1));
+        graph.add_edge(layout.node_at(x, y), layout.node_at(x, y + 1));
     }
-  layout.graph = std::move(graph);
+  layout.graph = std::make_shared<const Graph>(std::move(graph).build());
   return layout;
 }
 
@@ -213,10 +213,10 @@ RingLayout make_ring_layout(std::uint32_t nodes, std::uint32_t base) {
   OPTO_ASSERT_MSG(power == nodes, "ring layout needs nodes = base^k");
 
   RingLayout layout;
-  auto graph = std::make_shared<Graph>(nodes, "ring-" + std::to_string(nodes));
-  for (NodeId u = 0; u + 1 < nodes; ++u) graph->add_edge(u, u + 1);
-  graph->add_edge(nodes - 1, 0);
-  layout.graph = std::move(graph);
+  GraphBuilder graph(nodes, "ring-" + std::to_string(nodes));
+  for (NodeId u = 0; u + 1 < nodes; ++u) graph.add_edge(u, u + 1);
+  graph.add_edge(nodes - 1, 0);
+  layout.graph = std::make_shared<const Graph>(std::move(graph).build());
   layout.nodes = nodes;
   layout.base = base;
   // Top span n/b: a span-n tunnel would be a closed loop.

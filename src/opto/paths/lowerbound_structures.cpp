@@ -7,9 +7,7 @@
 
 namespace opto {
 
-StructureBuilder::StructureBuilder() : graph_(std::make_unique<Graph>()) {
-  graph_->set_name("lower-bound-structures");
-}
+StructureBuilder::StructureBuilder() : graph_(0, "lower-bound-structures") {}
 
 std::uint32_t StructureBuilder::staircase_step(std::uint32_t worm_length) {
   OPTO_ASSERT(worm_length >= 1);
@@ -32,7 +30,8 @@ namespace {
 /// edge is added once (sharers traverse shared edges in the same
 /// direction by construction).
 template <class Canon>
-void add_keyed_paths(Graph& graph, std::vector<std::vector<NodeId>>& lists,
+void add_keyed_paths(GraphBuilder& graph,
+                     std::vector<std::vector<NodeId>>& lists,
                      std::uint32_t count, std::uint32_t path_length,
                      Canon canon) {
   std::unordered_map<std::uint64_t, NodeId> nodes;
@@ -66,7 +65,7 @@ void StructureBuilder::add_staircase(std::uint32_t paths,
 
   // Canonical key: (path i, position pos); positions 0 and 1 of path i>0
   // are positions d and d+1 of path i-1 (the shared edge), recursively.
-  add_keyed_paths(*graph_, node_lists_, paths, path_length,
+  add_keyed_paths(graph_, node_lists_, paths, path_length,
                   [d](std::uint32_t i, std::uint32_t pos) {
                     while (i > 0 && pos <= 1) {
                       --i;
@@ -82,9 +81,9 @@ void StructureBuilder::add_bundle(std::uint32_t width,
   std::vector<NodeId> chain;
   chain.reserve(path_length + 1);
   for (std::uint32_t pos = 0; pos <= path_length; ++pos)
-    chain.push_back(graph_->add_node());
+    chain.push_back(graph_.add_node());
   for (std::uint32_t pos = 0; pos < path_length; ++pos)
-    graph_->add_edge(chain[pos], chain[pos + 1]);
+    graph_.add_edge(chain[pos], chain[pos + 1]);
   for (std::uint32_t copy = 0; copy < width; ++copy)
     node_lists_.push_back(chain);
 }
@@ -98,7 +97,7 @@ void StructureBuilder::add_triangle(std::uint32_t path_length,
 
   // Canonical key: path j's positions m and m+1 are path (j+1 mod 3)'s
   // positions 0 and 1, recursively (the blocking cycle).
-  add_keyed_paths(*graph_, node_lists_, 3, path_length,
+  add_keyed_paths(graph_, node_lists_, 3, path_length,
                   [m](std::uint32_t j, std::uint32_t pos) {
                     while (pos == m || pos == m + 1) {
                       j = (j + 1) % 3;
@@ -110,7 +109,7 @@ void StructureBuilder::add_triangle(std::uint32_t path_length,
 
 PathCollection StructureBuilder::build() && {
   return collection_from_node_lists(
-      std::shared_ptr<const Graph>(std::move(graph_)), node_lists_);
+      std::make_shared<const Graph>(std::move(graph_).build()), node_lists_);
 }
 
 PathCollection make_staircase_collection(std::uint32_t structures,

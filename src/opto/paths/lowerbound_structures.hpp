@@ -59,7 +59,7 @@ class StructureBuilder {
   static std::uint32_t triangle_offset(std::uint32_t worm_length);
 
  private:
-  std::unique_ptr<Graph> graph_;
+  GraphBuilder graph_;
   std::vector<std::vector<NodeId>> node_lists_;
 };
 

@@ -32,25 +32,6 @@ SimpleWalk::SimpleWalk(const Graph& graph, NodeId source)
   marks_[source] = stamp_;
 }
 
-EdgeId SimpleWalk::to(NodeId next) {
-  const EdgeId link = graph_.find_link(at_, next);
-  OPTO_ASSERT_MSG(link != kInvalidEdge, "consecutive nodes not adjacent");
-  enter(next);
-  return link;
-}
-
-void SimpleWalk::along(EdgeId link) {
-  OPTO_ASSERT_MSG(graph_.source(link) == at_, "links are not consecutive");
-  enter(graph_.target(link));
-}
-
-void SimpleWalk::enter(NodeId node) {
-  OPTO_ASSERT_MSG(marks_[node] != stamp_,
-                  "path revisits a node (paths must be simple)");
-  marks_[node] = stamp_;
-  at_ = node;
-}
-
 }  // namespace detail
 
 std::vector<NodeId> PathView::nodes(const Graph& graph) const {

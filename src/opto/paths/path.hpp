@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "opto/graph/graph.hpp"
+#include "opto/util/assert.hpp"
 
 namespace opto {
 
@@ -117,14 +118,27 @@ class SimpleWalk {
   SimpleWalk(const Graph& graph, NodeId source);
 
   /// The link from the current node to `next`, which becomes current.
-  EdgeId to(NodeId next);
+  EdgeId to(NodeId next) {
+    const EdgeId link = graph_.find_link(at_, next);
+    OPTO_ASSERT_MSG(link != kInvalidEdge, "consecutive nodes not adjacent");
+    enter(next);
+    return link;
+  }
   /// Follows `link`, which must leave the current node.
-  void along(EdgeId link);
+  void along(EdgeId link) {
+    OPTO_ASSERT_MSG(graph_.source(link) == at_, "links are not consecutive");
+    enter(graph_.target(link));
+  }
 
   NodeId at() const { return at_; }
 
  private:
-  void enter(NodeId node);
+  void enter(NodeId node) {
+    OPTO_ASSERT_MSG(marks_[node] != stamp_,
+                    "path revisits a node (paths must be simple)");
+    marks_[node] = stamp_;
+    at_ = node;
+  }
 
   const Graph& graph_;
   std::uint32_t* marks_;

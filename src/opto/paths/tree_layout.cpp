@@ -70,11 +70,10 @@ TreeLayout make_tree_layout(const std::vector<NodeId>& parent,
   }
 
   // Build the physical tree.
-  auto graph =
-      std::make_shared<Graph>(n, "tree-" + std::to_string(n));
+  GraphBuilder graph(n, "tree-" + std::to_string(n));
   for (NodeId v = 0; v < n; ++v)
-    if (v != root) graph->add_edge(parent[v], v);
-  layout.graph = std::move(graph);
+    if (v != root) graph.add_edge(parent[v], v);
+  layout.graph = std::make_shared<const Graph>(std::move(graph).build());
 
   // Heavy-path decomposition: each node's heavy child is its
   // largest-subtree child.

@@ -149,8 +149,6 @@ enum RowState : std::uint8_t { kRowEmpty, kRowFilling, kRowReady };
 /// through `queue`.
 void fill_row(const Graph& graph, NodeId destination, std::uint16_t* hops,
               std::vector<NodeId>& queue) {
-  static obs::Counter rows_filled{"rwa.rows.filled"};
-  rows_filled.add(1);
   std::fill(hops, hops + graph.node_count(), HopTable::kNoRoute);
   hops[destination] = 0;
   queue[0] = destination;
@@ -434,6 +432,10 @@ std::span<const std::uint16_t> HopTable::row(NodeId destination) const {
                                     std::memory_order_acquire)) {
     fill_row(*graph_, destination, row, ws.queue);
     state.store(kRowReady, std::memory_order_release);
+    // Only the published fill counts: how many private copies a thread
+    // fills while another is still filling the row depends on timing.
+    static obs::Counter rows_filled{"rwa.rows.filled"};
+    rows_filled.add(1);
     return {row, nodes};
   }
   if (seen == kRowReady) return {row, nodes};

@@ -96,15 +96,15 @@ StrategyAggregate run_strategy_trials(const InstanceFactory& factory,
   };
   std::vector<Outcome> outcomes(trials);
 
-  parallel_for_chunked(0, trials, [&](std::size_t lo, std::size_t hi) {
-    // One strategy per worker chunk: begin() re-binds it each round, so
-    // reuse across trials exercises the re-entrancy contract (the KSP
-    // cache restarts cold at each trial's round 1 — trial graphs are
+  parallel_for_workers(0, trials, [&](IndexClaims& claims) {
+    // One strategy per worker: begin() re-binds it each round, so reuse
+    // across trials exercises the re-entrancy contract (the KSP cache
+    // restarts cold at each trial's round 1 — trial graphs are
     // independently allocated, so address reuse must not alias them).
-    // The hop table is not per chunk: run_strategy_schedule takes the
+    // The hop table is not per worker: run_strategy_schedule takes the
     // one registered for the trial's graph.
     const std::unique_ptr<Strategy> strategy = make_strategy(kind);
-    for (std::size_t trial = lo; trial < hi; ++trial) {
+    for (std::size_t trial; claims.next(trial);) {
       // Same per-trial seed derivation as benchsupport run_trials, so a
       // strategy trial t sees the same instance seed as a protocol
       // trial t (the head-to-head compares like with like).

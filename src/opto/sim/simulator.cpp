@@ -462,6 +462,19 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   result.metrics = PassMetrics{};
   const auto count = static_cast<WormId>(specs.size());
   result.worms.assign(count, WormOutcome{});
+  const bool convert = config_.conversion != ConversionMode::None;
+  if (count == 0) {
+    // Nothing to inject: every metric stays 0, and no state below carries
+    // into the next pass (each pass clears the registry first).
+    result.wavelength_offsets.clear();
+    result.wavelengths.clear();
+    if (convert) result.wavelength_offsets.push_back(0);
+    if (profile)
+      result.metrics.wall_ns =
+          static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
+    if (obs::enabled()) record_pass_observation(result.metrics, 0, 0);
+    return;
+  }
   registry_.clear();
   registry_.reset_stats();
   // Fault injection (sim/faults.hpp). A null or zero-fault plan keeps
@@ -484,7 +497,6 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
       for (Wavelength w = 0; w < config_.bandwidth; ++w)
         if (plan->wavelength_stuck(link, w)) registry_.claim(link, w, stuck);
   }
-  const bool convert = config_.conversion != ConversionMode::None;
   if (convert) {
     if (wavelength_history_.size() < count) wavelength_history_.resize(count);
     for (WormId id = 0; id < count; ++id) wavelength_history_[id].clear();
@@ -565,9 +577,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   // worms of any other pass).
   retire_.resize(count);
   const std::uint32_t settled =
-      count > 0 && !config_.record_trace && !faults_on
-          ? screen(specs, result.metrics)
-          : 0;
+      !config_.record_trace && !faults_on ? screen(specs, result.metrics) : 0;
   std::span<const WormId> order = injection_order_;
   if (settled > 0) {
     loop_order_.clear();
@@ -1090,7 +1100,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     result.metrics.wall_ns =
         static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
   if (obs::enabled()) {
-    const bool screened = count > 0 && !config_.record_trace && !faults_on;
+    const bool screened = !config_.record_trace && !faults_on;
     record_pass_observation(result.metrics, settled,
                             screened ? count - settled : 0);
   }

@@ -30,6 +30,10 @@
 // expired at every step a contended worm probes them, so its outcomes
 // are unchanged. Every PassMetrics field, engine counters included, is
 // byte-identical to a fully stepped pass.
+//
+// An empty batch returns before any of this: every metric is 0, the
+// trace is empty, and under conversion wavelength_offsets is {0}. It
+// still counts as one pass in the obs counters.
 #pragma once
 
 #include <cstdint>

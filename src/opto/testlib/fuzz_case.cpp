@@ -174,9 +174,8 @@ std::unique_ptr<BuiltCase> build_case(const FuzzCase& fuzz) {
   OPTO_ASSERT_MSG(well_formed(fuzz, &error), error.c_str());
 
   auto built = std::make_unique<BuiltCase>();
-  auto graph = std::make_shared<Graph>(fuzz.node_count, "fuzz");
-  for (const auto& [u, v] : fuzz.edges) graph->add_edge(u, v);
-  built->graph = graph;
+  built->graph = std::make_shared<const Graph>(
+      make_graph(fuzz.node_count, fuzz.edges, "fuzz"));
   built->collection = collection_from_node_lists(built->graph, fuzz.paths);
 
   built->config.rule = fuzz.rule;

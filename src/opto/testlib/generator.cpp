@@ -13,7 +13,7 @@ namespace opto::testlib {
 namespace {
 
 /// Undirected edge accumulator with the same rejection rules as
-/// Graph::add_edge (no self-loops, no duplicates), so the emitted case
+/// GraphBuilder::add_edge (no self-loops, no duplicates), so the emitted case
 /// is well-formed by construction.
 class EdgeSet {
  public:
@@ -168,8 +168,7 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
   }
   fuzz.edges = edges.take();
 
-  Graph graph(n, "gen");
-  for (const auto& [u, v] : fuzz.edges) graph.add_edge(u, v);
+  const Graph graph = make_graph(n, fuzz.edges, "gen");
 
   // --- Paths ------------------------------------------------------------
   const std::uint32_t path_count =

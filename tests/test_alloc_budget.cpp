@@ -1,9 +1,10 @@
 // Allocation budgets for the per-trial instance pipeline (building a
-// mesh random function, measuring its C̃, one whole E7 trial), for RWA
-// route search, and for a steady-state protocol round.
-// Counted with the obs allocation hook, so a per-path vector, a per-link
-// vector or a per-search BFS buffer creeping back into paths/ or rwa/
-// fails here rather than only in a benchmark profile. The same count
+// mesh and a random function on it, measuring its C̃, one whole E7
+// trial), for RWA route search, and for a steady-state protocol round.
+// Counted with the obs allocation hook, so a per-node vector in graph/,
+// a per-path or per-link vector, or a per-search BFS buffer creeping
+// back into paths/ or rwa/ fails here rather than only in a benchmark
+// profile. The same count
 // shows whether a collection's C̃ is memoized: a memo hit allocates
 // nothing, a computation allocates its arrays.
 // Skipped when observation is compiled out (OPTO_OBS_ENABLED=0), where
@@ -36,9 +37,13 @@ namespace {
 // (log2 of the links). Allocating per path (the parent design paid ~8.7
 // each) fails at either size.
 constexpr std::uint64_t kAllocsPerMeshCollection = 24;
-// One E7 trial: make_mesh (3,086 at side 32, Graph's per-node adjacency),
-// the collection, the schedule, and a protocol run (151).
-constexpr std::uint64_t kAllocsPerMeshTrial = 3500;
+// One make_mesh at any side: the side vector, the link targets, the CSR
+// row offsets and links, and the coordinate cursor (5). The per-node
+// adjacency vectors the graph used to keep cost 3,086 at side 32.
+constexpr std::uint64_t kAllocsPerMeshBuild = 5;
+// One E7 trial: make_mesh (5), the collection, the schedule, and a
+// protocol run; measured 151 and 153 at seeds 2 and 3.
+constexpr std::uint64_t kAllocsPerMeshTrial = 160;
 // One C̃ computation: the exact kernel's five arrays, or the sampled
 // estimate's inversion and marks (3) — independent of the collection's
 // size.
@@ -103,6 +108,20 @@ TEST_F(AllocBudget, MeshRandomFunctionIsBoundedPerCollection) {
   }
 }
 
+TEST_F(AllocBudget, MakeMeshIsBounded) {
+  // The mesh writes its links straight into the CSR arrays: no per-node
+  // allocation, so the count does not grow with the side.
+  for (const std::uint32_t side : {8u, 32u}) {
+    std::uint64_t nodes = 0;
+    const std::uint64_t allocs = allocations([&] {
+      const MeshTopology topo = make_mesh({side, side});
+      nodes = topo.graph.node_count();
+    });
+    ASSERT_EQ(nodes, std::uint64_t{side} * side);
+    EXPECT_LE(allocs, kAllocsPerMeshBuild) << side << "x" << side;
+  }
+}
+
 TEST_F(AllocBudget, MeshTrialIsBounded) {
   // One E7 trial as the benchmark runs it: a fresh 32x32 mesh, its random
   // function, the paper schedule sized from C̃, and the protocol.
@@ -149,9 +168,10 @@ TEST_F(AllocBudget, PathCongestionIsConstantPerCall) {
 }
 
 TEST_F(AllocBudget, CongestionMemoTravelsWithCopiesAndMoves) {
-  auto graph = std::make_shared<Graph>(3);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection original(graph);
   for (int i = 0; i < 4; ++i)
     original.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));

@@ -154,8 +154,9 @@ TEST(DslParser, TopologyLinksMatchesTheBuiltGraph) {
   {
     TopologySpec topo;
     topo.family = "single_link";
-    Graph graph(2, "single-link");
-    graph.add_edge(0, 1);
+    GraphBuilder builder(2, "single-link");
+    builder.add_edge(0, 1);
+    Graph graph = std::move(builder).build();
     check(topo, graph);
   }
   for (const std::uint32_t radix : {2u, 6u}) {
@@ -179,8 +180,9 @@ TEST(DslParser, TopologyLinksMatchesTheBuiltGraph) {
     for (std::uint32_t u = 0; u + 1 < nodes; ++u)
       topo.edges.emplace_back(u, u + 1);
     if (nodes > 2) topo.edges.emplace_back(0, nodes - 1);
-    Graph graph(nodes, "explicit");
-    for (const auto& [u, v] : topo.edges) graph.add_edge(u, v);
+    GraphBuilder builder(nodes, "explicit");
+    for (const auto& [u, v] : topo.edges) builder.add_edge(u, v);
+    Graph graph = std::move(builder).build();
     check(topo, graph);
   }
 }

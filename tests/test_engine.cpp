@@ -99,9 +99,9 @@ double erlang_b(double rho, int b) {
 }
 
 std::shared_ptr<const Graph> single_link_graph() {
-  auto graph = std::make_shared<Graph>(2, "single-link");
-  graph->add_edge(0, 1);
-  return graph;
+  GraphBuilder builder(2, "single-link");
+  builder.add_edge(0, 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 EngineConfig erlang_config(double erlangs_per_link, std::uint16_t bandwidth,

@@ -19,9 +19,9 @@ namespace opto {
 namespace {
 
 std::shared_ptr<Graph> make_chain(NodeId nodes) {
-  auto graph = std::make_shared<Graph>(nodes, "chain");
-  for (NodeId u = 0; u + 1 < nodes; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(nodes, "chain");
+  for (NodeId u = 0; u + 1 < nodes; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 PathCollection chain_bundle(std::shared_ptr<const Graph> graph, NodeId from,

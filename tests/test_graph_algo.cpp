@@ -8,17 +8,19 @@ namespace opto {
 namespace {
 
 TEST(GraphAlgo, BfsDistancesOnPath) {
-  Graph graph(4);
-  graph.add_edge(0, 1);
-  graph.add_edge(1, 2);
-  graph.add_edge(2, 3);
+  GraphBuilder builder(4);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  Graph graph = std::move(builder).build();
   const auto dist = bfs_distances(graph, 0);
   EXPECT_EQ(dist, (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(GraphAlgo, BfsDistancesDisconnected) {
-  Graph graph(3);
-  graph.add_edge(0, 1);
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  Graph graph = std::move(builder).build();
   const auto dist = bfs_distances(graph, 0);
   EXPECT_EQ(dist[2], kUnreachable);
   EXPECT_FALSE(is_connected(graph));
@@ -37,24 +39,27 @@ TEST(GraphAlgo, BfsPathIsShortest) {
 TEST(GraphAlgo, BfsPathCanonicalTieBreak) {
   // On a 4-cycle 0-1-3-2-0 both 0-1-3 and 0-2-3 are shortest; the
   // canonical rule picks the smaller intermediate node.
-  Graph graph(4);
-  graph.add_edge(0, 1);
-  graph.add_edge(1, 3);
-  graph.add_edge(0, 2);
-  graph.add_edge(2, 3);
+  GraphBuilder builder(4);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 3);
+  builder.add_edge(0, 2);
+  builder.add_edge(2, 3);
+  Graph graph = std::move(builder).build();
   const auto path = bfs_path(graph, 0, 3);
   EXPECT_EQ(path, (std::vector<NodeId>{0, 1, 3}));
 }
 
 TEST(GraphAlgo, BfsPathSelf) {
-  Graph graph(2);
-  graph.add_edge(0, 1);
+  GraphBuilder builder(2);
+  builder.add_edge(0, 1);
+  Graph graph = std::move(builder).build();
   EXPECT_EQ(bfs_path(graph, 1, 1), (std::vector<NodeId>{1}));
 }
 
 TEST(GraphAlgo, BfsPathUnreachableEmpty) {
-  Graph graph(3);
-  graph.add_edge(0, 1);
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  Graph graph = std::move(builder).build();
   EXPECT_TRUE(bfs_path(graph, 0, 2).empty());
 }
 

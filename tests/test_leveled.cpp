@@ -12,9 +12,9 @@ namespace opto {
 namespace {
 
 std::shared_ptr<Graph> chain(NodeId n) {
-  auto graph = std::make_shared<Graph>(n);
-  for (NodeId u = 0; u + 1 < n; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(n);
+  for (NodeId u = 0; u + 1 < n; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 TEST(Leveled, SingleForwardPathIsLeveled) {
@@ -48,11 +48,12 @@ TEST(Leveled, OffsetPathsShareLevels) {
 }
 
 TEST(Leveled, IndependentComponentsNormalizedToZero) {
-  auto graph = std::make_shared<Graph>(6);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(3, 4);
-  graph->add_edge(4, 5);
+  GraphBuilder builder(6);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(3, 4);
+  builder.add_edge(4, 5);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{3, 4, 5}));
@@ -65,10 +66,11 @@ TEST(Leveled, IndependentComponentsNormalizedToZero) {
 
 TEST(Leveled, OddCycleDirectionIsNotLeveled) {
   // Directed triangle a->b->c->a cannot carry a unit-increment potential.
-  auto graph = std::make_shared<Graph>(3);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 0);
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 0);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{2, 0}));

@@ -59,8 +59,9 @@ TEST(MultiHop, CompletesOnBundle) {
 }
 
 TEST(MultiHop, ZeroLengthPathsFinishImmediately) {
-  auto graph = std::make_shared<Graph>(2);
-  graph->add_edge(0, 1);
+  GraphBuilder builder(2);
+  builder.add_edge(0, 1);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0}));
   FixedSchedule schedule(2);

@@ -59,7 +59,7 @@ TEST(NodeSymmetry, NoAutomorphismBetweenCornerAndCenter) {
 }
 
 TEST(NodeSymmetry, SingletonTriviallySymmetric) {
-  Graph graph(1);
+  const Graph graph = GraphBuilder(1).build();
   EXPECT_TRUE(is_node_symmetric(graph));
 }
 

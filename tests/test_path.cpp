@@ -8,9 +8,9 @@ namespace opto {
 namespace {
 
 Graph chain(NodeId n) {
-  Graph graph(n);
-  for (NodeId u = 0; u + 1 < n; ++u) graph.add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(n);
+  for (NodeId u = 0; u + 1 < n; ++u) builder.add_edge(u, u + 1);
+  return std::move(builder).build();
 }
 
 TEST(Path, FromNodes) {
@@ -88,8 +88,9 @@ TEST(Path, LongSimplePathAccepted) {
 TEST(PathDeath, RejectsRevisitOfSourceAtFarEnd) {
   // Around a 70-node ring and back into the source: 71 nodes, every pair
   // adjacent, the only repeat at the two ends of the sequence.
-  Graph ring(70);
-  for (NodeId u = 0; u < 70; ++u) ring.add_edge(u, (u + 1) % 70);
+  GraphBuilder ring_builder(70);
+  for (NodeId u = 0; u < 70; ++u) ring_builder.add_edge(u, (u + 1) % 70);
+  Graph ring = std::move(ring_builder).build();
   std::vector<NodeId> nodes;
   for (NodeId u = 0; u < 70; ++u) nodes.push_back(u);
   nodes.push_back(0);
@@ -101,8 +102,9 @@ TEST(PathDeath, RejectsRevisitOfSourceAtFarEnd) {
 TEST(PathDeath, FromLinksRejectsRevisit) {
   // Consecutive links that close a 4-cycle: valid link chaining, but the
   // last link re-enters the source.
-  Graph cycle(4);
-  for (NodeId u = 0; u < 4; ++u) cycle.add_edge(u, (u + 1) % 4);
+  GraphBuilder cycle_builder(4);
+  for (NodeId u = 0; u < 4; ++u) cycle_builder.add_edge(u, (u + 1) % 4);
+  Graph cycle = std::move(cycle_builder).build();
   std::vector<EdgeId> links;
   for (NodeId u = 0; u < 4; ++u) links.push_back(cycle.find_link(u, (u + 1) % 4));
   EXPECT_DEATH(Path::from_links(cycle, links), "simple");

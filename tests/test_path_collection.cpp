@@ -31,9 +31,9 @@ namespace opto {
 namespace {
 
 std::shared_ptr<Graph> chain(NodeId n) {
-  auto graph = std::make_shared<Graph>(n);
-  for (NodeId u = 0; u + 1 < n; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(n);
+  for (NodeId u = 0; u + 1 < n; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 TEST(PathCollection, EmptyStats) {
@@ -71,13 +71,14 @@ TEST(PathCollection, OppositeDirectionsDoNotCount) {
 
 TEST(PathCollection, PathCongestionCountsDistinctSharers) {
   // Star of paths all crossing one middle link, plus one disjoint path.
-  auto graph = std::make_shared<Graph>(8);
-  graph->add_edge(0, 1);  // shared link 0->1
-  graph->add_edge(1, 2);
-  graph->add_edge(1, 3);
-  graph->add_edge(4, 0);
-  graph->add_edge(5, 0);
-  graph->add_edge(6, 7);
+  GraphBuilder builder(8);
+  builder.add_edge(0, 1);  // shared link 0->1
+  builder.add_edge(1, 2);
+  builder.add_edge(1, 3);
+  builder.add_edge(4, 0);
+  builder.add_edge(5, 0);
+  builder.add_edge(6, 7);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{4, 0, 1, 2}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{5, 0, 1, 3}));

@@ -166,9 +166,10 @@ TEST(Protocol, TracksCongestionDecay) {
 }
 
 TEST(Protocol, ZeroLengthPathsFinishInOneRound) {
-  auto graph = std::make_shared<Graph>(3);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   for (NodeId u = 0; u < 3; ++u)
     collection.add(Path::from_nodes(*graph, std::vector<NodeId>{u}));

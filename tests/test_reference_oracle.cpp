@@ -56,17 +56,18 @@ BothResults run_both(const PathCollection& collection,
 /// Star around node 2: arms to 0, 1, and 3. The shared outgoing fiber
 /// 2→3 is where everything collides.
 std::shared_ptr<const Graph> star_graph() {
-  auto graph = std::make_shared<Graph>(4, "star");
-  graph->add_edge(0, 2);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  return graph;
+  GraphBuilder builder(4, "star");
+  builder.add_edge(0, 2);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 TEST(ReferenceOracle, IntactDeliveryTiming) {
-  auto graph = std::make_shared<Graph>(3, "chain");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
+  GraphBuilder builder(3, "chain");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   const std::vector<std::vector<NodeId>> nodes = {{0, 1, 2}};
   const auto collection = collection_from_node_lists(graph, nodes);
   SimConfig config;
@@ -84,8 +85,9 @@ TEST(ReferenceOracle, IntactDeliveryTiming) {
 }
 
 TEST(ReferenceOracle, ZeroLengthPathDeliversAtStart) {
-  auto graph = std::make_shared<Graph>(2, "pair");
-  graph->add_edge(0, 1);
+  GraphBuilder builder(2, "pair");
+  builder.add_edge(0, 1);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   const std::vector<std::vector<NodeId>> nodes = {{1}};
   const auto collection = collection_from_node_lists(graph, nodes);
   SimConfig config;
@@ -209,10 +211,11 @@ TEST(ReferenceOracle, PriorityTruncationLeavesATravellingRemnant) {
 // the reference) says the second cut discards the t=2 flit, leaving a
 // 1-flit remnant that finished at t=1.
 TEST(ReferenceOracle, SameStepDoubleCutShortensTheRemnantTwice) {
-  auto graph = std::make_shared<Graph>(4, "claw");
-  graph->add_edge(0, 1);
-  graph->add_edge(0, 2);
-  graph->add_edge(0, 3);
+  GraphBuilder builder(4, "claw");
+  builder.add_edge(0, 1);
+  builder.add_edge(0, 2);
+  builder.add_edge(0, 3);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   const std::vector<std::vector<NodeId>> nodes = {
       {2, 0, 3}, {1, 0}, {1, 0, 3}};
   const auto collection = collection_from_node_lists(graph, nodes);
@@ -246,9 +249,10 @@ TEST(ReferenceOracle, SameStepDoubleCutShortensTheRemnantTwice) {
 }
 
 TEST(ReferenceOracle, ConvertingCouplerRetunesAroundTheOccupant) {
-  auto graph = std::make_shared<Graph>(3, "chain");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
+  GraphBuilder builder(3, "chain");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   const std::vector<std::vector<NodeId>> nodes = {{0, 1, 2}, {1, 2}};
   const auto collection = collection_from_node_lists(graph, nodes);
   SimConfig config;

@@ -35,9 +35,9 @@ namespace opto::rwa {
 namespace {
 
 Graph make_chain(NodeId nodes) {
-  Graph graph(nodes, "chain");
-  for (NodeId i = 0; i + 1 < nodes; ++i) graph.add_edge(i, i + 1);
-  return graph;
+  GraphBuilder builder(nodes, "chain");
+  for (NodeId i = 0; i + 1 < nodes; ++i) builder.add_edge(i, i + 1);
+  return std::move(builder).build();
 }
 
 /// Serves one request and returns the single assigned wavelength, or
@@ -281,10 +281,11 @@ TEST(RwaOracle, YenMatchesBruteForceOnGeneratedGraphs) {
   for (std::uint64_t g = 0; g < 200; ++g) {
     Rng rng = Rng::stream(0xac1e, g);
     const NodeId nodes = static_cast<NodeId>(2 + rng.next_below(7));
-    Graph graph(nodes);
+    GraphBuilder builder(nodes);
     for (NodeId u = 0; u < nodes; ++u)
       for (NodeId v = u + 1; v < nodes; ++v)
-        if (rng.next_bernoulli(0.4)) graph.add_edge(u, v);
+        if (rng.next_bernoulli(0.4)) builder.add_edge(u, v);
+    Graph graph = std::move(builder).build();
     probe_against_brute_force(graph, rng, g, dense);
     if (HasFatalFailure()) return;
     if (g % 2 != 0) continue;
@@ -292,11 +293,12 @@ TEST(RwaOracle, YenMatchesBruteForceOnGeneratedGraphs) {
     Rng sparse_rng = Rng::stream(0x5ba25e, g);
     const NodeId sparse_nodes =
         static_cast<NodeId>(9 + sparse_rng.next_below(8));
-    Graph sparse_graph(sparse_nodes);
+    GraphBuilder sparse_graph_builder(sparse_nodes);
     for (NodeId u = 0; u < sparse_nodes; ++u)
       for (NodeId v = u + 1; v < sparse_nodes; ++v)
         if (sparse_rng.next_bernoulli(v == u + 1 ? 0.85 : 0.12))
-          sparse_graph.add_edge(u, v);
+          sparse_graph_builder.add_edge(u, v);
+    Graph sparse_graph = std::move(sparse_graph_builder).build();
     probe_against_brute_force(sparse_graph, sparse_rng, g, sparse);
     if (HasFatalFailure()) return;
   }
@@ -523,19 +525,19 @@ Graph make_ladder(NodeId levels) {
   const NodeId target = levels + 1;
   NodeId nodes = target + 1;
   for (NodeId j = 0; j < levels; ++j) nodes += levels - j;
-  Graph graph(nodes, "ladder");
-  for (NodeId j = 0; j + 1 < target; ++j) graph.add_edge(j, j + 1);
-  graph.add_edge(levels, target);
+  GraphBuilder builder(nodes, "ladder");
+  for (NodeId j = 0; j + 1 < target; ++j) builder.add_edge(j, j + 1);
+  builder.add_edge(levels, target);
   NodeId next = target + 1;
   for (NodeId j = 0; j < levels; ++j) {
     NodeId at = j;
     for (NodeId step = 0; step < levels - j; ++step) {
-      graph.add_edge(at, next);
+      builder.add_edge(at, next);
       at = next++;
     }
-    graph.add_edge(at, target);
+    builder.add_edge(at, target);
   }
-  return graph;
+  return std::move(builder).build();
 }
 
 TEST(RwaOracle, CapKeepsASpurRouteOfExactlyTheKthCandidateLength) {
@@ -566,12 +568,12 @@ TEST(RwaOracle, CapKeepsASpurRouteOfExactlyTheKthCandidateLength) {
 /// 0 → 1 → 2 → 5, with a second way on from 0 (3, 4, 6) and from 1 (7,
 /// 8), each one link longer.
 Graph make_cap_fallback() {
-  Graph graph(9, "cap-fallback");
+  GraphBuilder builder(9, "cap-fallback");
   for (const auto& [u, v] :
        {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {2, 5}, {0, 3}, {3, 4},
         {4, 6}, {6, 5}, {1, 7}, {7, 8}, {8, 5}})
-    graph.add_edge(u, v);
-  return graph;
+    builder.add_edge(u, v);
+  return std::move(builder).build();
 }
 
 TEST(RwaOracle, CapKeepsAFallbackRouteOfExactlyTheKthCandidateLength) {
@@ -627,10 +629,11 @@ TEST(HopTable, EveryRowIsAFreshReverseBfs) {
   for (std::uint64_t g = 0; g < 50; ++g) {
     Rng rng = Rng::stream(0xac1e, g);
     const NodeId nodes = static_cast<NodeId>(2 + rng.next_below(7));
-    Graph graph(nodes);
+    GraphBuilder builder(nodes);
     for (NodeId u = 0; u < nodes; ++u)
       for (NodeId v = u + 1; v < nodes; ++v)
-        if (rng.next_bernoulli(0.4)) graph.add_edge(u, v);
+        if (rng.next_bernoulli(0.4)) builder.add_edge(u, v);
+    Graph graph = std::move(builder).build();
     graphs.emplace_back("generated", std::move(graph));
   }
   for (const auto& [name, graph] : graphs) {
@@ -649,8 +652,10 @@ TEST(HopTable, ANewGraphNeverInheritsADeadGraphsRows) {
   // identity and holds A only weakly, so once A dies B gets a table of
   // its own, wherever B is allocated.
   const Graph ring = make_ring(8);
-  Graph stepped(8, "ring-step-3");
-  for (NodeId i = 0; i < 8; ++i) stepped.add_edge(i * 3 % 8, (i + 1) * 3 % 8);
+  GraphBuilder stepped_builder(8, "ring-step-3");
+  for (NodeId i = 0; i < 8; ++i)
+    stepped_builder.add_edge(i * 3 % 8, (i + 1) * 3 % 8);
+  const Graph stepped = std::move(stepped_builder).build();
   ASSERT_EQ(stepped.link_count(), ring.link_count());
 
   auto a = std::make_shared<const Graph>(ring);
@@ -678,12 +683,19 @@ TEST(HopTable, ANewGraphNeverInheritsADeadGraphsRows) {
   EXPECT_EQ(&shared_hop_table(second)->graph(), second.get());
 }
 
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& snapshot : obs::counters())
+    if (snapshot.name == name) return snapshot.value;
+  return 0;
+}
+
 TEST(HopTable, ConcurrentFillsPublishIdenticalRows) {
   // Four pool threads read every row of fresh tables at once, each from
   // a different starting destination so that fills race, and each
   // copies what it got. Every copy must be the BFS row, whether the
   // thread filled and published it, read it published, or lost the race
-  // and filled its own.
+  // and filled its own. `rwa.rows.filled` counts only the published
+  // fills, so it grows by one per destination whatever the race did.
   const FatTreeTopology topo = make_fat_tree(8);
   const Graph& graph = topo.graph;
   const NodeId nodes = graph.node_count();
@@ -695,6 +707,7 @@ TEST(HopTable, ConcurrentFillsPublishIdenticalRows) {
   ThreadPool pool(kThreads);
   for (int round = 0; round < 8; ++round) {
     const HopTable table(graph);
+    const std::uint64_t filled_before = counter_value("rwa.rows.filled");
     std::vector<std::vector<std::uint16_t>> seen(kThreads);
     for (std::size_t t = 0; t < kThreads; ++t)
       pool.submit([&, t] {
@@ -709,6 +722,9 @@ TEST(HopTable, ConcurrentFillsPublishIdenticalRows) {
     pool.wait_idle();
     for (std::size_t t = 0; t < kThreads; ++t)
       ASSERT_EQ(seen[t], expected) << "round " << round << " thread " << t;
+    if (obs::enabled())
+      EXPECT_EQ(counter_value("rwa.rows.filled") - filled_before, nodes)
+          << "round " << round;
   }
 }
 
@@ -720,13 +736,15 @@ TEST(HopTable, AGraphPastTheNodeLimitFindsTheSameRoutes) {
   // far end is the chain followed by a route from node 0.
   const Graph cube = make_hypercube(4);
   constexpr NodeId kChain = 1100;
-  Graph padded(cube.node_count() + kChain, "hypercube-4+chain");
+  GraphBuilder padded_builder(cube.node_count() + kChain,
+                              "hypercube-4+chain");
   for (NodeId u = 0; u < cube.node_count(); ++u)
     for (const EdgeId e : cube.out_links(u))
-      if (u < cube.target(e)) padded.add_edge(u, cube.target(e));
-  padded.add_edge(0, cube.node_count());
-  for (NodeId c = cube.node_count(); c + 1 < padded.node_count(); ++c)
-    padded.add_edge(c, c + 1);
+      if (u < cube.target(e)) padded_builder.add_edge(u, cube.target(e));
+  padded_builder.add_edge(0, cube.node_count());
+  for (NodeId c = cube.node_count(); c + 1 < padded_builder.node_count(); ++c)
+    padded_builder.add_edge(c, c + 1);
+  const Graph padded = std::move(padded_builder).build();
   const HopTable small(cube), large(padded);
   ASSERT_TRUE(small.keeps_rows());
   ASSERT_GT(padded.node_count(), HopTable::kMaxNodes);
@@ -751,12 +769,6 @@ TEST(HopTable, AGraphPastTheNodeLimitFindsTheSameRoutes) {
                                                chain.end());
     EXPECT_EQ(k_shortest_routes(large, far, d, 4), expected) << "→" << d;
   }
-}
-
-std::uint64_t counter_value(const std::string& name) {
-  for (const auto& snapshot : obs::counters())
-    if (snapshot.name == name) return snapshot.value;
-  return 0;
 }
 
 TEST(HopTable, SearchCountersTallySpursFallbacksCapsAndRowFills) {

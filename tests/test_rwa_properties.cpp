@@ -36,11 +36,12 @@ std::pair<Graph, std::vector<RwaRequest>> random_instance(
     std::uint64_t seed) {
   Rng rng = Rng::stream(0xbadcafe, seed);
   const NodeId nodes = static_cast<NodeId>(4 + rng.next_below(9));
-  Graph graph(nodes);
-  for (NodeId i = 0; i + 1 < nodes; ++i) graph.add_edge(i, i + 1);
+  GraphBuilder builder(nodes);
+  for (NodeId i = 0; i + 1 < nodes; ++i) builder.add_edge(i, i + 1);
   for (NodeId u = 0; u < nodes; ++u)
     for (NodeId v = u + 2; v < nodes; ++v)
-      if (rng.next_bernoulli(0.2)) graph.add_edge(u, v);
+      if (rng.next_bernoulli(0.2)) builder.add_edge(u, v);
+  Graph graph = std::move(builder).build();
   std::vector<RwaRequest> requests;
   const std::uint64_t count = 2 + rng.next_below(11);
   for (std::uint64_t r = 0; r < count; ++r)

@@ -10,17 +10,18 @@ namespace opto {
 namespace {
 
 std::shared_ptr<Graph> chain(NodeId n) {
-  auto graph = std::make_shared<Graph>(n);
-  for (NodeId u = 0; u + 1 < n; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(n);
+  for (NodeId u = 0; u + 1 < n; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 TEST(ShortcutFree, DisjointPathsAreFree) {
-  auto graph = std::make_shared<Graph>(6);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(3, 4);
-  graph->add_edge(4, 5);
+  GraphBuilder builder(6);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(3, 4);
+  builder.add_edge(4, 5);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{3, 4, 5}));
@@ -38,12 +39,13 @@ TEST(ShortcutFree, SharedSegmentIsFree) {
 TEST(ShortcutFree, DetectsShortcut) {
   // p goes 0-1-2-3 the long way, q provides the direct edge 0-3: q's
   // subpath 0->3 (length 1) shortcuts p's (length 3).
-  auto graph = std::make_shared<Graph>(5);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(0, 3);
-  graph->add_edge(3, 4);
+  GraphBuilder builder(5);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(0, 3);
+  builder.add_edge(3, 4);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 3, 4}));
@@ -61,11 +63,12 @@ TEST(ShortcutFree, DetectsShortcut) {
 TEST(ShortcutFree, ReversedDirectionDoesNotShortcut) {
   // q visits the common nodes in the opposite order; directed subpaths
   // cannot shortcut each other.
-  auto graph = std::make_shared<Graph>(5);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(3, 0);
+  GraphBuilder builder(5);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(3, 0);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{3, 0}));
@@ -75,13 +78,14 @@ TEST(ShortcutFree, ReversedDirectionDoesNotShortcut) {
 TEST(ShortcutFree, MeetSeparateMeetEqualLengthsStillFree) {
   // Two equal-length parallel detours: meet-separate-meet holds but no
   // shortcut exists (the paper's condition is only sufficient).
-  auto graph = std::make_shared<Graph>(6);
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);  // branch a
-  graph->add_edge(1, 3);  // branch b
-  graph->add_edge(2, 4);
-  graph->add_edge(3, 4);
-  graph->add_edge(4, 5);
+  GraphBuilder builder(6);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);  // branch a
+  builder.add_edge(1, 3);  // branch b
+  builder.add_edge(2, 4);
+  builder.add_edge(3, 4);
+  builder.add_edge(4, 5);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(
       Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 4, 5}));

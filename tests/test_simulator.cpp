@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,9 @@ namespace {
 
 /// Chain graph 0-1-2-...-n with extra edges on demand.
 std::shared_ptr<Graph> make_chain(NodeId nodes) {
-  auto graph = std::make_shared<Graph>(nodes, "chain");
-  for (NodeId u = 0; u + 1 < nodes; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(nodes, "chain");
+  for (NodeId u = 0; u + 1 < nodes; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 PathCollection chain_bundle(std::shared_ptr<const Graph> graph, NodeId from,
@@ -155,12 +156,13 @@ TEST(Simulator, SimultaneousArrivalFirstWins) {
 
 TEST(Simulator, CrossingPathsCollideOnSharedLink) {
   // A: 0-1-2-3, B: 4-1-2-5. Shared link 1->2 at position 1 on both.
-  auto graph = std::make_shared<Graph>(6, "cross");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(4, 1);
-  graph->add_edge(2, 5);
+  GraphBuilder builder(6, "cross");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(4, 1);
+  builder.add_edge(2, 5);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(
       Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
@@ -180,13 +182,14 @@ TEST(Simulator, CrossingPathsCollideOnSharedLink) {
 TEST(Simulator, DrainingWormStillBlocksUpstream) {
   // B (4-1-2-5) is killed at link 1->2 but its flits drain through 4->1
   // and must still eliminate C (4-1-6) there.
-  auto graph = std::make_shared<Graph>(7, "drain");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(4, 1);
-  graph->add_edge(2, 5);
-  graph->add_edge(1, 6);
+  GraphBuilder builder(7, "drain");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(4, 1);
+  builder.add_edge(2, 5);
+  builder.add_edge(1, 6);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{4, 1, 2, 5}));
@@ -206,13 +209,14 @@ TEST(Simulator, DrainingWormStillBlocksUpstream) {
 
 TEST(Simulator, WormPassesAfterDrainWindow) {
   // Same geometry, but C arrives after B's flits fully drained off 4->1.
-  auto graph = std::make_shared<Graph>(7, "drain2");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(4, 1);
-  graph->add_edge(2, 5);
-  graph->add_edge(1, 6);
+  GraphBuilder builder(7, "drain2");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(4, 1);
+  builder.add_edge(2, 5);
+  builder.add_edge(1, 6);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{4, 1, 2, 5}));
@@ -486,10 +490,11 @@ TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
   // leave fewer than 32 attempts per step.
   constexpr NodeId kChains = 40;
   constexpr NodeId kChainNodes = 5;
-  auto graph = std::make_shared<Graph>(kChains * kChainNodes, "chains");
+  GraphBuilder builder(kChains * kChainNodes, "chains");
   for (NodeId c = 0; c < kChains; ++c)
     for (NodeId u = 0; u + 1 < kChainNodes; ++u)
-      graph->add_edge(c * kChainNodes + u, c * kChainNodes + u + 1);
+      builder.add_edge(c * kChainNodes + u, c * kChainNodes + u + 1);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   for (NodeId c = 0; c < kChains; ++c) {
     std::vector<NodeId> nodes;
@@ -758,6 +763,75 @@ TEST(SimulatorScreen, SettledAndSteppedWormsShareStepsAndPeak) {
   }
   EXPECT_GT(settled, 0u);
   EXPECT_GT(contended, 0u);
+}
+
+
+TEST(Simulator, EmptyPassAfterAWormPassReadsAsAFreshOne) {
+  // An empty batch returns before any pass setup. Run on a simulator and
+  // a result that just carried two colliding worms, it must still leave
+  // exactly what a fresh simulator's empty pass leaves (under conversion,
+  // one wavelength offset 0) and count as one pass.
+  const auto graph = make_chain(4);
+  const auto collection = chain_bundle(graph, 0, 3, 2);
+  const std::vector<LaunchSpec> worms{spec(0, 0, 0, 3), spec(1, 1, 0, 3)};
+  for (const ConversionMode mode :
+       {ConversionMode::None, ConversionMode::Full}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(std::string(to_string(mode)) +
+                   (traced ? " traced" : " untraced"));
+      SimConfig config;
+      config.bandwidth = 2;
+      config.conversion = mode;
+      config.record_trace = traced;
+      Simulator used(collection, config);
+      PassResult result;
+      used.run(worms, result);
+      ASSERT_EQ(result.worms.size(), 2u);
+      ASSERT_GT(result.metrics.worm_steps, 0u);
+
+      const bool observing = obs::enabled();
+      obs::set_enabled(true);
+      const std::uint64_t passes = screen_check::counter("sim.passes");
+      used.run({}, result);
+      if (obs::enabled())  // false when observation is compiled out
+        EXPECT_EQ(screen_check::counter("sim.passes") - passes, 1u);
+      obs::set_enabled(observing);
+
+      Simulator fresh_sim(collection, config);
+      const PassResult fresh = fresh_sim.run({});
+      EXPECT_TRUE(result.worms.empty());
+      EXPECT_TRUE(fresh.worms.empty());
+      EXPECT_EQ(result.trace.enabled(), traced);
+      EXPECT_EQ(result.trace.events(), fresh.trace.events());
+      EXPECT_TRUE(result.trace.events().empty());
+      EXPECT_EQ(result.wavelength_offsets, fresh.wavelength_offsets);
+      EXPECT_EQ(result.wavelength_offsets,
+                mode == ConversionMode::None
+                    ? std::vector<std::uint32_t>{}
+                    : std::vector<std::uint32_t>{0});
+      EXPECT_TRUE(result.wavelengths.empty());
+      const PassMetrics& m = result.metrics;
+      const PassMetrics& n = fresh.metrics;
+      for (const auto& [got, want] :
+           {std::pair{m.launched, n.launched}, {m.delivered, n.delivered},
+            {m.killed, n.killed}, {m.truncated, n.truncated},
+            {m.truncated_arrivals, n.truncated_arrivals},
+            {m.contentions, n.contentions}, {m.retunes, n.retunes},
+            {m.fault_kills, n.fault_kills},
+            {m.pinned_blocks, n.pinned_blocks}, {m.corrupted, n.corrupted},
+            {m.corrupted_arrivals, n.corrupted_arrivals},
+            {m.worm_steps, n.worm_steps},
+            {m.link_busy_steps, n.link_busy_steps}, {m.steps, n.steps},
+            {m.registry_probes, n.registry_probes},
+            {m.registry_hits, n.registry_hits},
+            {m.peak_inflight, n.peak_inflight}}) {
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(got, 0u);
+      }
+      EXPECT_EQ(m.makespan, n.makespan);
+      EXPECT_EQ(m.makespan, 0);
+    }
+  }
 }
 
 }  // namespace

@@ -15,9 +15,9 @@ namespace opto {
 namespace {
 
 std::shared_ptr<Graph> make_chain(NodeId nodes) {
-  auto graph = std::make_shared<Graph>(nodes, "chain");
-  for (NodeId u = 0; u + 1 < nodes; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(nodes, "chain");
+  for (NodeId u = 0; u + 1 < nodes; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 PathCollection chain_bundle(std::shared_ptr<const Graph> graph, NodeId from,
@@ -199,12 +199,13 @@ TEST(Conversion, TriangleDeadlockEscapedWithConversion) {
 TEST(Conversion, TruncationShortensHistoryWavelengthClaims) {
   // A retuned worm later truncated must release its *new* wavelength's
   // claims (regression guard for the wavelength-history bookkeeping).
-  auto graph = std::make_shared<Graph>(7, "hist");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(4, 1);
-  graph->add_edge(2, 5);
+  GraphBuilder builder(7, "hist");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(4, 1);
+  builder.add_edge(2, 5);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));

@@ -13,9 +13,9 @@ namespace opto {
 namespace {
 
 std::shared_ptr<Graph> make_chain(NodeId nodes) {
-  auto graph = std::make_shared<Graph>(nodes, "chain");
-  for (NodeId u = 0; u + 1 < nodes; ++u) graph->add_edge(u, u + 1);
-  return graph;
+  GraphBuilder builder(nodes, "chain");
+  for (NodeId u = 0; u + 1 < nodes; ++u) builder.add_edge(u, u + 1);
+  return std::make_shared<Graph>(std::move(builder).build());
 }
 
 LaunchSpec spec(PathId path, SimTime start, Wavelength wl, std::uint32_t len,
@@ -78,12 +78,13 @@ TEST(SimulatorPriority, HighPriorityEntrantTruncatesOccupant) {
 TEST(SimulatorPriority, RemnantStillBlocksDownstream) {
   // w0 truncated at link 0 by w1; its remnant is ahead on link 1 and must
   // still eliminate w2 (lower priority than the remnant) arriving there.
-  auto graph = std::make_shared<Graph>(6, "remnant");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(4, 1);  // w2 joins at node 1
-  graph->add_edge(2, 5);
+  GraphBuilder builder(6, "remnant");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(4, 1);  // w2 joins at node 1
+  builder.add_edge(2, 5);
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
@@ -106,13 +107,14 @@ TEST(SimulatorPriority, RemnantWindowShrinks) {
   // arrives at 1->2 right after the shortened remnant passed: without the
   // truncation w0 would occupy 1->2 through t=6; the cut at t=3 frees it
   // from t=4 on.
-  auto graph = std::make_shared<Graph>(7, "remnant2");
-  graph->add_edge(0, 1);
-  graph->add_edge(1, 2);
-  graph->add_edge(2, 3);
-  graph->add_edge(4, 1);
-  graph->add_edge(2, 5);
-  graph->add_edge(1, 6);  // w1's divergence
+  GraphBuilder builder(7, "remnant2");
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 3);
+  builder.add_edge(4, 1);
+  builder.add_edge(2, 5);
+  builder.add_edge(1, 6);  // w1's divergence
+  auto graph = std::make_shared<Graph>(std::move(builder).build());
   PathCollection collection(graph);
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2, 3}));
   collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 6}));
