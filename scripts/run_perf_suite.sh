@@ -47,11 +47,6 @@ export OPTO_GIT_SHA
 export OPTO_RESULTS_DIR="$RECORDS"
 export REPRO_SCALE="$SCALE"
 
-# Provenance up front: the runtime lane cap in effect for this run. The
-# *active* level (after the CPU probe) is reported from the records below
-# and stamped into every BenchRecord's env block as env.simd / env.rng.
-echo "== perf suite: OPTO_SIMD=${OPTO_SIMD:-unset (no cap)} =="
-
 # Representative slice of the suite: a mesh workload (e7), a butterfly
 # workload (e8), the fault-injection path (e15), the streaming traffic
 # engine (e17), the RWA strategy zoo head-to-head (e19), the schedule
@@ -107,12 +102,10 @@ fi
 "$BUILD/tools/bench_compare" --rollup "$OUT/BENCH_${LABEL}.json" \
   --label "$LABEL" --scale "$SCALE" "${record_files[@]}"
 
-# Surface what the kernels actually dispatched to (scalar/sse2/avx2) and
-# which RNG backend produced the draws, as recorded by the benches
-# themselves — this is what makes two BENCH files comparable.
-active_simd="$(grep -o '"simd": *"[a-z0-9]*"' "${record_files[0]}" \
-  | head -n1 | sed 's/.*"simd": *"\([a-z0-9]*\)".*/\1/')"
+# Surface which RNG backend produced the draws, as recorded by the
+# benches themselves (env.rng) — this is what makes two BENCH files
+# comparable.
 active_rng="$(grep -o '"rng": *"[a-z0-9-]*"' "${record_files[0]}" \
   | head -n1 | sed 's/.*"rng": *"\([a-z0-9-]*\)".*/\1/')"
-echo "active simd level: ${active_simd:-unknown}  rng: ${active_rng:-unknown}"
+echo "rng: ${active_rng:-unknown}"
 echo "suite roll-up: $OUT/BENCH_${LABEL}.json"

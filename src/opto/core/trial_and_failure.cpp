@@ -417,7 +417,7 @@ std::vector<ProtocolResult> TrialAndFailure::run_many(
   }
 
   // The mega-pass: every live trial advances one round per sweep, fanned
-  // out over the pool. Each lane touches only its own session, schedule,
+  // out over the pool. Each trial touches only its own session, schedule,
   // and result slot; counter-based draws mean no RNG state is shared, so
   // the interleaving (and OPTO_THREADS) cannot leak between trials.
   bool any_live = true;

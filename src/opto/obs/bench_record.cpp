@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "opto/obs/obs.hpp"
-#include "opto/par/simd.hpp"
 #include "opto/rng/philox.hpp"
 #include "opto/util/json.hpp"
 #include "opto/util/string_util.hpp"
@@ -76,12 +75,9 @@ void write_bench_record(std::ostream& os, const std::string& label) {
   w.value(enabled());
   w.key("repro_scale");
   w.value(env_repro_scale());
-  // Provenance for perf numbers: which lane level the attempt kernels
-  // dispatched to (after the OPTO_SIMD cap) and which protocol RNG
-  // produced the draws. Dropped by normalize_for_determinism like the
-  // rest of env — results must not depend on either.
-  w.key("simd");
-  w.value(simd::level_name(simd::active_level()));
+  // Provenance for perf numbers: which protocol RNG produced the draws.
+  // Dropped by normalize_for_determinism like the rest of env — results
+  // must not depend on it.
   w.key("rng");
   w.value(kProtocolRngBackend);
   w.end_object();

@@ -8,7 +8,7 @@
 // drawn. The protocol layer keys its per-round draws by
 // (trial seed, round) and counters by (worm, draw slot), which makes a
 // round's launch randomness a pure function of worm identity — invariant
-// under member reordering, trial batching, lane width, and thread count
+// under member reordering, trial batching, and thread count
 // (DESIGN.md §9).
 //
 // The implementation is the reference algorithm: 10 rounds of the 4x32

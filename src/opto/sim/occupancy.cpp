@@ -6,7 +6,6 @@ OccupancyRegistry::OccupancyRegistry(std::size_t link_count,
                                      std::uint32_t bandwidth)
     : bandwidth_(bandwidth),
       epoch_of_(link_count * bandwidth, 0),  // epoch_ >= 1: 0 reads empty
-      release_(link_count * bandwidth, 0),
       claim_(link_count * bandwidth) {
   OPTO_ASSERT(bandwidth >= 1);
 }
@@ -15,7 +14,7 @@ const Claim* OccupancyRegistry::find(EdgeId link, Wavelength wavelength,
                                      SimTime now) const {
   ++stats_.probes;
   const std::size_t idx = index(link, wavelength);
-  if (epoch_of_[idx] != epoch_ || release_[idx] <= now) return nullptr;
+  if (epoch_of_[idx] != epoch_ || claim_[idx].release <= now) return nullptr;
   OPTO_DASSERT(claim_[idx].entry <= now);
   ++stats_.hits;
   return &claim_[idx];
@@ -35,7 +34,6 @@ void OccupancyRegistry::claim(EdgeId link, Wavelength wavelength,
   const std::size_t idx = index(link, wavelength);
   epoch_of_[idx] = epoch_;
   claim_[idx] = claim;
-  release_[idx] = claim.release;
 }
 
 SimTime OccupancyRegistry::shorten(EdgeId link, Wavelength wavelength,
@@ -47,7 +45,6 @@ SimTime OccupancyRegistry::shorten(EdgeId link, Wavelength wavelength,
   if (new_release >= c.release) return 0;
   const SimTime trimmed = c.release - new_release;
   c.release = new_release;
-  release_[idx] = new_release;
   return trimmed;
 }
 

@@ -13,8 +13,7 @@
 // find/claim/shorten is one array access (probes = 1 per lookup by
 // construction). clear() is O(1): slots carry an epoch stamp and a bumped
 // epoch makes every slot read as empty. Expiry is judged at read time
-// (release ≤ now reads as free), so nothing is ever swept. The release
-// array is exposed read-only for the vectorized attempt prescan. Lookup
+// (release ≤ now reads as free), so nothing is ever swept. Lookup
 // probes and hits are counted; the simulator surfaces them in PassMetrics
 // so registry behaviour is visible in BENCH JSON.
 #pragma once
@@ -33,7 +32,7 @@ namespace opto {
 /// The supported channel space: link_count × bandwidth must not exceed
 /// 2^20. The DSL validator rejects larger programs and the Simulator
 /// constructor asserts it. Under the budget the registry's arrays stay
-/// ≤ 46 MiB, and the packed attempt key (attempt_kernel.hpp) needs at most
+/// ≤ 36 MiB, and the simulator's packed attempt key needs at most
 /// link_bits + wl_bits + 1 ≤ 22 bits, so it always fits its 32-bit half.
 inline constexpr std::uint64_t kMaxChannels = std::uint64_t{1} << 20;
 
@@ -56,16 +55,8 @@ class OccupancyRegistry {
   /// outside it are undefined behaviour (the simulator guarantees them).
   OccupancyRegistry(std::size_t link_count, std::uint32_t bandwidth);
 
-  /// Internals for the simulator's vectorized free-channel prescan
-  /// (attempt_kernel.cpp): a channel is free at `now` iff its epoch
-  /// differs from epoch() or its release is ≤ now.
-  const std::uint32_t* epochs() const { return epoch_of_.data(); }
-  const SimTime* releases() const { return release_.data(); }
-  std::uint32_t epoch() const { return epoch_; }
-
-  /// Accounts a lookup the caller performed against the arrays directly
-  /// (the prescan), keeping probe/hit stats identical to the find()-based
-  /// path.
+  /// Accounts a lookup the caller answered without the table (a held
+  /// channel), so the stats read as if it had been a find().
   void count_external_probe(bool hit) const {
     ++stats_.probes;
     stats_.hits += hit ? 1 : 0;
@@ -106,10 +97,7 @@ class OccupancyRegistry {
   std::uint32_t bandwidth_;
   std::uint32_t epoch_ = 1;
   mutable Stats stats_;
-  // release_ mirrors claim_[i].release in a contiguous array the SIMD
-  // prescan can gather from; claim()/shorten() keep the two in sync.
   std::vector<std::uint32_t> epoch_of_;
-  std::vector<SimTime> release_;
   std::vector<Claim> claim_;
 };
 

@@ -8,8 +8,6 @@
 #include <optional>
 
 #include "opto/obs/obs.hpp"
-#include "opto/par/simd.hpp"
-#include "opto/sim/attempt_kernel.hpp"
 #include "opto/util/assert.hpp"
 #include "opto/util/timer.hpp"
 
@@ -151,7 +149,7 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
       link_converts_[link] = converts_at(graph.source(link)) ? 1 : 0;
   }
   // Pre-bake the per-flat-position halves of the packed attempt key
-  // (attempt_kernel.hpp): the bandwidth-adaptive layout packs the
+  // (simulator.hpp, flat_keys_): the bandwidth-adaptive layout packs the
   // wavelength into bit_width(B−1) bits, so narrow-B topologies sort
   // fewer radix bytes. The channel budget keeps the whole key within
   // 22 bits, so it always fits its 32-bit half.
@@ -164,7 +162,6 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
     const bool merges = !link_converts_.empty() && link_converts_[link] != 0;
     flat_keys_[j] = (link << (wl_bits + 1)) | (merges ? merge_bit_ : 0u);
   }
-  simd_on_ = config_.simd != SimdMode::Off && simd::enabled();
 }
 
 std::vector<std::uint8_t> held_mask(EdgeId link_count, std::uint16_t bandwidth,
@@ -594,7 +591,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   std::size_t next_injection = 0;
   SimTime now = order.empty() ? 0 : worms_[order.front()].start_time;
 
-  // The group key (≤ 22 bits under the channel budget; attempt_kernel.hpp)
+  // The group key (≤ 22 bits under the channel budget; occupancy.hpp)
   // and the worm id pack into one 64-bit sort word (see step 2 below).
   // Both fields are packed to their minimum widths so the radix sort
   // touches as few byte-passes as possible.
@@ -910,45 +907,30 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     //    (entrants on different wavelengths interact there). The group
     //    key and worm id pack into one 64-bit integer, so the per-step
     //    sort — the hottest loop in the engine — runs over flat PODs.
-    // 3. Resolve contention groups in ascending (key, worm) order.
-    // A worm whose next link is dark — or whose feeding coupler is down —
-    // is eliminated before it can contend, exactly like a serve-first
-    // loss: its upstream flits drain and their occupancy stands.
-    const auto fault_blocks_entry = [&](EdgeId link) {
-      return plan->link_down(link, now) ||
-             plan->coupler_down(collection_.graph().source(link), now);
-    };
-    if (!faults_on) {
-      // Fault-free steps build every attempt word in SIMD lanes
-      // (attempt_kernel.hpp): one gather of the pre-baked link/merge
-      // half plus a masked OR of the wavelength per worm.
-      for ([[maybe_unused]] const WormId id : running_) {
-        OPTO_DASSERT(status_[id] == WormStatus::Running);
-        OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
-      }
-      attempt_keys_.resize(running_.size());
-      attempt::build_keys(running_, cursor_.data(), flat_keys_.data(),
-                          wl_.data(), merge_bit_, id_bits, simd_on_,
-                          attempt_keys_.data());
-    } else {
-      attempt_keys_.clear();
-      for (WormId id : running_) {
-        OPTO_DASSERT(status_[id] == WormStatus::Running);
-        OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
-        // Fault elimination interleaves with key build, so faulty
-        // passes keep the scalar loop (same key formula as the kernel).
-        const EdgeId link = flat_links_[cursor_[id]];
-        if (fault_blocks_entry(link)) {
+    //    A worm whose next link is dark — or whose feeding coupler is
+    //    down — is eliminated before it can contend, exactly like a
+    //    serve-first loss: its upstream flits drain and their occupancy
+    //    stands. Its word is dropped from this step's attempts.
+    attempt_keys_.resize(running_.size());
+    std::size_t attempts = 0;
+    for (const WormId id : running_) {
+      OPTO_DASSERT(status_[id] == WormStatus::Running);
+      OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
+      const std::uint32_t cursor = cursor_[id];
+      if (faults_on) {
+        const EdgeId link = flat_links_[cursor];
+        if (plan->link_down(link, now) ||
+            plan->coupler_down(collection_.graph().source(link), now)) {
           fault_kill(id, link, now);
           continue;
         }
-        const std::uint32_t fk = flat_keys_[cursor_[id]];
-        const std::uint32_t key =
-            fk | ((fk & merge_bit_) != 0 ? 0u : wl_[id]);
-        attempt_keys_.push_back((static_cast<std::uint64_t>(key) << id_bits) |
-                                id);
       }
+      const std::uint32_t fk = flat_keys_[cursor];
+      const std::uint32_t key = fk | ((fk & merge_bit_) != 0 ? 0u : wl_[id]);
+      attempt_keys_[attempts++] =
+          (static_cast<std::uint64_t>(key) << id_bits) | id;
     }
+    attempt_keys_.resize(attempts);
     // Small steps sort faster with introsort; large ones with the
     // byte-wise radix passes (the crossover is broad — anywhere in the
     // low hundreds behaves the same).
@@ -957,42 +939,9 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     else
       radix_sort(attempt_keys_, attempt_keys_scratch_, radix_counts_,
                  radix_passes * 8, 8);
-    // Pre-screen the sorted words: a singleton fixed-wavelength group
-    // whose channel is free in the registry admits immediately —
-    // no group build, no find(). Runs in every lane mode (the kernel
-    // dispatch handles the level), so metrics and traces are identical
-    // by construction; see prescan_free_singletons for the legality
-    // argument. Faulty passes skip it (stuck sentinels and down links
-    // need the resolvers).
-    // Below a few dozen attempts the extra pass over the keys costs
-    // about what the skipped find() calls save; the gate is a pure
-    // throughput heuristic — the mask path and the group path produce
-    // identical outcomes, metrics, and traces, so step size can never
-    // change results. The mask sees only registry claims, so a flagged
-    // singleton on a held channel falls through to the group path.
-    const bool prescan = !faults_on && attempt_keys_.size() >= 32;
-    if (prescan) {
-      admit_mask_.resize(attempt_keys_.size());
-      attempt::prescan_free_singletons(
-          attempt_keys_, id_bits, merge_bit_, config_.bandwidth,
-          registry_.epochs(), registry_.epoch(), registry_.releases(), now,
-          simd_on_, admit_mask_.data());
-    }
+    // 3. Resolve contention groups in ascending (key, worm) order.
     for (std::size_t lo = 0; lo < attempt_keys_.size();) {
       const std::uint64_t key = attempt_keys_[lo] >> id_bits;
-      if (prescan && admit_mask_[lo] != 0) {
-        const auto link = static_cast<EdgeId>(key >> key_link_shift);
-        const auto wl = static_cast<Wavelength>(key & (merge_bit_ - 1));
-        if (!held(link, wl)) {
-          // The skipped find() was one probe that would have missed;
-          // keep the registry stats identical to the slow path.
-          registry_.count_external_probe(false);
-          admit(static_cast<WormId>(attempt_keys_[lo] & id_mask), link, wl,
-                /*retuned=*/false);
-          ++lo;
-          continue;
-        }
-      }
       group_worms_.clear();
       std::size_t hi = lo;
       while (hi < attempt_keys_.size() &&

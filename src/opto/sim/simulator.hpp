@@ -50,15 +50,6 @@
 
 namespace opto {
 
-/// Per-simulator override of the SIMD lane policy (par/simd.hpp). Auto
-/// follows the process-wide level (compile-time OPTO_SIMD_LEVEL capped by
-/// the OPTO_SIMD env var); Off pins this simulator to the scalar kernels
-/// regardless. Lane width never changes any output — worm outcomes, model
-/// metrics, instrumentation counters, and the raw trace are byte-identical
-/// across modes (the simd-diff CI job and differ stage 3 enforce this) —
-/// so Off exists for differential testing, not for correctness.
-enum class SimdMode : std::uint8_t { Auto, Off };
-
 /// Wavelength-conversion capability (§4 / the [11] comparator). The paper
 /// studies the conversion-free case; Full models converters at every
 /// router (Cypher et al.'s setting), Sparse models converters at selected
@@ -81,8 +72,6 @@ struct SimConfig {
   /// simulator. Null — or a disabled zero-fault plan — leaves every code
   /// path and outcome bit-identical to the fault-free engine.
   const FaultPlan* faults = nullptr;
-  /// Lane policy for the packed attempt kernels; see SimdMode.
-  SimdMode simd = SimdMode::Auto;
 };
 
 /// A (directed link, wavelength) channel held by an established
@@ -220,16 +209,17 @@ class Simulator {
   std::span<const EdgeId> flat_links_;
   std::vector<char> link_converts_;  ///< sized iff conversion is enabled
 
-  // Packed-attempt key layout (attempt_kernel.hpp), fixed at construction.
-  // flat_keys_[j] pre-bakes (link << (wl_bits+1)) | merge_bit for flat
-  // position j, so the per-step key build is one lookup + a masked OR of
-  // the worm's wavelength. merge_bit_ = 1 << wl_bits, with
-  // wl_bits = bit_width(bandwidth − 1) — the layout adapts to B, keeping
-  // radix passes minimal. simd_on_ folds SimConfig::simd into the
-  // process-wide lane level once.
+  // Packed-attempt key layout, fixed at construction (bandwidth-adaptive):
+  //   key32 = (link << (wl_bits + 1)) | merge_bit? | wavelength
+  //   word  = (u64(key32) << id_bits) | worm id
+  // with wl_bits = bit_width(bandwidth − 1) and merge_bit_ = 1 << wl_bits,
+  // which marks a converting coupler's link (its entrants group by link
+  // alone, so the wavelength field stays 0). flat_keys_[j] pre-bakes the
+  // link and merge halves for flat position j, so the per-step key build
+  // is one lookup + a masked OR of the worm's wavelength. Narrow-B
+  // topologies sort fewer radix bytes.
   std::vector<std::uint32_t> flat_keys_;
   std::uint32_t merge_bit_ = 0x10000u;
-  bool simd_on_ = false;
 
   // Pass-state scratch, hoisted so repeated run() calls reuse capacity
   // (zero steady-state allocation across protocol rounds). All of it is
@@ -261,7 +251,6 @@ class Simulator {
   std::vector<ScreenHead> screen_heads_;
   std::vector<SimTime> retire_;  ///< last step loop iteration a worm is in
   std::vector<WormId> loop_order_;  ///< contended worms in injection order
-  std::vector<std::uint8_t> admit_mask_;  ///< free-singleton prescan flags
   std::vector<WormId> group_worms_;           ///< one contention group's ids
   std::vector<Contender> contenders_;
   /// Per-worm wavelength history; populated only when conversion is on.
@@ -277,7 +266,7 @@ class Simulator {
   // these flat arrays.
   std::vector<std::uint32_t> cursor_;
   std::vector<std::uint32_t> cursor_end_;
-  std::vector<std::uint32_t> wl_;  ///< widened for 32-bit SIMD gathers
+  std::vector<Wavelength> wl_;
   std::vector<WormStatus> status_;
 };
 

@@ -98,9 +98,8 @@ void compare_to_reference(const PassResult& fast, const PassResult& ref,
 /// Exact comparison between two runs of the production engine that must
 /// agree on every field, instrumentation included (wall_ns excluded: it
 /// is real time, not model time). Used by the determinism stage (two
-/// identical runs), the SIMD stage (scalar kernels vs lane kernels,
-/// which the attempt_kernel contract requires to be byte-identical) and
-/// the screen stage (an untraced pass against the traced one).
+/// identical runs) and the screen stage (an untraced pass against the
+/// traced one).
 void compare_runs(const PassResult& a, const PassResult& b,
                   std::vector<std::string>* issues, const char* src) {
   if (a.wavelength_offsets != b.wavelength_offsets ||
@@ -160,9 +159,9 @@ void compare_runs(const PassResult& a, const PassResult& b,
   check("peak_inflight", m.peak_inflight, n.peak_inflight);
 }
 
-/// Raw trace equality: lane width must not even reorder events within a
-/// timestamp, so the SIMD stage compares the recorded stream event by
-/// event.
+/// Raw trace equality: a rerun must not even reorder events within a
+/// timestamp, so the determinism stage compares the recorded stream
+/// event by event.
 void compare_traces_exact(const PassResult& a, const PassResult& b,
                           std::vector<std::string>* issues, const char* src) {
   const auto& x = a.trace.events();
@@ -380,27 +379,14 @@ DiffReport diff_case(const FuzzCase& fuzz) {
   const PassResult fast = first.run(fuzz.specs);
   report.metrics = fast.metrics;
 
-  // A fresh engine instance must reproduce the pass bit-for-bit; this is
-  // the property --replay and the corpus rest on.
+  // A fresh engine instance must reproduce the pass bit-for-bit, raw
+  // trace order included; this is the property --replay and the corpus
+  // rest on.
   Simulator second(built->collection, config);
   second.set_held(held);
   const PassResult again = second.run(fuzz.specs);
   compare_runs(fast, again, &report.issues, "determinism");
-
-  // SIMD lane-width cross-check: the scalar kernels, forced through the
-  // per-instance SimConfig::simd override (the OPTO_SIMD env cap is read
-  // once per process, so an env round-trip is not testable in-process),
-  // must reproduce the lane run bit-for-bit — instrumentation counters
-  // and the raw trace order included. In a scalar build
-  // (OPTO_SIMD_LEVEL=0) or under OPTO_SIMD=0 both runs use the scalar
-  // kernels and the stage degenerates to a determinism check.
-  SimConfig scalar_config = config;
-  scalar_config.simd = SimdMode::Off;
-  Simulator scalar_sim(built->collection, scalar_config);
-  scalar_sim.set_held(held);
-  const PassResult scalar = scalar_sim.run(fuzz.specs);
-  compare_runs(fast, scalar, &report.issues, "simd");
-  compare_traces_exact(fast, scalar, &report.issues, "simd");
+  compare_traces_exact(fast, again, &report.issues, "determinism");
 
   const ValidationReport pass_report =
       validate_pass(built->collection, config, fuzz.specs, fast);

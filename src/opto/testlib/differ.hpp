@@ -4,26 +4,23 @@
 //  1. a structural well-formedness check (hostile repro files fail here
 //     with a message instead of tripping an engine assert);
 //  2. two independent production Simulator runs, compared bit-for-bit —
-//     the engine must be deterministic for replay to mean anything;
-//  3. a scalar-vs-SIMD comparison (SimConfig::simd = Off forced against
-//     the process default), compared bit-for-bit including the engine's
-//     instrumentation counters and the raw trace order — lane width must
-//     never change a single byte (attempt_kernel.hpp contract);
-//  4. the validate.hpp invariant checkers (conservation, finish-time
+//     instrumentation counters and the raw trace order included; the
+//     engine must be deterministic for replay to mean anything;
+//  3. the validate.hpp invariant checkers (conservation, finish-time
 //     windows, witnesses, trace-based occupancy disjointness);
-//  5. when the case carries no *enabled* fault plan: a field-for-field
+//  4. when the case carries no *enabled* fault plan: a field-for-field
 //     comparison against the first-principles reference engine
-//     (reference_run models no faults, so faulty cases stop at 2–4 —
-//     a case whose fault plan has all-zero rates still reaches 5,
+//     (reference_run models no faults, so faulty cases stop at 2–3 —
+//     a case whose fault plan has all-zero rates still reaches 4,
 //     which pins the "disabled plan is bit-identical to no plan"
 //     contract);
-//  6. a screen stage: the case run again with record_trace off, so the
+//  5. a screen stage: the case run again with record_trace off, so the
 //     simulator's contention screen settles its overlap-free worms in
 //     closed form (a traced pass never screens). The untraced run must
 //     equal the traced run of stage 2 bit for bit — instrumentation
-//     counters and wavelength histories included — and, when stage 5
+//     counters and wavelength histories included — and, when stage 4
 //     runs, the reference engine field for field;
-//  7. an RWA stage: the case's path endpoints become requests. For each
+//  6. an RWA stage: the case's path endpoints become requests. For each
 //     distinct request, k_shortest_routes(…, 4) must equal the plain Yen
 //     of reference_ksp.hpp route for route. Then every rwa/ strategy
 //     routes the requests — a manual replay checks each
@@ -45,7 +42,7 @@ namespace opto::testlib {
 
 struct DiffReport {
   /// Human-readable disagreements, each prefixed with its source: [case],
-  /// [determinism], [simd], [validate], [occupancy], [reference],
+  /// [determinism], [validate], [occupancy], [reference],
   /// [screen], or [rwa].
   std::vector<std::string> issues;
   /// Production-engine metrics of the run (zeroed when the case never

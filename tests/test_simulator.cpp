@@ -480,14 +480,13 @@ TEST(SimulatorHeld, HeldChannelShadowsStuckFault) {
   }
 }
 
-TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
+TEST(SimulatorHeld, SingletonGroupsOnHeldChannelsMatchReference) {
   // 40 disjoint 4-link chains, one worm each at t=0: every step carries
-  // ≥ 32 singleton attempts, so the free-singleton prescan runs, and it
-  // cannot see holds. Holds on some worms' channels (at links 0 and 2)
-  // must still block them, and late same-channel worms die to occupants.
-  // The pass records its trace, so it is stepped whole: untraced, the
-  // contention screen would settle the unheld, uncontested worms and
-  // leave fewer than 32 attempts per step.
+  // ≥ 32 singleton groups, each resolved against the held mask before the
+  // registry. Holds on some worms' channels (at links 0 and 2) must block
+  // them, and late same-channel worms die to occupants. The pass records
+  // its trace, so it is stepped whole: untraced, the contention screen
+  // would settle the unheld, uncontested worms before the step loop.
   constexpr NodeId kChains = 40;
   constexpr NodeId kChainNodes = 5;
   GraphBuilder builder(kChains * kChainNodes, "chains");
@@ -518,29 +517,24 @@ TEST(SimulatorHeld, PrescanPassWithHeldChannelsMatchesReference) {
       slots.push_back({path.link(1), static_cast<Wavelength>(1 - wl)});
   }
   const auto held = held_mask(graph->link_count(), config.bandwidth, slots);
-  for (const SimdMode simd : {SimdMode::Auto, SimdMode::Off}) {
-    config.simd = simd;
-    Simulator sim(collection, config);
-    sim.set_held(held);
-    const PassResult fast = sim.run(specs);
-    expect_matches_reference(collection, config, specs, slots, fast);
-    EXPECT_GT(fast.metrics.pinned_blocks, 0u);
-    EXPECT_GT(fast.metrics.killed, 0u);
-    // Every attempt is a singleton group: one registry probe each, a hit
-    // exactly when the entrant dies (a held channel or an occupant).
-    const std::uint64_t losses =
-        fast.metrics.killed + fast.metrics.pinned_blocks;
-    EXPECT_EQ(fast.metrics.registry_probes, fast.metrics.worm_steps + losses);
-    EXPECT_EQ(fast.metrics.registry_hits, losses);
-  }
+  Simulator sim(collection, config);
+  sim.set_held(held);
+  const PassResult fast = sim.run(specs);
+  expect_matches_reference(collection, config, specs, slots, fast);
+  EXPECT_GT(fast.metrics.pinned_blocks, 0u);
+  EXPECT_GT(fast.metrics.killed, 0u);
+  // Every attempt is a singleton group: one registry probe each, a hit
+  // exactly when the entrant dies (a held channel or an occupant).
+  const std::uint64_t losses = fast.metrics.killed + fast.metrics.pinned_blocks;
+  EXPECT_EQ(fast.metrics.registry_probes, fast.metrics.worm_steps + losses);
+  EXPECT_EQ(fast.metrics.registry_hits, losses);
 }
 
 TEST(SimulatorLargeGraph, PackedKeysPastTwoToTheFifteenLinksMatchReference) {
   // A 92x92 mesh has 4 * 92 * 91 = 33,488 directed links, past 2^15: the
   // group key needs 16 link bits. Dimension-order routes between nodes of
   // the bottom rows use the highest link ids; 640 worms launched over 8
-  // steps put far more than 32 attempts into each early step, so the
-  // vectorized key build and the free-singleton prescan both run.
+  // steps put far more than 32 attempts into each early step.
   constexpr std::uint32_t kSide = 92;
   const auto topo =
       std::make_shared<const MeshTopology>(make_mesh({kSide, kSide}));
@@ -574,14 +568,10 @@ TEST(SimulatorLargeGraph, PackedKeysPastTwoToTheFifteenLinksMatchReference) {
   SimConfig base;
   base.bandwidth = 2;
   const auto run_against_reference = [&](const SimConfig& config) {
-    for (const SimdMode simd : {SimdMode::Auto, SimdMode::Off}) {
-      SimConfig mode = config;
-      mode.simd = simd;
-      Simulator sim(collection, mode);
-      const PassResult fast = sim.run(specs);
-      expect_matches_reference(collection, mode, specs, {}, fast);
-      EXPECT_GT(fast.metrics.contentions, 0u);
-    }
+    Simulator sim(collection, config);
+    const PassResult fast = sim.run(specs);
+    expect_matches_reference(collection, config, specs, {}, fast);
+    EXPECT_GT(fast.metrics.contentions, 0u);
   };
 
   SCOPED_TRACE("serve-first");
@@ -601,7 +591,7 @@ TEST(SimulatorLargeGraph, PackedKeysPastTwoToTheFifteenLinksMatchReference) {
   }
   {
     // An enabled plan whose only fault acts after the pass (lost acks)
-    // sends every step through the scalar faulty key loop while leaving
+    // sends every step through the key loop's fault check while leaving
     // outcomes comparable with the fault-free reference.
     SCOPED_TRACE("ack-drop fault plan");
     FaultConfig faults;

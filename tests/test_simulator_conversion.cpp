@@ -100,6 +100,29 @@ TEST(Conversion, SimultaneousEntrantsSpreadAcrossWavelengths) {
   EXPECT_EQ(result.metrics.retunes, 2u);  // ids 1, 2 retune at link 0
 }
 
+TEST(Conversion, EntrantsOnDifferentWavelengthsShareOneGroup) {
+  // At a converting router one step's entrants contend by link alone: the
+  // attempt key drops their wavelength. Worm 2 holds λ1 on link 0 when
+  // worms 0 (λ1) and 1 (λ0) enter it together. Served in worm-id order,
+  // worm 0 retunes onto the free λ0 and worm 1 finds nothing left; keyed
+  // by (link, λ) instead, worm 1 would take λ0 first and worm 0 would die.
+  const auto graph = make_chain(5);
+  const auto collection = chain_bundle(graph, 0, 4, 3);
+  SimConfig config;
+  config.bandwidth = 2;
+  config.conversion = ConversionMode::Full;
+  Simulator sim(collection, config);
+  const auto result = sim.run(std::vector<LaunchSpec>{
+      spec(0, 1, 1, 4), spec(1, 1, 0, 4), spec(2, 0, 1, 4)});
+  EXPECT_TRUE(result.worms[0].delivered_intact());
+  EXPECT_EQ(result.worms[1].status, WormStatus::Killed);
+  EXPECT_EQ(result.worms[1].blocked_at_link, 0u);
+  EXPECT_TRUE(result.worms[2].delivered_intact());
+  EXPECT_EQ(result.metrics.retunes, 1u);
+  ASSERT_EQ(result.wavelength_offsets.size(), 4u);
+  EXPECT_EQ(result.wavelengths[result.wavelength_offsets[0]], 0u);
+}
+
 TEST(Conversion, RetunedWormKeepsNewWavelengthDownstream) {
   const auto graph = make_chain(6);
   const auto collection = chain_bundle(graph, 0, 5, 2);
