@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Differential-fuzz smoke: replays the committed corpus byte-strictly,
-# then runs a fixed-seed generated sweep. This is the tier-1-sized
-# version of the nightly long fuzz; any divergence is shrunk to a
-# minimal reproducer in OUT and the script exits non-zero.
+# Differential-fuzz smoke: replays the committed pass anchors
+# (examples/repros/*.opto, then their canonical dumps in examples/golden/
+# byte-strictly), then runs a fixed-seed generated sweep. This is the
+# tier-1-sized version of the nightly long fuzz; any divergence is shrunk
+# to a minimal pass-scenario reproducer in OUT and the script exits
+# non-zero.
 #
 #   scripts/run_fuzz_smoke.sh [--seed S] [--cases N] [--out DIR]
 #                             [--build-dir DIR]
@@ -36,8 +38,13 @@ if [ ! -x "$FUZZ" ]; then
   exit 2
 fi
 
-echo "== corpus replay (strict bytes) =="
-"$FUZZ" --replay-dir tests/corpus --strict-bytes
+echo "== pass anchors: examples/repros/ =="
+"$FUZZ" --replay-dir examples/repros
+echo "== their canonical dumps (strict bytes) =="
+for f in examples/repros/*.opto; do
+  "$FUZZ" --replay "examples/golden/$(basename "$f" .opto).json" \
+    --strict-bytes --quiet
+done
 
 echo "== generated sweep: seed $SEED, $CASES cases =="
 "$FUZZ" --seed "$SEED" --cases "$CASES" --out "$OUT"

@@ -171,9 +171,7 @@ JsonValue case_json(const ScenarioSpec& spec) {
   return out;
 }
 
-}  // namespace
-
-JsonValue to_canonical_json(const ScenarioSpec& spec) {
+JsonValue scenario_json(const ScenarioSpec& spec) {
   JsonValue root = JsonValue::make_object();
   root.add_member("schema", JsonValue::of(kScenarioSchema));
   root.add_member("schema_version",
@@ -201,9 +199,11 @@ JsonValue to_canonical_json(const ScenarioSpec& spec) {
   return root;
 }
 
+}  // namespace
+
 std::string canonical_text(const ScenarioSpec& spec) {
   std::ostringstream os;
-  write_json(os, to_canonical_json(spec), /*sorted_keys=*/true);
+  write_json(os, scenario_json(spec), /*sorted_keys=*/true);
   os << '\n';
   return os.str();
 }
@@ -349,18 +349,21 @@ class JsonLoader {
     return fail("unknown value '" + value.text + "' for '" + key + "'");
   }
 
+  /// Fixed-arity integer tuples; field i must lie in 0..hi[i], and the
+  /// arity is hi.size().
   bool read_tuples(const JsonValue& value, const std::string& key,
-                   std::size_t arity,
+                   const std::vector<std::uint64_t>& hi,
                    std::vector<std::vector<std::uint64_t>>& out) {
+    const std::size_t arity = hi.size();
     if (!value.is_array()) return fail("'" + key + "' must be an array");
     for (const JsonValue& item : value.items) {
       if (!item.is_array() || item.items.size() != arity)
         return fail("'" + key + "' entries must be arrays of " +
                     std::to_string(arity) + " integers");
       std::vector<std::uint64_t> tuple;
-      for (const JsonValue& field : item.items) {
+      for (std::size_t i = 0; i < arity; ++i) {
         std::uint64_t v = 0;
-        if (!read_u64(field, key, 0, std::uint64_t{1} << 53, v)) return false;
+        if (!read_u64(item.items[i], key, 0, hi[i], v)) return false;
         tuple.push_back(v);
       }
       out.push_back(std::move(tuple));
@@ -424,7 +427,9 @@ class JsonLoader {
       return fail("missing 'ports' or 'levels' in topology");
     if (edges_value != nullptr) {
       std::vector<std::vector<std::uint64_t>> tuples;
-      if (!read_tuples(*edges_value, "edges", 2, tuples)) return false;
+      if (!read_tuples(*edges_value, "edges", {kMaxU32Field, kMaxU32Field},
+                       tuples))
+        return false;
       for (const auto& t : tuples) {
         if (t[0] >= topo.nodes || t[1] >= topo.nodes || t[0] == t[1])
           return fail("invalid edge in 'edges'");
@@ -459,7 +464,7 @@ class JsonLoader {
           std::vector<std::uint32_t> nodes;
           for (const JsonValue& node : route.items) {
             std::uint64_t id = 0;
-            if (!read_u64(node, "routes", 0, std::uint64_t{1} << 32, id))
+            if (!read_u64(node, "routes", 0, kMaxU32Field, id))
               return false;
             nodes.push_back(static_cast<std::uint32_t>(id));
           }
@@ -690,7 +695,12 @@ class JsonLoader {
           return false;
       } else if (key == "launches") {
         std::vector<std::vector<std::uint64_t>> tuples;
-        if (!read_tuples(value, "launches", 5, tuples)) return false;
+        // (path, start, wavelength, priority, length)
+        if (!read_tuples(value, "launches",
+                         {kMaxU32Field, kMaxLaunchStart, kMaxU32Field,
+                          kMaxU32Field, kMaxU32Field},
+                         tuples))
+          return false;
         for (const auto& t : tuples) {
           LaunchSpecLine line;
           line.path = static_cast<std::uint32_t>(t[0]);
@@ -703,7 +713,9 @@ class JsonLoader {
         }
       } else if (key == "pinned") {
         std::vector<std::vector<std::uint64_t>> tuples;
-        if (!read_tuples(value, "pinned", 2, tuples)) return false;
+        if (!read_tuples(value, "pinned", {kMaxU32Field, kMaxU32Field},
+                         tuples))
+          return false;
         for (const auto& t : tuples)
           spec_.pinned.emplace_back(static_cast<std::uint32_t>(t[0]),
                                     static_cast<std::uint32_t>(t[1]));
@@ -722,8 +734,8 @@ class JsonLoader {
 
 }  // namespace
 
-bool from_canonical_json(const JsonValue& doc, const std::string& file,
-                         ScenarioSpec& spec, DslError& error) {
+bool from_scenario_json(const JsonValue& doc, const std::string& file,
+                        ScenarioSpec& spec, DslError& error) {
   return JsonLoader(file, spec, error).run(doc);
 }
 

@@ -20,15 +20,13 @@ namespace opto::dsl {
 inline constexpr const char* kScenarioSchema = "opto.scenario";
 inline constexpr int kScenarioSchemaVersion = 1;
 
-JsonValue to_canonical_json(const ScenarioSpec& spec);
-
 /// Sorted keys plus one trailing newline — the bytes committed as
 /// examples/golden/*.json.
 std::string canonical_text(const ScenarioSpec& spec);
 
-/// Strict inverse of to_canonical_json (any key order accepted; unknown
-/// keys rejected). `file` only labels the error.
-bool from_canonical_json(const JsonValue& doc, const std::string& file,
-                         ScenarioSpec& spec, DslError& error);
+/// Strict inverse of canonical_text's document (any key order accepted;
+/// unknown keys rejected). `file` only labels the error.
+bool from_scenario_json(const JsonValue& doc, const std::string& file,
+                        ScenarioSpec& spec, DslError& error);
 
 }  // namespace opto::dsl

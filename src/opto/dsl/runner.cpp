@@ -223,17 +223,12 @@ testlib::FuzzCase to_fuzz_case(const ScenarioSpec& spec) {
   for (const auto& [u, v] : spec.topology.edges) fuzz.edges.emplace_back(u, v);
   for (const auto& route : spec.paths.routes)
     fuzz.paths.emplace_back(route.begin(), route.end());
-  fuzz.rule = spec.protocol.rule == "priority" ? ContentionRule::Priority
-                                               : ContentionRule::ServeFirst;
-  fuzz.tie = spec.protocol.tie == "first_wins" ? TiePolicy::FirstWins
-                                               : TiePolicy::KillAll;
-  fuzz.bandwidth = static_cast<std::uint16_t>(spec.protocol.bandwidth);
-  fuzz.conversion = spec.protocol.conversion == "full" ? ConversionMode::Full
-                    : spec.protocol.conversion == "sparse"
-                        ? ConversionMode::Sparse
-                        : ConversionMode::None;
-  fuzz.converters.assign(spec.protocol.converters.begin(),
-                         spec.protocol.converters.end());
+  ProtocolConfig protocol = make_protocol(spec);
+  fuzz.rule = protocol.rule;
+  fuzz.tie = protocol.tie;
+  fuzz.bandwidth = protocol.bandwidth;
+  fuzz.conversion = protocol.conversion;
+  fuzz.converters = std::move(protocol.converters);
   if (spec.faults.declared) {
     fuzz.has_faults = true;
     fuzz.faults = make_faults(spec.faults);
@@ -253,6 +248,60 @@ testlib::FuzzCase to_fuzz_case(const ScenarioSpec& spec) {
     fuzz.specs.push_back(launch);
   }
   return fuzz;
+}
+
+ScenarioSpec from_fuzz_case(const testlib::FuzzCase& fuzz) {
+  ScenarioSpec spec;
+  spec.name = "fuzz seed " + std::to_string(fuzz.seed) + " case " +
+              std::to_string(fuzz.index);
+  spec.label = "fuzz-seed-" + std::to_string(fuzz.seed) + "-case-" +
+               std::to_string(fuzz.index);
+  spec.mode = ScenarioMode::Pass;
+  spec.case_seed = fuzz.seed;
+  spec.case_index = fuzz.index;
+  spec.topology.family = "explicit";
+  spec.topology.nodes = fuzz.node_count;
+  spec.topology.edges.assign(fuzz.edges.begin(), fuzz.edges.end());
+  spec.paths.system = "explicit";
+  spec.paths.routes.assign(fuzz.paths.begin(), fuzz.paths.end());
+  spec.protocol.rule =
+      fuzz.rule == ContentionRule::Priority ? "priority" : "serve_first";
+  spec.protocol.tie =
+      fuzz.tie == TiePolicy::FirstWins ? "first_wins" : "kill_all";
+  spec.protocol.bandwidth = fuzz.bandwidth;
+  spec.protocol.conversion = fuzz.conversion == ConversionMode::Full ? "full"
+                             : fuzz.conversion == ConversionMode::Sparse
+                                 ? "sparse"
+                                 : "none";
+  for (const char flag : fuzz.converters)
+    spec.protocol.converters.push_back(flag != 0 ? 1 : 0);
+  if (fuzz.has_faults) {
+    FaultSpec& faults = spec.faults;
+    faults.declared = true;
+    faults.link_outage_rate = fuzz.faults.link_outage_rate;
+    faults.coupler_outage_rate = fuzz.faults.coupler_outage_rate;
+    faults.outage_period =
+        static_cast<std::uint64_t>(fuzz.faults.outage_period);
+    faults.outage_duration =
+        static_cast<std::uint64_t>(fuzz.faults.outage_duration);
+    faults.stuck_wavelength_rate = fuzz.faults.stuck_wavelength_rate;
+    faults.corruption_rate = fuzz.faults.corruption_rate;
+    faults.ack_drop_rate = fuzz.faults.ack_drop_rate;
+    faults.seed = fuzz.fault_seed;
+    faults.epoch = fuzz.fault_epoch;
+  }
+  for (const PinnedSlot& slot : fuzz.pinned)
+    spec.pinned.emplace_back(slot.link, slot.wavelength);
+  for (const LaunchSpec& launch : fuzz.specs) {
+    LaunchSpecLine line;
+    line.path = launch.path;
+    line.start = static_cast<std::uint64_t>(launch.start_time);
+    line.wavelength = launch.wavelength;
+    line.priority = launch.priority;
+    line.length = launch.length;
+    spec.launches.push_back(line);
+  }
+  return spec;
 }
 
 bool run_scenario(const ScenarioSpec& spec, JsonValue& result,

@@ -27,10 +27,15 @@ bool run_scenario(const ScenarioSpec& spec, JsonValue& result,
 /// the bytes the equivalence gate compares.
 std::string result_text(const JsonValue& result);
 
-/// Pass-mode spec → the fuzzer's FuzzCase. For a spec loaded from an
-/// examples/repros/*.opto file, testlib::canonical_json(to_fuzz_case(s))
-/// byte-equals the committed tests/corpus/*.json anchor.
+/// Pass-mode spec → the fuzzer's FuzzCase. This is how opto_fuzz
+/// replays a saved case (.opto or .json) and how run_scenario runs a
+/// pass.
 testlib::FuzzCase to_fuzz_case(const ScenarioSpec& spec);
+
+/// FuzzCase → pass-mode spec, the inverse of to_fuzz_case: for a
+/// well-formed case, to_fuzz_case(from_fuzz_case(c)) == c, and
+/// canonical_text of the result is the file opto_fuzz writes.
+ScenarioSpec from_fuzz_case(const testlib::FuzzCase& fuzz);
 
 /// Hand-coded scenario equivalents, keyed by name.
 std::vector<std::string> builtin_names();

@@ -12,8 +12,10 @@
 //            batches (engine/engine.hpp).
 //   pass   — one raw simulator pass over an explicit topology, path list,
 //            and launch schedule; interconvertible with the fuzzer's
-//            FuzzCase ("opto.fuzz.case/1"), which is how distilled fuzz
-//            anchors and bug repros become human-readable .opto files.
+//            in-memory FuzzCase (runner.hpp to_fuzz_case /
+//            from_fuzz_case). It is the only on-disk form of a fuzz
+//            case: opto_fuzz writes and replays pass scenarios, and the
+//            distilled anchors live in examples/repros/*.opto.
 #pragma once
 
 #include <cstdint>

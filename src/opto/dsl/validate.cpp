@@ -231,10 +231,12 @@ class Validator {
     return true;
   }
 
-  /// `[[a, b], …]` — fixed-arity integer tuples (edges, pinned, launches).
+  /// `[[a, b], …]` — fixed-arity integer tuples (edges, pinned, launches);
+  /// field i must lie in 0..hi[i], and the arity is hi.size().
   bool get_tuple_list(
-      const Setting& s, std::size_t arity, const std::string& what,
-      std::vector<std::vector<std::uint64_t>>& out) {
+      const Setting& s, const std::vector<std::uint64_t>& hi,
+      const std::string& what, std::vector<std::vector<std::uint64_t>>& out) {
+    const std::size_t arity = hi.size();
     const Value* list = nullptr;
     if (!get_list(s, list)) return false;
     out.clear();
@@ -248,10 +250,9 @@ class Validator {
                                   " integers in a " + what + " entry, got " +
                                   std::to_string(item.items.size()));
       std::vector<std::uint64_t> tuple;
-      for (const Value& field : item.items) {
+      for (std::size_t i = 0; i < arity; ++i) {
         std::uint64_t v = 0;
-        if (!u64_from(field, "a " + what + " entry", 0,
-                      std::uint64_t{1} << 53, v))
+        if (!u64_from(item.items[i], "a " + what + " entry", 0, hi[i], v))
           return false;
         tuple.push_back(v);
       }
@@ -382,7 +383,8 @@ class Validator {
       if (s.key == "edges" && topo.family == "explicit") {
         saw_edges = true;
         std::vector<std::vector<std::uint64_t>> tuples;
-        if (!get_tuple_list(s, 2, "edge", tuples)) return -1;
+        if (!get_tuple_list(s, {kMaxU32Field, kMaxU32Field}, "edge", tuples))
+          return -1;
         for (std::size_t i = 0; i < tuples.size(); ++i)
           topo.edges.emplace_back(static_cast<std::uint32_t>(tuples[i][0]),
                                   static_cast<std::uint32_t>(tuples[i][1]));
@@ -487,8 +489,7 @@ class Validator {
           std::vector<std::uint32_t> nodes;
           for (const Value& node : route.items) {
             std::uint64_t id = 0;
-            if (!u64_from(node, "a route node", 0, std::uint64_t{1} << 32,
-                          id))
+            if (!u64_from(node, "a route node", 0, kMaxU32Field, id))
               return -1;
             nodes.push_back(static_cast<std::uint32_t>(id));
           }
@@ -745,7 +746,12 @@ class Validator {
         saw_launches = true;
         launches_loc_ = s.value.loc;
         std::vector<std::vector<std::uint64_t>> tuples;
-        if (!get_tuple_list(s, 5, "launch", tuples)) return -1;
+        // (path, start, wavelength, priority, length)
+        if (!get_tuple_list(s,
+                            {kMaxU32Field, kMaxLaunchStart, kMaxU32Field,
+                             kMaxU32Field, kMaxU32Field},
+                            "launch", tuples))
+          return -1;
         for (const auto& t : tuples) {
           LaunchSpecLine line;
           line.path = static_cast<std::uint32_t>(t[0]);
@@ -763,7 +769,9 @@ class Validator {
       }
       if (s.key == "pinned") {
         std::vector<std::vector<std::uint64_t>> tuples;
-        if (!get_tuple_list(s, 2, "pinned-slot", tuples)) return -1;
+        if (!get_tuple_list(s, {kMaxU32Field, kMaxU32Field}, "pinned-slot",
+                            tuples))
+          return -1;
         for (const auto& t : tuples)
           spec_.pinned.emplace_back(static_cast<std::uint32_t>(t[0]),
                                     static_cast<std::uint32_t>(t[1]));
@@ -916,7 +924,7 @@ bool load_scenario_text(std::string_view source, const std::string& file,
       error = DslError{file, SourceLoc{}, "invalid JSON: " + json_error};
       return false;
     }
-    return from_canonical_json(*doc, file, spec, error);
+    return from_scenario_json(*doc, file, spec, error);
   }
   return load_opto_text(source, file, spec, error);
 }

@@ -19,6 +19,13 @@ namespace opto::dsl {
 /// Fixed-schedule / engine Δ range; the "out-of-range Δ" diagnostic.
 inline constexpr std::uint64_t kMaxDelta = 1u << 24;
 
+/// Cap of every integer the spec stores as uint32 (edge endpoints, route
+/// nodes, pinned link and λ, launch path, λ, priority and length), so no
+/// value is narrowed on load.
+inline constexpr std::uint64_t kMaxU32Field = 0xffffffffu;
+/// Cap of a launch start: the largest integer a JSON double holds exactly.
+inline constexpr std::uint64_t kMaxLaunchStart = std::uint64_t{1} << 53;
+
 /// Node count of the graph the topology's builder makes (converter
 /// lists are per-node).
 std::uint64_t topology_nodes(const TopologySpec& topo);

@@ -16,7 +16,10 @@ Graph make_circulant(std::uint32_t n, std::vector<std::uint32_t> offsets) {
       std::adjacent_find(offsets.begin(), offsets.end()) == offsets.end(),
       "duplicate circulant offsets");
   std::string name = "circulant-" + std::to_string(n);
-  for (const std::uint32_t s : offsets) name += "-" + std::to_string(s);
+  for (const std::uint32_t s : offsets) {
+    name += '-';
+    name += std::to_string(s);
+  }
   GraphBuilder graph(n, name);
   for (const std::uint32_t s : offsets) {
     OPTO_ASSERT(s >= 1 && s <= n / 2);

@@ -20,7 +20,10 @@ MeshTopology detail::make_grid(std::vector<std::uint32_t> sides, bool wrap) {
   topo.sides = std::move(sides);
   topo.wrap = wrap;
   std::string name = wrap ? "torus" : "mesh";
-  for (std::uint32_t side : topo.sides) name += "-" + std::to_string(side);
+  for (std::uint32_t side : topo.sides) {
+    name += '-';
+    name += std::to_string(side);
+  }
 
   // Each node links to its +1 neighbour in every dimension, dimension 0
   // first (the -1 neighbour is covered by the neighbour's own +1 edge);

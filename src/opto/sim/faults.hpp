@@ -63,6 +63,8 @@ struct FaultConfig {
            stuck_wavelength_rate > 0.0 || corruption_rate > 0.0 ||
            ack_drop_rate > 0.0;
   }
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 /// A replayable schedule of faults, keyed by (base_seed, fault_epoch).

@@ -81,6 +81,8 @@ struct SimConfig {
 struct PinnedSlot {
   EdgeId link = kInvalidEdge;
   Wavelength wavelength = 0;
+
+  bool operator==(const PinnedSlot&) const = default;
 };
 
 /// The held-channel mask for `slots` over `link_count` links of
@@ -96,6 +98,8 @@ struct LaunchSpec {
   Wavelength wavelength = 0;     ///< in [0, bandwidth)
   std::uint32_t priority = 0;    ///< rank for the priority rule
   std::uint32_t length = 1;      ///< worm length L in flits (≥ 1)
+
+  bool operator==(const LaunchSpec&) const = default;
 };
 
 struct WormOutcome {

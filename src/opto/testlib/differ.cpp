@@ -380,8 +380,8 @@ DiffReport diff_case(const FuzzCase& fuzz) {
   report.metrics = fast.metrics;
 
   // A fresh engine instance must reproduce the pass bit-for-bit, raw
-  // trace order included; this is the property --replay and the corpus
-  // rest on.
+  // trace order included; this is the property --replay and the
+  // committed repros rest on.
   Simulator second(built->collection, config);
   second.set_held(held);
   const PassResult again = second.run(fuzz.specs);

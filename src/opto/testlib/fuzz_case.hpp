@@ -1,29 +1,23 @@
-// FuzzCase — a fully self-contained, serializable description of one
-// differential-fuzzing input: topology, path collection, simulator
-// configuration (including converting couplers and an optional fault
-// plan), and the launch schedule.
+// FuzzCase — a fully self-contained description of one differential-
+// fuzzing input: topology, path collection, simulator configuration
+// (including converting couplers and an optional fault plan), and the
+// launch schedule. The generator, the shrinker and the differ share it.
 //
-// The canonical JSON form (sorted keys, trailing newline; written and
-// read with util/json_parse) is the interchange format of the whole
-// fuzzing pipeline: the generator's output, opto_fuzz's minimized repro
-// files, and the committed tests/corpus/ regression cases are all this
-// one schema ("opto.fuzz.case/1"). 64-bit seeds are serialized as
-// decimal strings — JSON numbers are doubles and would silently round
-// them.
+// On disk a case is a pass-mode scenario ("opto.scenario/1"): opto_fuzz
+// writes canonical_text(dsl::from_fuzz_case(c)) and reads any .opto or
+// .json scenario back through dsl::to_fuzz_case (dsl/runner.hpp). The
+// committed anchors are examples/repros/*.opto.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "opto/paths/path_collection.hpp"
 #include "opto/sim/faults.hpp"
 #include "opto/sim/simulator.hpp"
-#include "opto/util/json_parse.hpp"
 
 namespace opto::testlib {
 
@@ -35,7 +29,7 @@ struct FuzzCase {
 
   // Topology: node count plus undirected edges (each becomes the usual
   // pair of directed optical links).
-  NodeId node_count = 1;
+  NodeId node_count = 2;
   std::vector<std::pair<NodeId, NodeId>> edges;
 
   // Paths as node sequences (simple; consecutive nodes adjacent).
@@ -60,6 +54,8 @@ struct FuzzCase {
   std::vector<PinnedSlot> pinned;
 
   std::vector<LaunchSpec> specs;
+
+  bool operator==(const FuzzCase&) const = default;
 };
 
 /// Structural validity: everything build_case() (or the simulator)
@@ -84,19 +80,5 @@ struct BuiltCase {
 
 /// Materializes a well-formed case (asserts well_formed()).
 std::unique_ptr<BuiltCase> build_case(const FuzzCase& fuzz);
-
-JsonValue case_to_json(const FuzzCase& fuzz);
-std::optional<FuzzCase> case_from_json(const JsonValue& value,
-                                       std::string* error = nullptr);
-
-/// Canonical serialization: sorted object keys, one trailing newline.
-/// Byte-stable across platforms and runs; the corpus replay test and
-/// the generator-determinism test compare these bytes directly.
-std::string canonical_json(const FuzzCase& fuzz);
-
-/// Parses a case document (the inverse of canonical_json, though any
-/// key order is accepted on input).
-std::optional<FuzzCase> parse_case(std::string_view text,
-                                   std::string* error = nullptr);
 
 }  // namespace opto::testlib

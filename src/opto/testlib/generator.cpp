@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "opto/rng/rng.hpp"
+#include "opto/sim/occupancy.hpp"
 #include "opto/util/assert.hpp"
 
 namespace opto::testlib {
@@ -204,6 +205,11 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
       rng.next_bernoulli(0.5) ? TiePolicy::FirstWins : TiePolicy::KillAll;
   fuzz.bandwidth =
       1 + static_cast<std::uint16_t>(rng.next_below(options.max_bandwidth));
+  // Links x bandwidth must fit the simulator's channel budget; this only
+  // binds on graphs far above the default node cap.
+  fuzz.bandwidth = static_cast<std::uint16_t>(std::min<std::uint64_t>(
+      fuzz.bandwidth,
+      kMaxChannels / (2 * std::max<std::size_t>(1, fuzz.edges.size()))));
   if (rng.next_bernoulli(options.conversion_probability)) {
     if (rng.next_bernoulli(0.5)) {
       fuzz.conversion = ConversionMode::Full;

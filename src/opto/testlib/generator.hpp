@@ -2,10 +2,10 @@
 //
 // generate_case(seed, index) is a pure function: it draws everything
 // from Rng::stream(seed, index) and touches no global state (threads,
-// time, environment), so the same (seed, index) produces a byte-
-// identical canonical_json() on every platform, thread setting, and
-// process run — the property the determinism tests and the replayable
-// corpus rest on.
+// time, environment), so the same (seed, index) produces a field-equal
+// case — and byte-identical `opto_fuzz --dump` text — on every
+// platform, thread setting, and process run: the property the
+// determinism tests and the replayable repros rest on.
 //
 // Coverage strategy: each case draws a topology family (chain, ring,
 // star, clique, random tree + chords, bridged double clique, disjoint

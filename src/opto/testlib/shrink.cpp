@@ -252,7 +252,7 @@ class Shrinker {
 
   /// Drops edges no path crosses, then renumbers nodes so only visited
   /// ones remain — the minimized topology is exactly the repro's
-  /// footprint.
+  /// footprint, padded to the two nodes a saved scenario needs.
   bool compact_graph() {
     std::set<std::uint64_t> used_edges;
     std::set<NodeId> used_nodes;
@@ -261,16 +261,17 @@ class Shrinker {
       for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
         used_edges.insert(normalized_edge(nodes[i], nodes[i + 1]));
     }
-    if (used_nodes.empty()) used_nodes.insert(0);
+    const NodeId kept = std::max<NodeId>(
+        2, static_cast<NodeId>(used_nodes.size()));
     if (used_edges.size() == current_.edges.size() &&
-        used_nodes.size() == current_.node_count)
+        kept == current_.node_count)
       return false;
 
     FuzzCase candidate = current_;
     std::map<NodeId, NodeId> remap;
     for (const NodeId node : used_nodes)
       remap.emplace(node, static_cast<NodeId>(remap.size()));
-    candidate.node_count = static_cast<NodeId>(remap.size());
+    candidate.node_count = kept;
     candidate.edges.clear();
     for (const auto& [u, v] : current_.edges)
       if (used_edges.count(normalized_edge(u, v)) != 0)

@@ -8,7 +8,7 @@
 //
 // The predicate is arbitrary, so the same machinery minimizes real
 // divergences (predicate: "diff_case() reports issues") and distills
-// behavioral regression anchors for the corpus (predicate: "a worm is
+// behavioral regression anchors (examples/repros/; predicate: "a worm is
 // truncated and a retune happens").
 #pragma once
 

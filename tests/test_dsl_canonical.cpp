@@ -4,7 +4,8 @@
 //  - parse -> canonical dump -> parse is a fixed point on the examples
 //    and on hundreds of generated programs,
 //  - the (seed, index) program generator is deterministic, and mutated
-//    programs always terminate in a clean parse or a diagnostic.
+//    programs always terminate in a clean parse or a diagnostic,
+//  - both loaders reject foreign documents and out-of-range integers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "opto/dsl/canonical.hpp"
@@ -136,6 +138,97 @@ TEST(DslCanonical, JsonLoaderRejectsUnknownKeysAndWrongSchema) {
       "doc", spec, error));
   EXPECT_NE(error.message.find("surprise"), std::string::npos)
       << error.format();
+}
+
+TEST(DslCanonical, LoaderRejectsGarbageAndForeignSchemas) {
+  ScenarioSpec spec;
+  DslError error;
+  EXPECT_FALSE(load_scenario_text("not json at all", "doc", spec, error));
+  EXPECT_FALSE(load_scenario_text("{}", "doc", spec, error));
+  EXPECT_NE(error.message.find("schema"), std::string::npos)
+      << error.format();
+  // The version lives in schema_version, never in the schema tag.
+  EXPECT_FALSE(load_scenario_text(R"({"schema":"opto.scenario/1"})", "doc",
+                                  spec, error));
+  EXPECT_NE(error.message.find("schema"), std::string::npos)
+      << error.format();
+
+  const std::string dump = slurp(std::string(OPTO_EXAMPLES_DIR) +
+                                 "/golden/distilled_kill.json");
+  ASSERT_TRUE(load_scenario_text(dump, "doc", spec, error)) << error.format();
+  std::string future = dump;
+  const std::string version = "\"schema_version\":1";
+  ASSERT_NE(future.find(version), std::string::npos);
+  future.replace(future.find(version), version.size(),
+                 "\"schema_version\":9");
+  EXPECT_FALSE(load_scenario_text(future, "doc", spec, error));
+  EXPECT_NE(error.message.find("schema_version"), std::string::npos)
+      << error.format();
+}
+
+/// `text` with every `{KEY}` replaced by its value in `fields`.
+std::string fill(std::string text,
+                 const std::vector<std::pair<std::string, std::string>>& fields) {
+  for (const auto& [key, value] : fields) {
+    const std::string slot = "{" + key + "}";
+    for (std::size_t at = text.find(slot); at != std::string::npos;
+         at = text.find(slot))
+      text.replace(at, slot.size(), value);
+  }
+  return text;
+}
+
+TEST(DslCanonical, BothLoadersRejectIntegersPastUint32) {
+  // Every integer a pass scenario stores as uint32 must be rejected past
+  // 2^32 - 1 with a diagnostic, never narrowed (2^32 used to load as 0).
+  const std::string opto =
+      "scenario \"wide\" {\n"
+      "  mode pass;\n"
+      "  topology explicit { nodes 2; edges [[{U}, {V}]]; }\n"
+      "  paths explicit { routes [[0, {NODE}]]; }\n"
+      "  protocol { bandwidth 2; }\n"
+      "  case {\n"
+      "    launches [[{PATH}, 0, {LAMBDA}, {PRIORITY}, {LENGTH}]];\n"
+      "    pinned [[{LINK}, {PIN_LAMBDA}]];\n"
+      "  }\n"
+      "}\n";
+  const std::string json =
+      R"({"schema":"opto.scenario","schema_version":1,"mode":"pass",)"
+      R"("name":"wide","label":"wide","seed":"1",)"
+      R"("topology":{"family":"explicit","nodes":2,"edges":[[{U},{V}]]},)"
+      R"("paths":{"system":"explicit","routes":[[0,{NODE}]]},)"
+      R"("protocol":{"bandwidth":2},)"
+      R"("case":{"seed":"0","index":0,)"
+      R"("launches":[[{PATH},0,{LAMBDA},{PRIORITY},{LENGTH}]],)"
+      R"("pinned":[[{LINK},{PIN_LAMBDA}]]}})";
+  const std::vector<std::pair<std::string, std::string>> valid = {
+      {"U", "0"},      {"V", "1"},        {"NODE", "1"},
+      {"PATH", "0"},   {"LAMBDA", "0"},   {"PRIORITY", "0"},
+      {"LENGTH", "1"}, {"LINK", "0"},     {"PIN_LAMBDA", "0"}};
+
+  ScenarioSpec spec;
+  DslError error;
+  ASSERT_TRUE(load_opto_text(fill(opto, valid), "wide.opto", spec, error))
+      << error.format();
+  ASSERT_TRUE(load_scenario_text(fill(json, valid), "wide.json", spec, error))
+      << error.format();
+
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    auto fields = valid;
+    fields[i].second = "4294967296";
+    const std::string& key = fields[i].first;
+    EXPECT_FALSE(load_opto_text(fill(opto, fields), "wide.opto", spec, error))
+        << key << " = 2^32 loaded from .opto";
+    EXPECT_GE(error.loc.line, 3u) << key << ": " << error.format();
+    EXPECT_NE(error.message.find("out of range: got 4294967296"),
+              std::string::npos)
+        << key << ": " << error.format();
+    EXPECT_FALSE(
+        load_scenario_text(fill(json, fields), "wide.json", spec, error))
+        << key << " = 2^32 loaded from JSON";
+    EXPECT_NE(error.message.find("out of range"), std::string::npos)
+        << key << ": " << error.format();
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
-// FuzzCase structural validation and the canonical JSON round-trip the
-// replayable corpus depends on.
+// FuzzCase structural validation and the round trip through the
+// pass-scenario form that every saved case and committed anchor uses.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "opto/dsl/canonical.hpp"
+#include "opto/dsl/runner.hpp"
+#include "opto/dsl/validate.hpp"
+#include "opto/testlib/differ.hpp"
 #include "opto/testlib/fuzz_case.hpp"
 #include "opto/testlib/generator.hpp"
+#include "opto/testlib/shrink.hpp"
 
 namespace opto::testlib {
 namespace {
@@ -37,54 +42,6 @@ TEST(FuzzCase, BaseCaseIsWellFormedAndBuilds) {
   EXPECT_EQ(built->collection.size(), 2u);
   EXPECT_EQ(built->config.bandwidth, 2u);
   EXPECT_EQ(built->config.faults, nullptr);
-}
-
-TEST(FuzzCase, CanonicalJsonRoundTripsByteIdentically) {
-  const FuzzCase fuzz = base_case();
-  const std::string bytes = canonical_json(fuzz);
-  EXPECT_EQ(bytes.back(), '\n');
-  std::string error;
-  const auto parsed = parse_case(bytes, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(canonical_json(*parsed), bytes);
-  EXPECT_EQ(parsed->seed, fuzz.seed);
-  EXPECT_EQ(parsed->index, fuzz.index);
-  EXPECT_EQ(parsed->edges, fuzz.edges);
-  EXPECT_EQ(parsed->paths, fuzz.paths);
-  EXPECT_EQ(parsed->specs.size(), fuzz.specs.size());
-  EXPECT_EQ(parsed->specs[1].start_time, 4u);
-}
-
-TEST(FuzzCase, FaultPlanRoundTrips) {
-  FuzzCase fuzz = base_case();
-  fuzz.has_faults = true;
-  fuzz.faults.link_outage_rate = 0.25;
-  fuzz.faults.corruption_rate = 0.05;
-  fuzz.fault_seed = 0x8000000000000001ull;
-  fuzz.fault_epoch = 3;
-  const std::string bytes = canonical_json(fuzz);
-  std::string error;
-  const auto parsed = parse_case(bytes, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_TRUE(parsed->has_faults);
-  EXPECT_DOUBLE_EQ(parsed->faults.link_outage_rate, 0.25);
-  EXPECT_EQ(parsed->fault_seed, 0x8000000000000001ull);
-  EXPECT_EQ(parsed->fault_epoch, 3u);
-  EXPECT_EQ(canonical_json(*parsed), bytes);
-  const auto built = build_case(*parsed);
-  ASSERT_NE(built->config.faults, nullptr);
-  EXPECT_TRUE(built->config.faults->enabled());
-}
-
-TEST(FuzzCase, GeneratedCasesRoundTrip) {
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    const FuzzCase fuzz = generate_case(99, i);
-    const std::string bytes = canonical_json(fuzz);
-    std::string error;
-    const auto parsed = parse_case(bytes, &error);
-    ASSERT_TRUE(parsed.has_value()) << "case " << i << ": " << error;
-    EXPECT_EQ(canonical_json(*parsed), bytes) << "case " << i;
-  }
 }
 
 TEST(FuzzCase, RejectsOutOfRangeStructure) {
@@ -176,15 +133,104 @@ TEST(FuzzCase, RejectsBadConverterAndFaultShapes) {
   }
 }
 
-TEST(FuzzCase, ParseRejectsWrongSchemaAndGarbage) {
+TEST(FuzzCase, RejectsWhatNoPassScenarioCanHold) {
+  // well_formed is the scenario DSL's pass-mode domain, so every case
+  // the generator or shrinker accepts can be saved and replayed.
   std::string error;
-  EXPECT_FALSE(parse_case("not json at all", &error).has_value());
-  EXPECT_FALSE(parse_case("{}", &error).has_value());
-  std::string bytes = canonical_json(base_case());
-  const std::string tag = "opto.fuzz.case/1";
-  bytes.replace(bytes.find(tag), tag.size(), "opto.fuzz.case/9");
-  EXPECT_FALSE(parse_case(bytes, &error).has_value());
-  EXPECT_NE(error.find("schema"), std::string::npos) << error;
+  {
+    FuzzCase fuzz = base_case();
+    fuzz.node_count = 1;  // explicit topologies have >= 2 nodes
+    fuzz.edges.clear();
+    fuzz.paths = {{0}};
+    fuzz.specs.resize(1);
+    fuzz.specs[0].path = 0;
+    EXPECT_FALSE(well_formed(fuzz, &error));
+    fuzz.node_count = 2;
+    EXPECT_TRUE(well_formed(fuzz, &error)) << error;
+    fuzz.node_count = 65537;  // ... and at most 65,536
+    EXPECT_FALSE(well_formed(fuzz, &error));
+  }
+  {
+    FuzzCase fuzz = base_case();
+    fuzz.bandwidth = 1024;  // 4 links x 1024 fits the channel budget
+    EXPECT_TRUE(well_formed(fuzz, &error)) << error;
+    fuzz.node_count = 1000;
+    for (NodeId v = 3; v < 1000; ++v) fuzz.edges.push_back({v - 1, v});
+    EXPECT_FALSE(well_formed(fuzz, &error));  // 1,998 links x 1024 does not
+  }
+  {
+    FuzzCase fuzz = base_case();
+    fuzz.has_faults = true;
+    fuzz.faults.outage_duration = 0;  // outages last at least one step
+    EXPECT_FALSE(well_formed(fuzz, &error));
+  }
+}
+
+/// FuzzCase -> pass scenario -> canonical dump -> loader -> FuzzCase.
+/// Also checks that the dump is a canonical fixed point.
+FuzzCase through_scenario(const FuzzCase& fuzz) {
+  const std::string text = dsl::canonical_text(dsl::from_fuzz_case(fuzz));
+  dsl::ScenarioSpec spec;
+  dsl::DslError error;
+  EXPECT_TRUE(dsl::load_scenario_text(text, "<case>", spec, error))
+      << error.format();
+  EXPECT_EQ(dsl::canonical_text(spec), text);
+  return dsl::to_fuzz_case(spec);
+}
+
+TEST(FuzzCase, HandBuiltCasesRoundTripThroughTheScenarioForm) {
+  const FuzzCase plain = base_case();  // seed above 2^53
+  EXPECT_EQ(through_scenario(plain), plain);
+
+  FuzzCase faulty = base_case();
+  faulty.has_faults = true;
+  faulty.faults.link_outage_rate = 0.25;
+  faulty.faults.corruption_rate = 0.05;
+  faulty.fault_seed = 0x8000000000000001ull;
+  faulty.fault_epoch = 3;
+  faulty.conversion = ConversionMode::Sparse;
+  faulty.converters = {1, 0, 1};
+  faulty.rule = ContentionRule::Priority;
+  faulty.tie = TiePolicy::FirstWins;
+  faulty.specs[1].priority = 1;
+  faulty.pinned = {{3, 1}, {0, 0}};
+  ASSERT_TRUE(well_formed(faulty));
+  const FuzzCase back = through_scenario(faulty);
+  EXPECT_EQ(back, faulty);
+  const auto built = build_case(back);
+  ASSERT_NE(built->config.faults, nullptr);
+  EXPECT_TRUE(built->config.faults->enabled());
+}
+
+TEST(FuzzCase, GeneratedCasesRoundTripThroughTheScenarioForm) {
+  constexpr std::uint64_t kSeed = 0xa11ce5ull;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const FuzzCase fuzz = generate_case(kSeed, i);
+    EXPECT_EQ(through_scenario(fuzz), fuzz) << "case " << i;
+  }
+}
+
+TEST(FuzzCase, ShrunkCasesRoundTripThroughTheScenarioForm) {
+  const CasePredicate wants_kill = [](const FuzzCase& fuzz) {
+    const DiffReport report = diff_case(fuzz);
+    return report.ok() && report.metrics.killed > 0;
+  };
+  std::uint32_t shrunk = 0;
+  for (std::uint64_t i = 0; i < 40 && shrunk < 3; ++i) {
+    const FuzzCase fuzz = generate_case(7, i);
+    if (!wants_kill(fuzz)) continue;
+    ++shrunk;
+    const FuzzCase small = shrink_case(fuzz, wants_kill);
+    EXPECT_EQ(through_scenario(small), small) << "case " << i;
+  }
+  EXPECT_EQ(shrunk, 3u);
+
+  // Shrunk to its smallest topology: no worms, no paths, two bare nodes.
+  const CasePredicate anything = [](const FuzzCase&) { return true; };
+  const FuzzCase smallest = shrink_case(generate_case(7, 0), anything);
+  EXPECT_EQ(smallest.node_count, 2u);
+  EXPECT_TRUE(smallest.edges.empty());
+  EXPECT_EQ(through_scenario(smallest), smallest);
 }
 
 }  // namespace

@@ -85,11 +85,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          ContentionRule::Priority),
                        ::testing::Values(1, 2)),
     [](const ::testing::TestParamInfo<Params>& info) {
-      std::string name = "h" + std::to_string(std::get<0>(info.param));
+      std::string name = "h";
+      name += std::to_string(std::get<0>(info.param));
       name += std::get<1>(info.param) == ContentionRule::ServeFirst
                   ? "_sf"
                   : "_prio";
-      name += "_B" + std::to_string(std::get<2>(info.param));
+      name += "_B";
+      name += std::to_string(std::get<2>(info.param));
       return name;
     });
 

@@ -120,8 +120,8 @@ TEST(RwaOracle, RandomFitMatchesTheKeyedPhiloxDrawByHand) {
     const CounterRng rng(config.seed, round);
     // Node-disjoint requests: each pick sees the full free band.
     std::uint32_t uid = 0;
-    for (const auto [s, d] : {std::pair<NodeId, NodeId>{0, 1}, {2, 3},
-                              {4, 5}, {6, 7}}) {
+    for (const auto& [s, d] : {std::pair<NodeId, NodeId>{0, 1}, {2, 3},
+                               {4, 5}, {6, 7}}) {
       const auto expected =
           static_cast<Wavelength>(rng.below(config.bandwidth, uid, 8));
       EXPECT_EQ(serve(*strategy, s, d, uid), expected)
@@ -722,9 +722,10 @@ TEST(HopTable, ConcurrentFillsPublishIdenticalRows) {
     pool.wait_idle();
     for (std::size_t t = 0; t < kThreads; ++t)
       ASSERT_EQ(seen[t], expected) << "round " << round << " thread " << t;
-    if (obs::enabled())
+    if (obs::enabled()) {
       EXPECT_EQ(counter_value("rwa.rows.filled") - filled_before, nodes)
           << "round " << round;
+    }
   }
 }
 

@@ -783,8 +783,9 @@ TEST(Simulator, EmptyPassAfterAWormPassReadsAsAFreshOne) {
       obs::set_enabled(true);
       const std::uint64_t passes = screen_check::counter("sim.passes");
       used.run({}, result);
-      if (obs::enabled())  // false when observation is compiled out
+      if (obs::enabled()) {  // false when observation is compiled out
         EXPECT_EQ(screen_check::counter("sim.passes") - passes, 1u);
+      }
       obs::set_enabled(observing);
 
       Simulator fresh_sim(collection, config);

@@ -1,10 +1,16 @@
 // opto_fuzz — randomized differential fuzzing driver.
 //
+// Every case on disk is a pass-mode scenario (schema "opto.scenario/1"):
+// the fuzzer writes canonical_text(dsl::from_fuzz_case(c)) and replays
+// any .opto or .json pass scenario through dsl::to_fuzz_case.
+//
 // Modes (mutually exclusive, first match wins):
 //   --replay FILE      re-run one saved case, print the diff verdict
-//   --replay-dir DIR   re-run every *.json case in DIR (the corpus)
-//   --dump INDEX       print case INDEX of the seed's stream as canonical
-//                      JSON (used by the cross-process determinism test)
+//   --replay-dir DIR   re-run every *.opto / *.json case in DIR (the
+//                      committed anchors are examples/repros/)
+//   --dump INDEX       print case INDEX of the seed's stream as its
+//                      canonical scenario JSON (used by the cross-process
+//                      determinism test)
 //   --dsl              fuzz the scenario grammar: --cases generated
 //                      programs must parse + canonical-round-trip, and
 //                      the same count of mutated programs must fail with
@@ -12,7 +18,8 @@
 //   --distill KIND     search the stream for a case exhibiting KIND
 //                      (kill | truncate | retune | fault | corrupt | rwa),
 //                      shrink it while preserving the behavior, write it
-//                      to --out — this is how corpus anchors are made
+//                      to --out — this is how the anchors in
+//                      examples/repros/ are made
 //   (default)          fuzz: generate --cases cases from --seed, diff
 //                      each, shrink and save any failure to --out
 //
@@ -26,12 +33,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "opto/dsl/canonical.hpp"
+#include "opto/dsl/runner.hpp"
 #include "opto/dsl/validate.hpp"
 #include "opto/testlib/differ.hpp"
 #include "opto/testlib/dsl_gen.hpp"
@@ -71,6 +80,11 @@ bool write_file(const std::string& path, const std::string& bytes) {
   if (!out) return false;
   out << bytes;
   return static_cast<bool>(out);
+}
+
+/// The bytes a saved case is written as: its pass-mode scenario dump.
+std::string case_text(const FuzzCase& fuzz) {
+  return opto::dsl::canonical_text(opto::dsl::from_fuzz_case(fuzz));
 }
 
 /// Running tallies of what the generated stream actually exercised, so a
@@ -129,43 +143,30 @@ struct Coverage {
 };
 
 /// The behavior a --distill run searches for and preserves while
-/// shrinking. Every distilled anchor must also diff clean — the corpus
-/// pins agreed-upon behavior, not open disagreements.
+/// shrinking: a case shows it when the count is positive. Every
+/// distilled anchor must also diff clean — the anchors pin agreed-upon
+/// behavior, not open disagreements.
 std::optional<CasePredicate> behavior_predicate(const std::string& kind) {
-  if (kind == "kill")
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      return report.ok() && report.metrics.killed > 0;
-    }};
-  if (kind == "truncate")
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      return report.ok() && report.metrics.truncated_arrivals > 0;
-    }};
-  if (kind == "retune")
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      return report.ok() && report.metrics.retunes > 0;
-    }};
-  if (kind == "fault")
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      return report.ok() && report.metrics.fault_kills > 0;
-    }};
-  if (kind == "corrupt")
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      return report.ok() && report.metrics.corrupted_arrivals > 0;
-    }};
-  if (kind == "rwa")
-    // A case where some strategy's round-1 band is too tight: blocking
-    // plus a clean diff pins the round driver's retry path and the
-    // strategy layer's replay/determinism invariants in the corpus.
-    return CasePredicate{[](const FuzzCase& fuzz) {
-      const DiffReport report = opto::testlib::diff_case(fuzz);
-      return report.ok() && report.rwa_blocked > 0;
-    }};
-  return std::nullopt;
+  using Count = std::uint64_t (*)(const DiffReport&);
+  static const std::map<std::string, Count> kCounts = {
+      {"kill", [](const DiffReport& r) { return r.metrics.killed; }},
+      {"truncate",
+       [](const DiffReport& r) { return r.metrics.truncated_arrivals; }},
+      {"retune", [](const DiffReport& r) { return r.metrics.retunes; }},
+      {"fault", [](const DiffReport& r) { return r.metrics.fault_kills; }},
+      {"corrupt",
+       [](const DiffReport& r) { return r.metrics.corrupted_arrivals; }},
+      // Some strategy's round-1 band is too tight: pins the round
+      // driver's retry path and the strategy replay invariants.
+      {"rwa", [](const DiffReport& r) { return r.rwa_blocked; }},
+  };
+  const auto it = kCounts.find(kind);
+  if (it == kCounts.end()) return std::nullopt;
+  const Count count = it->second;
+  return CasePredicate{[count](const FuzzCase& fuzz) {
+    const DiffReport report = opto::testlib::diff_case(fuzz);
+    return report.ok() && count(report) > 0;
+  }};
 }
 
 int replay_one(const std::string& path, bool strict_bytes, bool quiet) {
@@ -174,29 +175,45 @@ int replay_one(const std::string& path, bool strict_bytes, bool quiet) {
     std::fprintf(stderr, "opto_fuzz: cannot read %s\n", path.c_str());
     return 2;
   }
-  std::string error;
-  const auto fuzz = opto::testlib::parse_case(*bytes, &error);
-  if (!fuzz) {
-    std::fprintf(stderr, "opto_fuzz: %s: %s\n", path.c_str(), error.c_str());
+  opto::dsl::ScenarioSpec spec;
+  opto::dsl::DslError load_error;
+  if (!opto::dsl::load_scenario_text(*bytes, path, spec, load_error)) {
+    std::fprintf(stderr, "opto_fuzz: %s\n", load_error.format().c_str());
     return 2;
   }
-  if (strict_bytes && opto::testlib::canonical_json(*fuzz) != *bytes) {
-    std::fprintf(stderr,
-                 "opto_fuzz: %s is not in canonical form (re-save it with "
-                 "--replay + --out, or rewrite via canonical_json)\n",
+  if (spec.mode != opto::dsl::ScenarioMode::Pass) {
+    std::fprintf(stderr, "opto_fuzz: %s: not a pass-mode scenario\n",
                  path.c_str());
     return 2;
   }
-  const DiffReport report = opto::testlib::diff_case(*fuzz);
+  const FuzzCase fuzz = opto::dsl::to_fuzz_case(spec);
+  std::string error;
+  if (!opto::testlib::well_formed(fuzz, &error)) {
+    std::fprintf(stderr, "opto_fuzz: %s: %s\n", path.c_str(), error.c_str());
+    return 2;
+  }
+  if (strict_bytes && std::filesystem::path(path).extension() == ".json" &&
+      opto::dsl::canonical_text(spec) != *bytes) {
+    std::fprintf(stderr,
+                 "opto_fuzz: %s is not in canonical form (rewrite it with "
+                 "opto_run --dump %s --out %s)\n",
+                 path.c_str(), path.c_str(), path.c_str());
+    return 2;
+  }
+  const DiffReport report = opto::testlib::diff_case(fuzz);
   if (!report.ok()) {
     std::printf("FAIL %s\n%s", path.c_str(), report.summary().c_str());
     return 1;
   }
   if (!quiet)
     std::printf("ok   %s (delivered %" PRIu64 ", killed %" PRIu64
-                ", truncated arrivals %" PRIu64 ")\n",
+                ", truncated arrivals %" PRIu64 ", retunes %" PRIu64
+                ", fault kills %" PRIu64 ", corrupted arrivals %" PRIu64
+                ")\n",
                 path.c_str(), report.metrics.delivered,
-                report.metrics.killed, report.metrics.truncated_arrivals);
+                report.metrics.killed, report.metrics.truncated_arrivals,
+                report.metrics.retunes, report.metrics.fault_kills,
+                report.metrics.corrupted_arrivals);
   return 0;
 }
 
@@ -205,8 +222,10 @@ int replay_dir(const std::string& dir, bool strict_bytes, bool quiet) {
   std::error_code ec;
   std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".json")
-      files.push_back(entry.path().string());
+    const fs::path& file = entry.path();
+    if (entry.is_regular_file() &&
+        (file.extension() == ".opto" || file.extension() == ".json"))
+      files.push_back(file.string());
   }
   if (ec) {
     std::fprintf(stderr, "opto_fuzz: cannot list %s: %s\n", dir.c_str(),
@@ -214,7 +233,8 @@ int replay_dir(const std::string& dir, bool strict_bytes, bool quiet) {
     return 2;
   }
   if (files.empty()) {
-    std::fprintf(stderr, "opto_fuzz: no *.json cases in %s\n", dir.c_str());
+    std::fprintf(stderr, "opto_fuzz: no *.opto or *.json cases in %s\n",
+                 dir.c_str());
     return 2;
   }
   std::sort(files.begin(), files.end());
@@ -222,7 +242,7 @@ int replay_dir(const std::string& dir, bool strict_bytes, bool quiet) {
   for (const std::string& file : files)
     worst = std::max(worst, replay_one(file, strict_bytes, quiet));
   if (worst == 0 && !quiet)
-    std::printf("corpus clean: %zu case(s)\n", files.size());
+    std::printf("replay clean: %zu case(s)\n", files.size());
   return worst;
 }
 
@@ -326,16 +346,17 @@ int main(int argc, char** argv) {
       "opto_fuzz",
       "Differential fuzzer: generated cases run through the production "
       "simulator (twice), the invariant validators, and the reference "
-      "engine; disagreements are shrunk to minimal JSON reproducers");
+      "engine; disagreements are shrunk to minimal pass-scenario "
+      "reproducers");
   const std::string* seed_text =
       cli.add_string("seed", "1", "generator stream seed (decimal uint64)");
   const long long* cases = cli.add_int("cases", 1000, "cases to generate");
   const std::string* replay =
       cli.add_string("replay", "", "re-run one saved case file");
-  const std::string* replay_dir_flag =
-      cli.add_string("replay-dir", "", "re-run every *.json case in a dir");
+  const std::string* replay_dir_flag = cli.add_string(
+      "replay-dir", "", "re-run every *.opto / *.json case in a dir");
   const long long* dump = cli.add_int(
-      "dump", -1, "print case INDEX of the stream as canonical JSON");
+      "dump", -1, "print case INDEX of the stream as canonical scenario JSON");
   const bool* dsl = cli.add_flag(
       "dsl", "fuzz the scenario grammar instead of the simulator: generated "
              "programs must round-trip, mutated ones must fail cleanly");
@@ -352,10 +373,11 @@ int main(int argc, char** argv) {
   const long long* progress_every = cli.add_int(
       "progress-every", 0, "print progress every N cases (0 = off)");
   const bool* strict_bytes = cli.add_flag(
-      "strict-bytes", "replay: require files to be canonical bytes");
+      "strict-bytes", "replay: require .json files to be canonical bytes");
   const bool* quiet = cli.add_flag("quiet", "only print failures");
   // Generator knobs (defaults mirror GenOptions).
-  const long long* max_nodes = cli.add_int("max-nodes", 20, "topology size cap");
+  const long long* max_nodes =
+      cli.add_int("max-nodes", 20, "topology size cap (2..65536)");
   const long long* max_paths = cli.add_int("max-paths", 16, "path count cap");
   const long long* max_bandwidth =
       cli.add_int("max-bandwidth", 4, "wavelength count cap");
@@ -372,7 +394,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   GenOptions gen;
-  gen.max_nodes = static_cast<opto::NodeId>(std::max(1LL, *max_nodes));
+  // A saved case is an explicit-topology scenario: 2..65,536 nodes.
+  gen.max_nodes =
+      static_cast<opto::NodeId>(std::clamp(*max_nodes, 2LL, 65536LL));
   gen.max_paths = static_cast<std::uint32_t>(std::max(0LL, *max_paths));
   gen.max_bandwidth =
       static_cast<std::uint16_t>(std::clamp(*max_bandwidth, 1LL, 1024LL));
@@ -390,7 +414,7 @@ int main(int argc, char** argv) {
   if (*dump >= 0) {
     const FuzzCase fuzz = opto::testlib::generate_case(
         *seed, static_cast<std::uint64_t>(*dump), gen);
-    std::fputs(opto::testlib::canonical_json(fuzz).c_str(), stdout);
+    std::fputs(case_text(fuzz).c_str(), stdout);
     return 0;
   }
 
@@ -418,7 +442,7 @@ int main(int argc, char** argv) {
           std::move(fuzz), *predicate, shrink, &stats);
       const std::string path = *out + "/distilled_" +
                                sanitize_component(*distill) + ".json";
-      if (!write_file(path, opto::testlib::canonical_json(small))) {
+      if (!write_file(path, case_text(small))) {
         std::fprintf(stderr, "opto_fuzz: cannot write %s\n", path.c_str());
         return 2;
       }
@@ -459,7 +483,7 @@ int main(int argc, char** argv) {
         opto::testlib::shrink_case(fuzz, still_failing, shrink, &stats);
     std::ostringstream name;
     name << *out << "/repro_seed" << *seed << "_case" << i << ".json";
-    if (!write_file(name.str(), opto::testlib::canonical_json(small))) {
+    if (!write_file(name.str(), case_text(small))) {
       std::fprintf(stderr, "opto_fuzz: cannot write %s\n",
                    name.str().c_str());
       return 2;
