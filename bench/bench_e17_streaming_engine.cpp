@@ -1,10 +1,10 @@
 // E17 — streaming traffic engine: open arrivals over rolling
 // Trial-and-Failure batches (DESIGN.md §8).
 //
-// E14 models dynamic traffic with an oracle admission check; here every
-// request pays the full distributed setup instead: it joins the next
+// Every request pays the full distributed setup: it joins the next
 // protocol round, contends for wavelengths, retries after losses, and
-// holds capacity only once its worm round-trips. Reproduced shape:
+// holds capacity only once its worm round-trips (E14 runs the [34]
+// blocking curves on this same engine). Reproduced shape:
 //   * measured blocking on a single link matches Erlang B (M/M/B/B) —
 //     the engine's loss-call-cleared admission is calibrated against
 //     closed-form teletraffic theory,

@@ -1,6 +1,7 @@
 // Blocking-probability curves for dynamic circuit traffic (the [34]
 // substrate): sweep the offered load on a chosen topology, with and
-// without wavelength conversion.
+// without wavelength conversion, on the streaming engine with E14's
+// settings (mean holding time 1, rounds every 0.01 time units).
 //
 //   ./blocking_curve [--topology ring|torus|hypercube] [--size 16]
 //                    [--bandwidth 8] [--points 6] [--csv]
@@ -8,7 +9,7 @@
 #include <iostream>
 #include <memory>
 
-#include "opto/core/dynamic_traffic.hpp"
+#include "opto/engine/engine.hpp"
 #include "opto/graph/hypercube.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
@@ -29,40 +30,44 @@ int main(int argc, char** argv) {
   const auto* csv = cli.add_flag("csv", "emit CSV");
   if (!cli.parse(argc, argv)) return 1;
 
-  Graph graph;
+  std::shared_ptr<const Graph> graph;
   if (*topology == "ring") {
-    graph = make_ring(static_cast<std::uint32_t>(*size));
+    graph = std::make_shared<Graph>(
+        make_ring(static_cast<std::uint32_t>(*size)));
   } else if (*topology == "torus") {
-    graph = make_torus({static_cast<std::uint32_t>(*size),
-                        static_cast<std::uint32_t>(*size)})
-                .graph;
+    graph = std::make_shared<Graph>(
+        make_torus({static_cast<std::uint32_t>(*size),
+                    static_cast<std::uint32_t>(*size)})
+            .graph);
   } else if (*topology == "hypercube") {
-    graph = make_hypercube(static_cast<std::uint32_t>(*size));
+    graph = std::make_shared<Graph>(
+        make_hypercube(static_cast<std::uint32_t>(*size)));
   } else {
     std::fprintf(stderr, "unknown topology '%s'\n", topology->c_str());
     return 1;
   }
 
-  Table table(graph.name() + ", B=" + std::to_string(*bandwidth));
+  Table table(graph->name() + ", B=" + std::to_string(*bandwidth));
   table.set_header({"load (Erlang)", "blocking", "blocking w/ conversion",
-                    "utilization", "mean route"});
+                    "mean route"});
   double load = 4.0;
   for (long long point = 0; point < *points; ++point, load *= 2.0) {
-    DynamicTrafficConfig config;
-    config.bandwidth = static_cast<std::uint16_t>(*bandwidth);
-    config.offered_load = load;
+    EngineConfig config;
+    config.protocol.bandwidth = static_cast<std::uint16_t>(*bandwidth);
+    config.traffic.rate = load;
+    config.round_interval = 0.01;
     config.arrivals = static_cast<std::uint64_t>(*arrivals);
     config.warmup = config.arrivals / 8;
-    config.conversion = false;
-    const auto plain = simulate_dynamic_traffic(graph, config, 33);
-    config.conversion = true;
-    const auto converted = simulate_dynamic_traffic(graph, config, 33);
+    Engine plain(graph, config, 33);
+    const double plain_blocking = plain.run().blocking_probability;
+    config.protocol.conversion = ConversionMode::Full;
+    Engine converting(graph, config, 33);
+    const double converted_blocking = converting.run().blocking_probability;
     table.row()
         .cell(load)
-        .cell(plain.blocking_probability)
-        .cell(converted.blocking_probability)
-        .cell(plain.utilization)
-        .cell(plain.mean_route_length);
+        .cell(plain_blocking)
+        .cell(converted_blocking)
+        .cell(plain.routes().stats().avg_length);
   }
   if (*csv)
     table.print_csv(std::cout);

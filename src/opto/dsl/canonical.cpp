@@ -296,7 +296,7 @@ class JsonLoader {
   }
 
   bool read_seed(const JsonValue& value, const std::string& key,
-                 std::uint64_t& out) {
+                 std::uint64_t& out, std::uint64_t hi = ~std::uint64_t{0}) {
     if (!value.is_string())
       return fail("'" + key + "' must be a decimal string");
     errno = 0;
@@ -304,6 +304,9 @@ class JsonLoader {
     out = std::strtoull(value.text.c_str(), &end, 10);
     if (value.text.empty() || *end != '\0' || errno == ERANGE)
       return fail("'" + key + "' is not a decimal: \"" + value.text + "\"");
+    if (out > hi)
+      return fail("'" + key + "' out of range: got " + value.text +
+                  ", expected 0.." + std::to_string(hi));
     return true;
   }
 
@@ -612,7 +615,8 @@ class JsonLoader {
       } else if (key == "seed" && spec_.mode == ScenarioMode::Pass) {
         if (!read_seed(value, "faults.seed", f.seed)) return false;
       } else if (key == "epoch" && spec_.mode == ScenarioMode::Pass) {
-        if (!read_seed(value, "faults.epoch", f.epoch)) return false;
+        if (!read_seed(value, "faults.epoch", f.epoch, kMaxFaultEpoch))
+          return false;
       } else {
         return fail("unknown key '" + key + "' in faults");
       }

@@ -660,7 +660,7 @@ class Validator {
       if (s.key == "seed" && spec_.mode == ScenarioMode::Pass)
         return get_u64(s, 0, ~std::uint64_t{0}, f.seed) ? 1 : -1;
       if (s.key == "epoch" && spec_.mode == ScenarioMode::Pass)
-        return get_u64(s, 0, ~std::uint64_t{0} >> 12, f.epoch) ? 1 : -1;
+        return get_u64(s, 0, kMaxFaultEpoch, f.epoch) ? 1 : -1;
       return 0;
     });
   }

@@ -25,6 +25,8 @@ inline constexpr std::uint64_t kMaxDelta = 1u << 24;
 inline constexpr std::uint64_t kMaxU32Field = 0xffffffffu;
 /// Cap of a launch start: the largest integer a JSON double holds exactly.
 inline constexpr std::uint64_t kMaxLaunchStart = std::uint64_t{1} << 53;
+/// Cap of a pass scenario's fault epoch, 2^52 − 1, in both loaders.
+inline constexpr std::uint64_t kMaxFaultEpoch = ~std::uint64_t{0} >> 12;
 
 /// Node count of the graph the topology's builder makes (converter
 /// lists are per-node).

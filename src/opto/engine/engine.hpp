@@ -150,9 +150,9 @@ class Engine {
   struct Departure {
     double time = 0.0;
     std::uint32_t connection = 0;
-    // Strict weak order with an id tiebreaker (same fix as
-    // core/dynamic_traffic.cpp): pop order must not depend on heap
-    // internals.
+    // Strict weak order with an id tiebreaker: comparing `time` alone
+    // leaves equal-time departures unordered, so their pop order would
+    // depend on heap internals.
     bool operator>(const Departure& other) const {
       if (time != other.time) return time > other.time;
       return connection > other.connection;

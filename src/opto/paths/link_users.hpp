@@ -1,6 +1,5 @@
-// Directed link → users inversion, shared by the paths layer's per-path
-// sharing computations (the sampled C̃ estimate in path_collection.cpp,
-// the conflict graph and the assignment check in
+// Directed link → users inversion for the paths layer's per-path sharing
+// computations (the conflict graph and the assignment check in
 // wavelength_assignment.cpp). Internal to paths/.
 //
 // Members are numbered 0..members-1 by the caller and described by

@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <bit>
 
-#include "opto/paths/link_users.hpp"
-#include "opto/rng/rng.hpp"
 #include "opto/util/assert.hpp"
 
 namespace opto {
 
 namespace {
-
-using detail::for_each_sharer;
-using detail::invert_links;
-using detail::LinkUsers;
 
 // --- exact C̃ by bit-parallel counting ---------------------------------------
 //
@@ -174,29 +168,6 @@ std::uint32_t PathCollection::path_congestion_of(
       graph_ ? graph_->link_count() : 0,
       static_cast<std::uint32_t>(ids.size()),
       [this, ids](std::uint32_t m) { return path(ids[m]).links(); }));
-}
-
-std::uint32_t PathCollection::path_congestion_sampled(
-    std::uint32_t samples, std::uint64_t seed) const {
-  if (empty()) return 0;
-  if (samples >= size()) return path_congestion();
-
-  const auto links_of = [this](std::uint32_t id) { return path(id).links(); };
-  const LinkUsers users =
-      invert_links(graph_ ? graph_->link_count() : 0, size(), links_of);
-  Rng rng(seed);
-  // Marks are stamped with the probe index so repeated probes of one path
-  // recount from scratch.
-  std::vector<std::uint32_t> stamp(size(), ~0u);
-  std::uint32_t best = 0;
-  for (std::uint32_t sample = 0; sample < samples; ++sample) {
-    const auto id = static_cast<PathId>(rng.next_below(size()));
-    std::uint32_t sharers = 0;
-    for_each_sharer(users, links_of, id, sample, stamp,
-                    [&sharers](std::uint32_t) { ++sharers; });
-    best = std::max(best, sharers);
-  }
-  return best;
 }
 
 CollectionStats PathCollection::stats() const {

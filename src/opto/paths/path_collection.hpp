@@ -114,12 +114,6 @@ class PathCollection {
   /// different active set each time).
   std::uint32_t path_congestion_of(std::span<const PathId> ids) const;
 
-  /// Estimated C̃ from a uniform sample of `samples` paths: the max of the
-  /// sampled paths' exact congestions. A lower bound on the true C̃ that
-  /// converges quickly in the workloads here (congestion concentrates).
-  std::uint32_t path_congestion_sampled(std::uint32_t samples,
-                                        std::uint64_t seed) const;
-
   CollectionStats stats() const;
 
  private:

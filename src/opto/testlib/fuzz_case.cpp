@@ -23,6 +23,7 @@ constexpr std::uint16_t kMaxBandwidth = 1024;
 constexpr std::uint32_t kMaxWormLength = 1u << 20;
 constexpr SimTime kMaxStartTime = SimTime{1} << 33;
 constexpr SimTime kMaxOutagePeriod = SimTime{1} << 20;
+/// Case index and fault epoch: the scenario DSL's 2^52 − 1 cap.
 constexpr std::uint64_t kMaxIndex = ~std::uint64_t{0} >> 12;
 
 bool fail(std::string* error, const std::string& message) {
@@ -93,6 +94,8 @@ bool well_formed(const FuzzCase& fuzz, std::string* error) {
       return fail(error, "outage period out of range");
     if (f.outage_duration < 1 || f.outage_duration > f.outage_period)
       return fail(error, "outage duration must fit inside the period");
+    if (fuzz.fault_epoch > kMaxIndex)
+      return fail(error, "fault epoch out of range");
   }
 
   if (fuzz.pinned.size() > kMaxSpecs)

@@ -231,5 +231,50 @@ TEST(DslCanonical, BothLoadersRejectIntegersPastUint32) {
   }
 }
 
+TEST(DslCanonical, BothLoadersCapTheFaultEpoch) {
+  // A pass scenario's fault epoch is capped at 2^52 - 1 in both forms, so
+  // every JSON scenario the loader accepts has an .opto form.
+  const std::string opto =
+      "scenario \"epoch\" {\n"
+      "  mode pass;\n"
+      "  topology explicit { nodes 2; edges [[0, 1]]; }\n"
+      "  paths explicit { routes [[0, 1]]; }\n"
+      "  protocol { bandwidth 1; }\n"
+      "  faults { epoch {EPOCH}; }\n"
+      "  case { launches [[0, 0, 0, 0, 1]]; }\n"
+      "}\n";
+  const std::string json =
+      R"({"schema":"opto.scenario","schema_version":1,"mode":"pass",)"
+      R"("name":"epoch","label":"epoch","seed":"1",)"
+      R"("topology":{"family":"explicit","nodes":2,"edges":[[0,1]]},)"
+      R"("paths":{"system":"explicit","routes":[[0,1]]},)"
+      R"("protocol":{"bandwidth":1},)"
+      R"("faults":{"epoch":"{EPOCH}"},)"
+      R"("case":{"seed":"0","index":0,"launches":[[0,0,0,0,1]]}})";
+
+  ScenarioSpec spec;
+  DslError error;
+  const std::vector<std::pair<std::string, std::string>> cap = {
+      {"EPOCH", "4503599627370495"}};
+  ASSERT_TRUE(load_opto_text(fill(opto, cap), "epoch.opto", spec, error))
+      << error.format();
+  EXPECT_EQ(spec.faults.epoch, kMaxFaultEpoch);
+  ASSERT_TRUE(load_scenario_text(fill(json, cap), "epoch.json", spec, error))
+      << error.format();
+  EXPECT_EQ(spec.faults.epoch, kMaxFaultEpoch);
+
+  const std::string range =
+      "out of range: got 9007199254740993, expected 0..4503599627370495";
+  const std::vector<std::pair<std::string, std::string>> past = {
+      {"EPOCH", "9007199254740993"}};
+  EXPECT_FALSE(load_opto_text(fill(opto, past), "epoch.opto", spec, error));
+  EXPECT_NE(error.message.find(range), std::string::npos) << error.format();
+  EXPECT_FALSE(
+      load_scenario_text(fill(json, past), "epoch.json", spec, error));
+  EXPECT_NE(error.message.find(range), std::string::npos) << error.format();
+  EXPECT_NE(error.message.find("faults.epoch"), std::string::npos)
+      << error.format();
+}
+
 }  // namespace
 }  // namespace opto::dsl

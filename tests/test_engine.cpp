@@ -1,11 +1,14 @@
 // Streaming traffic engine: arrival generators, the event loop, the
-// Erlang-B analytic cross-check, determinism, and memory bounds.
+// Erlang-B analytic cross-check, the dynamic-RWA blocking shape ([34],
+// E14) on a ring and a torus, determinism, and memory bounds.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "opto/engine/engine.hpp"
 #include "opto/engine/traffic.hpp"
+#include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
 
 namespace opto {
@@ -194,28 +197,63 @@ TEST(Engine, MemoryBoundedByActiveConnections) {
   EXPECT_LT(result.peak_active, 500u);
 }
 
+std::shared_ptr<const Graph> torus_4x4() {
+  return std::make_shared<Graph>(make_torus({4, 4}).graph);
+}
+
 TEST(Engine, BlockingMonotoneInLoad) {
-  auto ring = std::make_shared<Graph>(make_ring(8));
-  double previous = -1.0;
-  for (const double rate : {8.0, 32.0, 128.0}) {
-    Engine engine(ring, ring_config(rate, 4, 30000), 9);
-    const auto result = engine.run();
-    EXPECT_GE(result.blocking_probability, previous);
-    previous = result.blocking_probability;
+  // Light load rarely blocks, heavy load visibly does, and blocking grows
+  // in between — on a ring (long routes) and a torus (short routes).
+  const struct {
+    std::shared_ptr<const Graph> graph;
+    std::vector<double> rates;
+  } networks[] = {
+      {std::make_shared<Graph>(make_ring(8)), {1.0, 8.0, 32.0, 128.0}},
+      {torus_4x4(), {2.0, 32.0, 128.0}}};
+  for (const auto& network : networks) {
+    SCOPED_TRACE(network.graph->name());
+    double previous = -1.0;
+    for (const double rate : network.rates) {
+      Engine engine(network.graph, ring_config(rate, 4, 30000), 9);
+      const auto result = engine.run();
+      EXPECT_GE(result.blocking_probability, previous) << "rate " << rate;
+      if (previous < 0) {
+        EXPECT_LT(result.blocking_probability, 0.01);
+      }
+      previous = result.blocking_probability;
+    }
+    EXPECT_GT(previous, 0.1);  // heavy load visibly blocks
   }
-  EXPECT_GT(previous, 0.1);  // heavy load visibly blocks
 }
 
 TEST(Engine, ConversionReducesBlocking) {
-  auto ring = std::make_shared<Graph>(make_ring(8));
-  EngineConfig config = ring_config(48.0, 4, 30000);
-  Engine plain(ring, config, 21);
-  const auto without = plain.run();
-  config.protocol.conversion = ConversionMode::Full;
-  Engine converting(ring, config, 21);
-  const auto with = converting.run();
-  EXPECT_LT(with.blocking_probability, without.blocking_probability);
-  EXPECT_GT(without.blocking_probability, 0.05);
+  // The [34] headline: dropping wavelength continuity visibly lowers
+  // blocking at moderate load.
+  const struct {
+    std::shared_ptr<const Graph> graph;
+    double rate;
+    double min_blocking;  ///< without conversion
+  } networks[] = {{std::make_shared<Graph>(make_ring(8)), 48.0, 0.05},
+                  {torus_4x4(), 24.0, 0.02}};
+  for (const auto& network : networks) {
+    SCOPED_TRACE(network.graph->name());
+    EngineConfig config = ring_config(network.rate, 4, 30000);
+    Engine plain(network.graph, config, 21);
+    const auto without = plain.run();
+    config.protocol.conversion = ConversionMode::Full;
+    Engine converting(network.graph, config, 21);
+    const auto with = converting.run();
+    EXPECT_LT(with.blocking_probability, without.blocking_probability);
+    EXPECT_GT(without.blocking_probability, network.min_blocking);
+  }
+}
+
+TEST(Engine, MoreWavelengthsReduceBlocking) {
+  auto ring = std::make_shared<Graph>(make_ring(12));
+  Engine narrow(ring, ring_config(16.0, 2, 6000), 5);
+  Engine wide(ring, ring_config(16.0, 16, 6000), 5);
+  EXPECT_LT(wide.run().blocking_probability,
+            narrow.run().blocking_probability);
 }
 
 TEST(Engine, LatencyQuantilesOrderedAndPositive) {

@@ -164,6 +164,14 @@ TEST(FuzzCase, RejectsWhatNoPassScenarioCanHold) {
     fuzz.faults.outage_duration = 0;  // outages last at least one step
     EXPECT_FALSE(well_formed(fuzz, &error));
   }
+  {
+    FuzzCase fuzz = base_case();
+    fuzz.has_faults = true;
+    fuzz.fault_epoch = (std::uint64_t{1} << 52) - 1;  // the DSL's epoch cap
+    EXPECT_TRUE(well_formed(fuzz, &error)) << error;
+    fuzz.fault_epoch = std::uint64_t{1} << 52;
+    EXPECT_FALSE(well_formed(fuzz, &error));
+  }
 }
 
 /// FuzzCase -> pass scenario -> canonical dump -> loader -> FuzzCase.

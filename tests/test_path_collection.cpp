@@ -113,37 +113,6 @@ TEST(PathCollection, StatsAggregate) {
   EXPECT_DOUBLE_EQ(stats.avg_length, 2.0);
 }
 
-TEST(PathCollection, SampledCongestionLowerBoundsExact) {
-  const auto graph = chain(12);
-  PathCollection collection(graph);
-  // Staggered overlapping windows give varied per-path congestion.
-  for (NodeId start = 0; start + 4 < 12; ++start) {
-    std::vector<NodeId> nodes;
-    for (NodeId u = start; u <= start + 4; ++u) nodes.push_back(u);
-    collection.add(Path::from_nodes(*graph, nodes));
-  }
-  const std::uint32_t exact = collection.path_congestion();
-  const std::uint32_t sampled = collection.path_congestion_sampled(3, 7);
-  EXPECT_LE(sampled, exact);
-  EXPECT_GT(sampled, 0u);
-  // Enough probes recover the exact value w.h.p. on this small instance;
-  // asking for >= size probes falls back to the exact computation.
-  EXPECT_EQ(collection.path_congestion_sampled(1000, 7), exact);
-}
-
-TEST(PathCollection, SampledCongestionEmptyAndDeterministic) {
-  const auto graph = chain(3);
-  PathCollection empty_collection(graph);
-  EXPECT_EQ(empty_collection.path_congestion_sampled(5, 1), 0u);
-
-  PathCollection collection(graph);
-  for (int i = 0; i < 6; ++i)
-    collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(collection.path_congestion_sampled(2, 9),
-            collection.path_congestion_sampled(2, 9));
-  EXPECT_EQ(collection.path_congestion_sampled(2, 9), 5u);  // bundle: all equal
-}
-
 TEST(PathCollection, FromNodeLists) {
   const auto graph = chain(4);
   const std::vector<std::vector<NodeId>> lists{{0, 1, 2}, {2, 3}};
@@ -293,20 +262,6 @@ TEST(PathCongestionOracle, MatchesBruteForceOnGeneratedCollections) {
     EXPECT_EQ(c.path_congestion(), max_value(expected));
     EXPECT_EQ(c.path_congestion(), max_value(expected));  // cached read
     EXPECT_EQ(c.stats().path_congestion, max_value(expected));
-
-    // The sampled estimate is the max over the ids its seed draws.
-    for (const std::uint32_t samples : {1u, 3u, c.size() / 2 + 1}) {
-      const std::uint64_t seed = 77 + index;
-      Rng draws(seed);
-      std::uint32_t best = 0;
-      if (samples >= c.size()) {
-        best = max_value(expected);
-      } else {
-        for (std::uint32_t k = 0; k < samples; ++k)
-          best = std::max(best, expected[draws.next_below(c.size())]);
-      }
-      EXPECT_EQ(c.path_congestion_sampled(samples, seed), best);
-    }
   }
 }
 
@@ -446,8 +401,6 @@ TEST(PathCongestionOracle, ExactAcrossBlockEdges) {
           pairwise_congestions(c, all_ids(c));
       EXPECT_EQ(c.path_congestions(), expected);
       EXPECT_EQ(c.path_congestion(), max_value(expected));
-      EXPECT_EQ(c.path_congestion_sampled(n, seed), max_value(expected));
-      EXPECT_EQ(c.path_congestion_sampled(n + 5, seed), max_value(expected));
 
       // A sub-multiset with repeated ids: each repeat is one more copy.
       Rng rng(seed * 31 + n);
