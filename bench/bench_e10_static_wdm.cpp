@@ -1,7 +1,9 @@
 // E10 — baseline: static wavelength assignment (single-hop RWA, §1.2).
 //
 // RWA colors all paths up front (global knowledge, no retries) and ships
-// ⌈colors/B⌉ collision-free batches; trial-and-failure knows nothing
+// ⌈colors/B⌉ collision-free batches; rwa::run_static_rwa runs it as
+// First-Fit rounds of rwa::run_strategy_schedule, each path its own only
+// route, in Welsh-Powell order. Trial-and-failure knows nothing
 // globally and retries. Expected crossover: RWA wins when C̃ is small or
 // B large (few batches); the online protocol closes in — and avoids the
 // global-coordination requirement entirely — as congestion and network
@@ -10,11 +12,11 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "opto/core/static_wdm.hpp"
 #include "opto/graph/butterfly.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/paths/butterfly_paths.hpp"
 #include "opto/paths/workloads.hpp"
+#include "opto/rwa/schedule.hpp"
 #include "opto/util/table.hpp"
 
 int main() {
@@ -62,7 +64,7 @@ int main() {
       // RWA on a fixed representative instance (the baseline is
       // deterministic given the collection).
       const auto collection = workload.factory(4242);
-      const auto rwa = run_static_wdm(collection, B, L);
+      const auto rwa = rwa::run_static_rwa(collection, B, L);
       table.row()
           .cell(static_cast<long long>(B))
           .cell(online.rounds.mean())

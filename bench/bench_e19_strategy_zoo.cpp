@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "opto/core/static_wdm.hpp"
 #include "opto/graph/bcube.hpp"
 #include "opto/graph/fattree.hpp"
 #include "opto/obs/obs.hpp"
@@ -91,7 +90,7 @@ int main() {
     // Greedy static coloring on the fixed representative instance
     // (deterministic given the collection, E10's convention).
     const auto collection = paths_factory(4242);
-    const auto wdm = run_static_wdm(collection, B, L);
+    const auto wdm = rwa::run_static_rwa(collection, B, L);
     table.row()
         .cell("greedy static")
         .cell(wdm.success ? 1.0 : 0.0)

@@ -5,6 +5,7 @@
 //
 //   ./blocking_curve [--topology ring|torus|hypercube] [--size 16]
 //                    [--bandwidth 8] [--points 6] [--csv]
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "opto/graph/hypercube.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
+#include "opto/sim/occupancy.hpp"
 #include "opto/util/cli.hpp"
 #include "opto/util/table.hpp"
 
@@ -29,23 +31,31 @@ int main(int argc, char** argv) {
   const auto* arrivals = cli.add_int("arrivals", 30000, "arrivals per point");
   const auto* csv = cli.add_flag("csv", "emit CSV");
   if (!cli.parse(argc, argv)) return 1;
+  if (!cli.check_range("arrivals", 1, LLONG_MAX)) return 1;
 
+  // --size ranges: each generator's domain, capped where the directed
+  // links alone (B = 1) would pass the simulator's channel budget
+  // kMaxChannels = 2^20: ring 2n, torus 4·side², hypercube dim·2^dim.
   std::shared_ptr<const Graph> graph;
   if (*topology == "ring") {
+    if (!cli.check_range("size", 3, 1 << 19)) return 1;
     graph = std::make_shared<Graph>(
         make_ring(static_cast<std::uint32_t>(*size)));
   } else if (*topology == "torus") {
+    if (!cli.check_range("size", 3, 512)) return 1;
     graph = std::make_shared<Graph>(
         make_torus({static_cast<std::uint32_t>(*size),
                     static_cast<std::uint32_t>(*size)})
             .graph);
   } else if (*topology == "hypercube") {
+    if (!cli.check_range("size", 1, 16)) return 1;
     graph = std::make_shared<Graph>(
         make_hypercube(static_cast<std::uint32_t>(*size)));
   } else {
     std::fprintf(stderr, "unknown topology '%s'\n", topology->c_str());
     return 1;
   }
+  if (!cli.check_range("bandwidth", 1, max_bandwidth(*graph))) return 1;
 
   Table table(graph->name() + ", B=" + std::to_string(*bandwidth));
   table.set_header({"load (Erlang)", "blocking", "blocking w/ conversion",

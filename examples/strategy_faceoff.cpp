@@ -7,15 +7,17 @@
 //   multi-hop segments                (bounded-hop extension, §4)
 //
 //   ./strategy_faceoff [--side 8] [--bandwidth 4] [--length 8] [--seed 3]
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 
 #include "opto/core/multi_hop.hpp"
-#include "opto/core/static_wdm.hpp"
 #include "opto/core/trial_and_failure.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/paths/workloads.hpp"
+#include "opto/rwa/schedule.hpp"
+#include "opto/sim/occupancy.hpp"
 #include "opto/util/cli.hpp"
 #include "opto/util/table.hpp"
 
@@ -30,12 +32,18 @@ int main(int argc, char** argv) {
   const auto* seed = cli.add_int("seed", 3, "random seed");
   if (!cli.parse(argc, argv)) return 1;
 
-  const auto B = static_cast<std::uint16_t>(*bandwidth);
-  const auto L = static_cast<std::uint32_t>(*length);
+  // A side-s mesh has 4·s·(s−1) directed links; past s = 512 they alone
+  // (B = 1) would pass the simulator's channel budget kMaxChannels = 2^20.
+  if (!cli.check_range("side", 1, 512) ||
+      !cli.check_range("length", 1, UINT32_MAX))
+    return 1;
 
   auto topo = std::make_shared<MeshTopology>(
       make_mesh({static_cast<std::uint32_t>(*side),
                  static_cast<std::uint32_t>(*side)}));
+  if (!cli.check_range("bandwidth", 1, max_bandwidth(topo->graph))) return 1;
+  const auto B = static_cast<std::uint16_t>(*bandwidth);
+  const auto L = static_cast<std::uint32_t>(*length);
   Rng rng(static_cast<std::uint64_t>(*seed));
   const auto collection = mesh_random_function(topo, rng);
   const auto stats = collection.stats();
@@ -79,7 +87,7 @@ int main(int argc, char** argv) {
           ConversionMode::Full);
 
   {
-    const auto rwa = run_static_wdm(collection, B, L);
+    const auto rwa = rwa::run_static_rwa(collection, B, L);
     table.row()
         .cell("static RWA batches")
         .cell(rwa.batches)

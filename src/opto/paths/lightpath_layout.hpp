@@ -70,7 +70,7 @@ std::vector<Path> layout_route(const ChainLayout& layout, NodeId src,
                                NodeId dst);
 
 /// All lightpaths of the layout (both directions), as a collection —
-/// e.g. to verify the wavelengths needed via assign_wavelengths.
+/// e.g. to verify the wavelengths needed via rwa::run_static_rwa.
 PathCollection layout_lightpaths(const ChainLayout& layout);
 
 /// Max number of lightpaths over any directed physical link (== the

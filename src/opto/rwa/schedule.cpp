@@ -1,5 +1,6 @@
 #include "opto/rwa/schedule.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "opto/par/parallel_for.hpp"
@@ -79,6 +80,85 @@ StrategyRunResult run_strategy_schedule(std::shared_ptr<const Graph> graph,
   result.success = pending.empty();
   for (const char used : color_used)
     result.colors += static_cast<std::uint32_t>(used);
+  return result;
+}
+
+namespace {
+
+/// First-Fit over one fixed candidate per request: uid u routes on
+/// member order[u] of the collection. Tracks the highest λ of the
+/// current round for the baseline's colour count.
+class FixedRouteFirstFit final : public Strategy {
+ public:
+  FixedRouteFirstFit(const PathCollection& collection,
+                     std::span<const PathId> order)
+      : collection_(collection), order_(order) {}
+
+  StrategyKind kind() const override { return StrategyKind::FirstFit; }
+
+  void begin(const HopTable& routes, const RwaConfig& config,
+             std::uint32_t round) override {
+    Strategy::begin(routes, config, round);
+    top_lambda_ = 0;
+  }
+
+  RwaDecision assign(const RwaRequest&, std::uint32_t uid) override {
+    const PathView route = collection_.path(order_[uid]);
+    const auto lambda = first_fit(route);
+    if (!lambda) return {};
+    claim(route, *lambda);
+    top_lambda_ = std::max(top_lambda_, *lambda);
+    RwaDecision decision;
+    decision.accepted = true;
+    decision.routes.emplace_back(route);
+    decision.lambdas.push_back(*lambda);
+    return decision;
+  }
+
+  Wavelength top_lambda() const { return top_lambda_; }
+
+ private:
+  const PathCollection& collection_;
+  std::span<const PathId> order_;
+  Wavelength top_lambda_ = 0;
+};
+
+}  // namespace
+
+StaticRwaResult run_static_rwa(const PathCollection& collection,
+                               std::uint16_t bandwidth,
+                               std::uint32_t worm_length) {
+  OPTO_ASSERT(bandwidth >= 1);
+  // Welsh-Powell order: conflict degree descending, ties by id.
+  const std::vector<std::uint32_t> degree = collection.path_congestions();
+  std::vector<PathId> order(collection.size());
+  std::iota(order.begin(), order.end(), PathId{0});
+  std::stable_sort(order.begin(), order.end(), [&degree](PathId a, PathId b) {
+    return degree[a] > degree[b];
+  });
+  std::vector<RwaRequest> requests;
+  requests.reserve(order.size());
+  for (const PathId id : order) {
+    const PathView member = collection.path(id);
+    requests.push_back({member.source(), member.destination()});
+  }
+
+  StrategyScheduleConfig config;
+  config.rwa.bandwidth = bandwidth;
+  config.worm_length = worm_length;
+  // Every round places its first pending request, so n rounds suffice.
+  config.max_rounds = std::max(collection.size(), 1u);
+  FixedRouteFirstFit strategy(collection, order);
+  const StrategyRunResult run = run_strategy_schedule(
+      collection.graph_ptr(), requests, strategy, config);
+
+  StaticRwaResult result;
+  result.success = run.success;
+  result.batches = run.rounds;
+  if (run.rounds > 0)
+    result.colors = (run.rounds - 1) * bandwidth + strategy.top_lambda() + 1;
+  result.total_time = run.makespan;
+  result.worm_steps = run.worm_steps;
   return result;
 }
 

@@ -1,5 +1,6 @@
 // Round driver for RWA strategies — the Trial-and-Failure analogue for
-// the static side of the comparison (E19).
+// the static side of the comparison (E19) — and the §1.2 static
+// baseline (E10) run on it.
 //
 // Each round the strategy sees a fresh wavelength band [0, B) and the
 // still-unserved requests in uid order; accepted requests are simulated
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "opto/paths/path_collection.hpp"
 #include "opto/rwa/strategy.hpp"
 #include "opto/sim/simulator.hpp"
 #include "opto/util/stats.hpp"
@@ -54,6 +56,30 @@ StrategyRunResult run_strategy_schedule(std::shared_ptr<const Graph> graph,
                                         std::span<const RwaRequest> requests,
                                         Strategy& strategy,
                                         const StrategyScheduleConfig& config);
+
+/// The single-hop static RWA baseline of §1.2 ([3], [1], [32]): colour
+/// the collection so that no two members sharing a directed link get
+/// the same wavelength, then ship the colour classes as ⌈colours/B⌉
+/// collision-free batches. It needs the whole collection up front,
+/// which is exactly what Trial-and-Failure avoids.
+struct StaticRwaResult {
+  bool success = false;
+  std::uint32_t colors = 0;
+  std::uint32_t batches = 0;
+  SimTime total_time = 0;  ///< Σ batch makespans (+1 each)
+  std::uint64_t worm_steps = 0;
+};
+
+/// Runs the baseline on run_strategy_schedule: member p is a request
+/// whose only candidate route is p itself, read in place. Requests are
+/// admitted in Welsh-Powell order (descending path_congestions(), the
+/// conflict degree; ties by id) and First-Fit picks λ from each round's
+/// fresh band, so member p lands in round r on λ exactly when its greedy
+/// colour is (r − 1)·B + λ: rounds are batches, and colours are
+/// (rounds − 1)·B + the last round's highest λ + 1.
+StaticRwaResult run_static_rwa(const PathCollection& collection,
+                               std::uint16_t bandwidth,
+                               std::uint32_t worm_length);
 
 /// Builds one trial's instance: the graph and its request list.
 /// Deterministic in the seed (experiment-harness contract).

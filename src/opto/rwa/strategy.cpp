@@ -80,7 +80,7 @@ const std::vector<std::vector<NodeId>>& Strategy::candidates(
   return it->second;
 }
 
-bool Strategy::channel_free(const Path& route, Wavelength lambda) const {
+bool Strategy::channel_free(PathView route, Wavelength lambda) const {
   for (EdgeId link : route.links())
     if (occupancy_[static_cast<std::size_t>(link) * config_.bandwidth +
                    lambda])
@@ -88,7 +88,7 @@ bool Strategy::channel_free(const Path& route, Wavelength lambda) const {
   return true;
 }
 
-void Strategy::claim(const Path& route, Wavelength lambda) {
+void Strategy::claim(PathView route, Wavelength lambda) {
   for (EdgeId link : route.links()) {
     occupancy_[static_cast<std::size_t>(link) * config_.bandwidth + lambda] =
         1;
@@ -96,7 +96,7 @@ void Strategy::claim(const Path& route, Wavelength lambda) {
   }
 }
 
-std::optional<Wavelength> Strategy::first_fit(const Path& route) const {
+std::optional<Wavelength> Strategy::first_fit(PathView route) const {
   for (Wavelength lambda = 0; lambda < config_.bandwidth; ++lambda)
     if (channel_free(route, lambda)) return lambda;
   return std::nullopt;

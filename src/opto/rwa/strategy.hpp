@@ -98,11 +98,13 @@ class Strategy {
   const std::vector<std::vector<NodeId>>& candidates(NodeId source,
                                                      NodeId destination);
 
-  bool channel_free(const Path& route, Wavelength lambda) const;
-  void claim(const Path& route, Wavelength lambda);
+  /// The occupancy helpers read routes as views, so a route may be a
+  /// Path or a member of a PathCollection read in place.
+  bool channel_free(PathView route, Wavelength lambda) const;
+  void claim(PathView route, Wavelength lambda);
 
   /// Lowest free wavelength on `route`, or nullopt if the band is full.
-  std::optional<Wavelength> first_fit(const Path& route) const;
+  std::optional<Wavelength> first_fit(PathView route) const;
 
   /// Builds the canonical single-route decision and claims its channels.
   RwaDecision accept(const Graph& graph, const std::vector<NodeId>& route,

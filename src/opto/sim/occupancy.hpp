@@ -18,6 +18,7 @@
 // so registry behaviour is visible in BENCH JSON.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -35,6 +36,14 @@ namespace opto {
 /// ≤ 36 MiB, and the simulator's packed attempt key needs at most
 /// link_bits + wl_bits + 1 ≤ 22 bits, so it always fits its 32-bit half.
 inline constexpr std::uint64_t kMaxChannels = std::uint64_t{1} << 20;
+
+/// The largest bandwidth a Simulator on `graph` takes: within the channel
+/// budget, and within the 16 bits of a Wavelength.
+inline std::uint32_t max_bandwidth(const Graph& graph) {
+  const std::uint64_t links = std::max<std::uint64_t>(1, graph.link_count());
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(kMaxChannels / links, 0xffff));
+}
 
 struct Claim {
   WormId worm = kInvalidWorm;

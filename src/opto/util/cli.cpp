@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "opto/util/assert.hpp"
 #include "opto/util/string_util.hpp"
 
 namespace opto {
@@ -175,6 +176,17 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
   }
   return true;
+}
+
+bool CliParser::check_range(const std::string& name, long long lo,
+                            long long hi) {
+  const Option* opt = find(name);
+  OPTO_ASSERT(opt != nullptr && opt->kind == Option::Kind::Int);
+  if (opt->int_value >= lo && opt->int_value <= hi) return true;
+  std::fprintf(stderr, "%s: --%s must be in %lld..%lld (got %lld)\n",
+               program_.c_str(), name.c_str(), lo, hi, opt->int_value);
+  print_usage();
+  return false;
 }
 
 void CliParser::print_usage() const {

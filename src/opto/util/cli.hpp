@@ -4,6 +4,7 @@
 //   auto side = cli.add_int("side", 8, "torus side length");
 //   auto rule = cli.add_string("rule", "serve-first", "contention rule");
 //   if (!cli.parse(argc, argv)) return 1;   // prints usage on --help/error
+//   if (!cli.check_range("side", 3, 512)) return 1;
 //   use(*side, *rule);
 //
 // Flags are --name=value or --name value. Unknown flags are errors.
@@ -34,6 +35,11 @@ class CliParser {
   /// Returns false if parsing failed or --help was requested (usage is
   /// printed either way).
   bool parse(int argc, const char* const* argv);
+
+  /// True when int flag `name` holds a value in [lo, hi]. Otherwise
+  /// prints "<program>: --<name> must be in <lo>..<hi> (got <value>)" and
+  /// the usage, and returns false. Check before narrowing the value.
+  bool check_range(const std::string& name, long long lo, long long hi);
 
   void print_usage() const;
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "opto/paths/lightpath_layout.hpp"
-#include "opto/paths/wavelength_assignment.hpp"
+#include "opto/rwa/schedule.hpp"
 
 namespace opto {
 namespace {
@@ -57,9 +57,10 @@ TEST(Layout, WavelengthCongestionEqualsCoveringLevels) {
   EXPECT_EQ(layout_wavelength_congestion(layout), 7u);
   // And greedy coloring of the lightpaths needs exactly that many
   // wavelengths per direction.
-  const auto assignment = assign_wavelengths(layout_lightpaths(layout),
-                                             ColoringOrder::ByDegreeDesc);
-  EXPECT_GE(assignment.colors_used, 7u);
+  const auto baseline = rwa::run_static_rwa(layout_lightpaths(layout),
+                                            /*bandwidth=*/8,
+                                            /*worm_length=*/1);
+  EXPECT_GE(baseline.colors, 7u);
 }
 
 TEST(Layout, HopCongestionTradeoff) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "opto/paths/tree_layout.hpp"
-#include "opto/paths/wavelength_assignment.hpp"
 
 namespace opto {
 namespace {

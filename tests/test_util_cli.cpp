@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "opto/util/cli.hpp"
@@ -45,6 +46,21 @@ TEST(Cli, FlagExplicitFalse) {
   const char* argv[] = {"prog", "--fast=false"};
   ASSERT_TRUE(cli.parse(2, argv));
   EXPECT_FALSE(*flag);
+}
+
+TEST(Cli, CheckRangeAcceptsOnlyTheClosedRange) {
+  CliParser cli("prog", "test");
+  cli.add_int("n", 0, "count");
+  for (const auto& [text, inside] :
+       std::vector<std::pair<const char*, bool>>{{"--n=2", false},
+                                                 {"--n=3", true},
+                                                 {"--n=9", true},
+                                                 {"--n=10", false},
+                                                 {"--n=-4", false}}) {
+    const char* argv[] = {"prog", text};
+    ASSERT_TRUE(cli.parse(2, argv));
+    EXPECT_EQ(cli.check_range("n", 3, 9), inside) << text;
+  }
 }
 
 TEST(Cli, UnknownFlagFails) {
