@@ -33,22 +33,33 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   if (!cli.check_range("arrivals", 1, LLONG_MAX)) return 1;
 
-  // --size ranges: each generator's domain, capped where the directed
-  // links alone (B = 1) would pass the simulator's channel budget
-  // kMaxChannels = 2^20: ring 2n, torus 4·side², hypercube dim·2^dim.
+  // --size ranges: from each generator's smallest size up to the largest
+  // whose route table the engine takes (route_table_fits with the
+  // family's diameter): ring n/2, torus 2·⌊side/2⌋, hypercube dim.
+  const auto check_size = [&](long long lo, auto nodes, auto diameter) {
+    long long hi = lo;
+    while (route_table_fits(static_cast<std::uint64_t>(nodes(hi + 1)),
+                            static_cast<std::uint64_t>(diameter(hi + 1))))
+      ++hi;
+    return cli.check_range("size", lo, hi);
+  };
+  const auto same = [](long long n) { return n; };
+  const auto half = [](long long n) { return n / 2; };
   std::shared_ptr<const Graph> graph;
   if (*topology == "ring") {
-    if (!cli.check_range("size", 3, 1 << 19)) return 1;
+    if (!check_size(3, same, half)) return 1;
     graph = std::make_shared<Graph>(
         make_ring(static_cast<std::uint32_t>(*size)));
   } else if (*topology == "torus") {
-    if (!cli.check_range("size", 3, 512)) return 1;
+    if (!check_size(3, [](long long s) { return s * s; },
+                    [](long long s) { return 2 * (s / 2); }))
+      return 1;
     graph = std::make_shared<Graph>(
         make_torus({static_cast<std::uint32_t>(*size),
                     static_cast<std::uint32_t>(*size)})
             .graph);
   } else if (*topology == "hypercube") {
-    if (!cli.check_range("size", 1, 16)) return 1;
+    if (!check_size(1, [](long long d) { return 1LL << d; }, same)) return 1;
     graph = std::make_shared<Graph>(
         make_hypercube(static_cast<std::uint32_t>(*size)));
   } else {

@@ -4,7 +4,9 @@
 #  1. Parses + canonically dumps every committed examples/**/*.opto and
 #     byte-compares the dump against examples/golden/<stem>.json — any
 #     grammar, validator, or canonical-writer drift fails here with a
-#     named diff.
+#     named diff. Then dumps every golden itself, which must reproduce
+#     its own bytes: the JSON loader's gate, as the .opto dump is the
+#     grammar's.
 #  2. Runs the four equivalence scenarios (E1 leveled-upper, E15 fault
 #     plan, E17 streaming engine, E19 strategy zoo) at REPRO_SCALE=0.1
 #     through BOTH the
@@ -53,6 +55,14 @@ for f in examples/*.opto examples/repros/*.opto; do
   count=$((count + 1))
 done
 echo "$count scenarios match their goldens"
+count=0
+for golden in examples/golden/*.json; do
+  stem="$(basename "$golden" .json)"
+  "$RUN" --dump "$golden" --out "$OUT/redump_$stem.json"
+  cmp "$golden" "$OUT/redump_$stem.json"
+  count=$((count + 1))
+done
+echo "$count goldens reload to their own bytes"
 
 echo "== DSL vs hand-coded equivalence (REPRO_SCALE=0.1) =="
 export REPRO_SCALE=0.1

@@ -104,6 +104,17 @@ std::uint64_t topology_links(const TopologySpec& topo) {
   return 2 * topo.edges.size();  // explicit
 }
 
+std::uint64_t topology_diameter(const TopologySpec& topo) {
+  if (topo.family == "butterfly") return std::uint64_t{2} * topo.dim;
+  if (topo.family == "mesh") return std::uint64_t{2} * (topo.side - 1);
+  if (topo.family == "ring") return topo.nodes / 2;
+  if (topo.family == "hypercube") return topo.dim;
+  if (topo.family == "complete" || topo.family == "single_link") return 1;
+  if (topo.family == "fattree") return 6;  // host-edge-agg-core-agg-edge-host
+  if (topo.family == "bcube") return std::uint64_t{2} * topo.levels;
+  return topo.nodes - 1;  // explicit: any simple path
+}
+
 std::string channel_budget_error(const ScenarioSpec& spec) {
   const std::uint64_t links = topology_links(spec.topology);
   const std::uint64_t channels = links * spec.protocol.bandwidth;
@@ -874,6 +885,20 @@ class Validator {
     }
     if (std::string budget = channel_budget_error(spec_); !budget.empty())
       return fail(topology_loc_, std::move(budget));
+    if (spec_.mode == ScenarioMode::Engine) {
+      const std::uint64_t nodes = topology_nodes(spec_.topology);
+      const std::uint64_t hops = topology_diameter(spec_.topology);
+      if (!route_table_fits(nodes, hops))
+        return fail(topology_loc_,
+                    "engine route table too large: topology " +
+                        spec_.topology.family + " has " +
+                        std::to_string(nodes * (nodes - 1)) +
+                        " ordered node pairs x routes of up to " +
+                        std::to_string(hops) + " hops = " +
+                        std::to_string(nodes * (nodes - 1) * hops) +
+                        " hops, the cap is " +
+                        std::to_string(kMaxRouteTableHops));
+    }
     return true;
   }
 

@@ -1,10 +1,13 @@
 // AST → ScenarioSpec validation, and the one-call text loaders.
 //
 // Validation is where meaning lives: section/setting names, enum
-// spellings, numeric ranges, and mode compatibility are all checked
-// here, each failure reported as a DslError anchored at the offending
-// token (`file:line:col: message`). The golden diagnostic tests pin
-// these messages byte-for-byte, so treat message text as API.
+// spellings, numeric ranges, mode compatibility and resource budgets are
+// all checked here, each failure reported as a DslError anchored at the
+// offending token (`file:line:col: message`). It is the only validator:
+// canonical JSON is lowered into the same AST (canonical.hpp), so both
+// scenario forms meet the same rules with the same messages. The golden
+// diagnostic tests pin these messages byte-for-byte, so treat message
+// text as API.
 #pragma once
 
 #include <string>
@@ -25,7 +28,7 @@ inline constexpr std::uint64_t kMaxDelta = 1u << 24;
 inline constexpr std::uint64_t kMaxU32Field = 0xffffffffu;
 /// Cap of a launch start: the largest integer a JSON double holds exactly.
 inline constexpr std::uint64_t kMaxLaunchStart = std::uint64_t{1} << 53;
-/// Cap of a pass scenario's fault epoch, 2^52 − 1, in both loaders.
+/// Cap of a pass scenario's fault epoch, 2^52 − 1.
 inline constexpr std::uint64_t kMaxFaultEpoch = ~std::uint64_t{0} >> 12;
 
 /// Node count of the graph the topology's builder makes (converter
@@ -35,6 +38,11 @@ std::uint64_t topology_nodes(const TopologySpec& topo);
 /// Directed link count of the graph the topology's builder makes: equals
 /// Graph::link_count() of the built topology.
 std::uint64_t topology_links(const TopologySpec& topo);
+
+/// Longest BFS route on the graph the topology's builder makes: the
+/// family's diameter, or nodes − 1 for an explicit topology. With
+/// topology_nodes it sizes the engine's route table (route_table_fits).
+std::uint64_t topology_diameter(const TopologySpec& topo);
 
 /// Empty when the scenario's topology_links × protocol bandwidth fits
 /// kMaxChannels (sim/occupancy.hpp), else the diagnostic text. The
@@ -51,7 +59,7 @@ bool load_opto_text(std::string_view source, const std::string& file,
                     ScenarioSpec& spec, DslError& error);
 
 /// Loads either form: canonical JSON (first non-space byte '{') or
-/// `.opto` source. JSON errors carry no useful line/col (the JSON parser
+/// `.opto` source. JSON errors are located at 1:1 (the JSON parser
 /// reports byte offsets in its message instead).
 bool load_scenario_text(std::string_view source, const std::string& file,
                         ScenarioSpec& spec, DslError& error);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "opto/graph/graph_algo.hpp"
 #include "opto/obs/obs.hpp"
 #include "opto/paths/bfs_shortest.hpp"
 #include "opto/util/assert.hpp"
@@ -99,6 +100,11 @@ std::vector<std::pair<NodeId, NodeId>> all_ordered_pairs(NodeId nodes) {
 
 }  // namespace
 
+bool route_table_fits(std::uint64_t nodes, std::uint64_t max_route_hops) {
+  const std::uint64_t pairs = nodes * (nodes - 1);
+  return max_route_hops == 0 || pairs <= kMaxRouteTableHops / max_route_hops;
+}
+
 Engine::Engine(std::shared_ptr<const Graph> graph, EngineConfig config,
                std::uint64_t seed)
     : graph_(std::move(graph)),
@@ -120,6 +126,10 @@ Engine::Engine(std::shared_ptr<const Graph> graph, EngineConfig config,
       "guarantees pairwise-distinct ranks");
 
   const NodeId nodes = graph_->node_count();
+  // Node 0's eccentricity never exceeds the diameter, and the validator's
+  // family bound never falls below it, so no validated scenario trips this.
+  OPTO_ASSERT_MSG(route_table_fits(nodes, eccentricity(*graph_, 0)),
+                  "engine route table exceeds kMaxRouteTableHops");
   const auto pairs = all_ordered_pairs(nodes);
   routes_ = bfs_collection(graph_, pairs);
   pair_path_.assign(static_cast<std::size_t>(nodes) * nodes, kInvalidPath);

@@ -49,6 +49,20 @@ enum class WavelengthFit : std::uint8_t { FirstFit, RandomFit };
 
 const char* to_string(WavelengthFit fit);
 
+/// Cap on the hops of the engine's route table, which holds one BFS route
+/// per ordered node pair. Peak RSS measures ~16 B a hop plus ~68 B a
+/// route (ring-200: 2.0M hops, 37 MiB; K_1024: 1.05M one-hop routes,
+/// 88 MiB), so with the channel budget no validated engine scenario's
+/// table passes ~100 MiB.
+inline constexpr std::uint64_t kMaxRouteTableHops = std::uint64_t{1} << 22;
+
+/// The closed-form route-table check: nodes·(nodes − 1) ordered pairs,
+/// each routed over at most `max_route_hops` links, fit
+/// kMaxRouteTableHops. The scenario validator applies it with each
+/// family's diameter (nodes − 1 for an explicit topology); the Engine
+/// constructor asserts it.
+bool route_table_fits(std::uint64_t nodes, std::uint64_t max_route_hops);
+
 struct EngineConfig {
   /// Protocol knobs for the setup passes (bandwidth, contention rule,
   /// conversion…). Multi-connection batches need a strategy with
@@ -94,7 +108,8 @@ struct EngineResult {
 class Engine {
  public:
   /// Builds the canonical BFS route table (one path per ordered pair) on
-  /// `graph`, which must be connected with ≥ 2 nodes.
+  /// `graph`, which must be connected with ≥ 2 nodes and pass
+  /// route_table_fits.
   Engine(std::shared_ptr<const Graph> graph, EngineConfig config,
          std::uint64_t seed);
   ~Engine();

@@ -371,7 +371,11 @@ std::string generate_program(std::uint64_t seed, std::uint64_t index) {
 }
 
 std::string mutate_program(std::uint64_t seed, std::uint64_t index) {
-  std::string text = generate_program(seed, index);
+  return mutate_text(generate_program(seed, index), seed, index);
+}
+
+std::string mutate_text(std::string text, std::uint64_t seed,
+                        std::uint64_t index) {
   // Independent stream: mutation choices never perturb generation.
   Rng rng = Rng::stream(seed ^ 0x6d75746174655f5full, index);
   const char* const kInjections[] = {

@@ -31,4 +31,10 @@ std::string generate_program(std::uint64_t seed, std::uint64_t index);
 /// applied on top (drawn from an independent stream of the same seed).
 std::string mutate_program(std::uint64_t seed, std::uint64_t index);
 
+/// `text` with the corruptions mutate_program(seed, index) applies, so
+/// the same mutator reaches any scenario form (the fuzzers also feed it
+/// each program's canonical JSON).
+std::string mutate_text(std::string text, std::uint64_t seed,
+                        std::uint64_t index);
+
 }  // namespace opto::testlib

@@ -12,25 +12,12 @@ struct CliParser::Option {
 
   std::string name;
   std::string help;
+  std::string default_text;  ///< the usage's "(default: …)", fixed at add
   Kind kind;
   long long int_value = 0;
   double double_value = 0.0;
   std::string string_value;
   bool flag_value = false;
-
-  std::string default_description() const {
-    switch (kind) {
-      case Kind::Int:
-        return std::to_string(int_value);
-      case Kind::Double:
-        return std::to_string(double_value);
-      case Kind::String:
-        return string_value;
-      case Kind::Flag:
-        return "false";
-    }
-    return {};
-  }
 
   bool assign(std::string_view text) {
     switch (kind) {
@@ -77,6 +64,7 @@ const long long* CliParser::add_int(const std::string& name,
   opt->help = help;
   opt->kind = Option::Kind::Int;
   opt->int_value = default_value;
+  opt->default_text = std::to_string(default_value);
   const long long* handle = &opt->int_value;
   options_.push_back(std::move(opt));
   return handle;
@@ -90,6 +78,7 @@ const double* CliParser::add_double(const std::string& name,
   opt->help = help;
   opt->kind = Option::Kind::Double;
   opt->double_value = default_value;
+  opt->default_text = std::to_string(default_value);
   const double* handle = &opt->double_value;
   options_.push_back(std::move(opt));
   return handle;
@@ -102,6 +91,7 @@ const std::string* CliParser::add_string(const std::string& name,
   opt->name = name;
   opt->help = help;
   opt->kind = Option::Kind::String;
+  opt->default_text = default_value;
   opt->string_value = std::move(default_value);
   const std::string* handle = &opt->string_value;
   options_.push_back(std::move(opt));
@@ -114,6 +104,7 @@ const bool* CliParser::add_flag(const std::string& name,
   opt->name = name;
   opt->help = help;
   opt->kind = Option::Kind::Flag;
+  opt->default_text = "false";
   const bool* handle = &opt->flag_value;
   options_.push_back(std::move(opt));
   return handle;
@@ -194,7 +185,7 @@ void CliParser::print_usage() const {
                description_.c_str());
   for (const auto& opt : options_) {
     std::fprintf(stderr, "  --%-18s %s (default: %s)\n", opt->name.c_str(),
-                 opt->help.c_str(), opt->default_description().c_str());
+                 opt->help.c_str(), opt->default_text.c_str());
   }
 }
 

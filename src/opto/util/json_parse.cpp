@@ -181,6 +181,7 @@ class Parser {
     }
     out.kind = JsonValue::Kind::Number;
     out.number = value;
+    out.text = token;
     return true;
   }
 

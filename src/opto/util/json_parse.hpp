@@ -20,7 +20,9 @@ struct JsonValue {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
-  std::string text;                       ///< Kind::String payload
+  /// Kind::String payload; for a parsed Kind::Number, its source
+  /// spelling (so integers past 2^53 are not lost to the double).
+  std::string text;
   std::vector<JsonValue> items;           ///< Kind::Array payload
   /// Kind::Object payload, in document order (duplicate keys keep the
   /// last occurrence on lookup, as most parsers do).

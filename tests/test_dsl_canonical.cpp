@@ -5,7 +5,9 @@
 //    and on hundreds of generated programs,
 //  - the (seed, index) program generator is deterministic, and mutated
 //    programs always terminate in a clean parse or a diagnostic,
-//  - both loaders reject foreign documents and out-of-range integers.
+//  - both loaders reject foreign documents and out-of-range integers,
+//    and the JSON loader, a lowering into the .opto AST, rejects every
+//    bad scenario with the .opto message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,6 +106,7 @@ TEST(DslCanonical, GeneratorIsPureInSeedAndIndex) {
 
 TEST(DslCanonical, MutatedProgramsFailCleanlyOrRoundTrip) {
   std::uint64_t accepted = 0, rejected = 0;
+  std::uint64_t json_accepted = 0, json_rejected = 0;
   for (std::uint64_t i = 0; i < 500; ++i) {
     const std::string mutant = testlib::mutate_program(7, i);
     ScenarioSpec spec;
@@ -120,9 +123,38 @@ TEST(DslCanonical, MutatedProgramsFailCleanlyOrRoundTrip) {
       ADD_FAILURE() << "failing mutant:\n" << mutant;
       break;
     }
+
+    // The same corruptions over the program's canonical JSON: a mutant
+    // either reloads to a dump -> load -> dump fixed point or is
+    // rejected with a diagnostic.
+    ScenarioSpec generated;
+    ASSERT_TRUE(load_opto_text(testlib::generate_program(7, i), "gen",
+                               generated, error))
+        << error.format();
+    const std::string json =
+        testlib::mutate_text(canonical_text(generated), 7, i);
+    ScenarioSpec lowered;
+    if (load_scenario_text(json, "mut.json", lowered, error)) {
+      ++json_accepted;
+      const std::string dump = canonical_text(lowered);
+      ScenarioSpec reloaded;
+      EXPECT_TRUE(load_scenario_text(dump, "dump.json", reloaded, error))
+          << error.format();
+      EXPECT_EQ(canonical_text(reloaded), dump)
+          << "dump -> load -> dump is not a fixed point";
+    } else {
+      ++json_rejected;
+      EXPECT_FALSE(error.message.empty())
+          << "rejection without a diagnostic for JSON mutant " << i;
+    }
+    if (testing::Test::HasFailure()) {
+      ADD_FAILURE() << "failing JSON mutant:\n" << json;
+      break;
+    }
   }
   // The mutator must actually break most programs or it tests nothing.
   EXPECT_GT(rejected, accepted);
+  EXPECT_GT(json_rejected, json_accepted);
 }
 
 TEST(DslCanonical, JsonLoaderRejectsUnknownKeysAndWrongSchema) {
@@ -269,11 +301,145 @@ TEST(DslCanonical, BothLoadersCapTheFaultEpoch) {
       {"EPOCH", "9007199254740993"}};
   EXPECT_FALSE(load_opto_text(fill(opto, past), "epoch.opto", spec, error));
   EXPECT_NE(error.message.find(range), std::string::npos) << error.format();
+  const std::string opto_message = error.message;
   EXPECT_FALSE(
       load_scenario_text(fill(json, past), "epoch.json", spec, error));
   EXPECT_NE(error.message.find(range), std::string::npos) << error.format();
-  EXPECT_NE(error.message.find("faults.epoch"), std::string::npos)
+  EXPECT_EQ(error.message, opto_message) << error.format();
+}
+
+/// One scenario written both ways, bad in the same place.
+struct Twin {
+  const char* what;
+  std::string opto;
+  std::string json;
+};
+
+TEST(DslCanonical, JsonAndOptoLoadersAgree) {
+  // One validator serves both forms, so each twin is rejected by both
+  // loaders with the same message (JSON locates it at 1:1).
+  const std::string pass_opto =
+      "scenario \"twin\" {\n"
+      "  mode pass;\n"
+      "  topology explicit { nodes 2; edges [[0, 1]]; }\n"
+      "  paths explicit { routes [[0, {NODE}]]; }\n"
+      "  protocol { bandwidth 1; }\n"
+      "  case {\n"
+      "    launches [[{PATH}, {START}, {LAMBDA}, 0, 1]];\n"
+      "    pinned [[{LINK}, 0]];\n"
+      "  }\n"
+      "}\n";
+  const std::string pass_json =
+      R"({"schema":"opto.scenario","schema_version":1,"name":"twin",)"
+      R"("label":"twin","mode":"pass",)"
+      R"("topology":{"family":"explicit","nodes":2,"edges":[[0,1]]},)"
+      R"("paths":{"system":"explicit","routes":[[0,{NODE}]]},)"
+      R"("protocol":{"bandwidth":1},)"
+      R"("case":{"launches":[[{PATH},{START},{LAMBDA},0,1]],)"
+      R"("pinned":[[{LINK},0]]}})";
+  const std::vector<std::pair<std::string, std::string>> valid = {
+      {"NODE", "1"}, {"PATH", "0"}, {"START", "0"}, {"LAMBDA", "0"},
+      {"LINK", "0"}};
+  const auto pass_twin = [&](const char* what, const std::string& key,
+                             const std::string& value) {
+    auto fields = valid;
+    for (auto& field : fields)
+      if (field.first == key) field.second = value;
+    return Twin{what, fill(pass_opto, fields), fill(pass_json, fields)};
+  };
+  const std::string head =
+      R"({"schema":"opto.scenario","schema_version":1,"name":"twin",)"
+      R"("label":"twin","mode":"trials",)";
+  const std::vector<Twin> twins = {
+      {"butterfly_io paths on a ring",
+       "scenario \"twin\" { mode trials; topology ring { nodes 8; }\n"
+       "  paths butterfly_io { workload permutation; } }\n",
+       head + R"("topology":{"family":"ring","nodes":8},)"
+              R"("paths":{"system":"butterfly_io","workload":"permutation"}})"},
+      {"a strategy over mesh_dimension_order paths",
+       "scenario \"twin\" { mode trials; topology mesh { side 4; }\n"
+       "  paths mesh_dimension_order { workload permutation; }\n"
+       "  strategy first_fit { k 2; } }\n",
+       head + R"("topology":{"family":"mesh","side":4},)"
+              R"("paths":{"system":"mesh_dimension_order",)"
+              R"("workload":"permutation"},)"
+              R"("strategy":{"kind":"first_fit","k":2}})"},
+      pass_twin("an out-of-range route node", "NODE", "5"),
+      pass_twin("an out-of-range launch path", "PATH", "3"),
+      pass_twin("an out-of-range launch wavelength", "LAMBDA", "1"),
+      pass_twin("an out-of-range pinned link", "LINK", "2"),
+      {"a sparse converter list of the wrong length",
+       "scenario \"twin\" { mode trials; topology ring { nodes 4; }\n"
+       "  paths bfs { workload permutation; }\n"
+       "  protocol { conversion sparse; converters [1, 0]; } }\n",
+       head + R"("topology":{"family":"ring","nodes":4},)"
+              R"("paths":{"system":"bfs","workload":"permutation"},)"
+              R"("protocol":{"conversion":"sparse","converters":[1,0]}})"},
+      pass_twin("a launch start past 2^53", "START", "9007199254740993"),
+      {"a duplicate key",
+       "scenario \"twin\" { mode trials; topology ring { nodes 4; }\n"
+       "  paths bfs { workload permutation; }\n"
+       "  protocol { bandwidth 1; bandwidth 2; } }\n",
+       head + R"("topology":{"family":"ring","nodes":4},)"
+              R"("paths":{"system":"bfs","workload":"permutation"},)"
+              R"("protocol":{"bandwidth":1,"bandwidth":2}})"},
+  };
+
+  ScenarioSpec spec;
+  DslError error;
+  ASSERT_TRUE(load_opto_text(fill(pass_opto, valid), "twin.opto", spec, error))
       << error.format();
+  ASSERT_TRUE(
+      load_scenario_text(fill(pass_json, valid), "twin.json", spec, error))
+      << error.format();
+  for (const Twin& twin : twins) {
+    ASSERT_FALSE(load_opto_text(twin.opto, "twin.opto", spec, error))
+        << twin.what << " loaded from .opto";
+    const std::string opto_message = error.message;
+    ASSERT_FALSE(load_scenario_text(twin.json, "twin.json", spec, error))
+        << twin.what << " loaded from JSON";
+    EXPECT_EQ(error.message, opto_message) << twin.what;
+    EXPECT_EQ(error.format().rfind("twin.json:1:1: ", 0), 0u)
+        << error.format();
+  }
+}
+
+TEST(DslCanonical, JsonLoweringRejectsWhatNoOptoProgramSpells) {
+  const std::string head =
+      R"({"schema":"opto.scenario","schema_version":1,"name":"x",)"
+      R"("mode":"trials","paths":{"system":"bfs","workload":"permutation"},)";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {head + R"("topology":{"family":"ring","nodes":null}})",
+       "unexpected null in setting 'topology.nodes'"},
+      {head + R"("topology":{"family":"ring","nodes":{"n":4}}})",
+       "unexpected object in setting 'topology.nodes'"},
+      {head + R"("topology":{"family":"ring","nodes":4},)"
+              R"("topology":{"family":"ring","nodes":5}})",
+       "duplicate key 'topology'"},
+      {head + R"("topology":{"family":"ring","family":"mesh","nodes":4}})",
+       "duplicate key 'topology.family'"},
+      {R"({"schema":"opto.scenario","schema_version":1,"mode":"trials"})",
+       "missing required key 'name'"},
+  };
+  for (const auto& [doc, message] : cases) {
+    ScenarioSpec spec;
+    DslError error;
+    EXPECT_FALSE(load_scenario_text(doc, "doc.json", spec, error)) << doc;
+    EXPECT_EQ(error.message, message) << doc;
+  }
+}
+
+TEST(DslCanonical, JsonTakesTheOptoDefaults) {
+  // No label: it defaults to the name's slug, as in .opto.
+  ScenarioSpec spec;
+  DslError error;
+  ASSERT_TRUE(load_scenario_text(
+      R"({"schema":"opto.scenario","schema_version":1,"name":"Ring Eight",)"
+      R"("mode":"trials","topology":{"family":"ring","nodes":8},)"
+      R"("paths":{"system":"bfs","workload":"permutation"}})",
+      "doc.json", spec, error))
+      << error.format();
+  EXPECT_EQ(spec.label, "ring-eight");
 }
 
 }  // namespace

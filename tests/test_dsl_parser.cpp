@@ -18,6 +18,7 @@
 #include "opto/graph/butterfly.hpp"
 #include "opto/graph/complete.hpp"
 #include "opto/graph/fattree.hpp"
+#include "opto/graph/graph_algo.hpp"
 #include "opto/graph/hypercube.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
@@ -122,12 +123,46 @@ TEST(DslParser, ProgramExactlyInsideTheChannelBudgetValidates) {
   EXPECT_FALSE(channel_budget_error(spec).empty());
 }
 
+TEST(DslParser, ProgramExactlyInsideTheRouteTableValidates) {
+  // Ring-203: 203 x 202 ordered pairs x routes of up to 101 hops =
+  // 4,141,406 hops, the largest ring under kMaxRouteTableHops = 2^22.
+  const auto program = [](int nodes) {
+    return "scenario \"edge\" {\n"
+           "  mode engine;\n"
+           "  topology ring { nodes " + std::to_string(nodes) + "; }\n"
+           "}\n";
+  };
+  ScenarioSpec spec;
+  DslError error;
+  ASSERT_TRUE(load_opto_text(program(203), "edge.opto", spec, error))
+      << error.format();
+  EXPECT_TRUE(route_table_fits(topology_nodes(spec.topology),
+                               topology_diameter(spec.topology)));
+  EXPECT_FALSE(load_opto_text(program(204), "edge.opto", spec, error));
+  EXPECT_EQ(error.format(),
+            "edge.opto:3:3: engine route table too large: topology ring has "
+            "41412 ordered node pairs x routes of up to 102 hops = 4224024 "
+            "hops, the cap is 4194304");
+  // The bound is the engine's only: the same ring runs trials.
+  EXPECT_TRUE(load_opto_text(
+      "scenario \"t\" { mode trials; topology ring { nodes 65536; }\n"
+      "  paths bfs { workload permutation; } }\n",
+      "t.opto", spec, error))
+      << error.format();
+}
+
 TEST(DslParser, TopologyLinksMatchesTheBuiltGraph) {
   // The budget is computed from the spec, before anything is built; it
   // must agree with the builders for every family.
   const auto check = [](const TopologySpec& topo, const Graph& graph) {
     EXPECT_EQ(topology_links(topo), graph.link_count()) << topo.family;
     EXPECT_EQ(topology_nodes(topo), graph.node_count()) << topo.family;
+    // The route-table bound needs an upper bound on every BFS route: the
+    // families' closed forms are exact, an explicit graph takes n - 1.
+    if (topo.family == "explicit")
+      EXPECT_GE(topology_diameter(topo), diameter(graph)) << topo.family;
+    else
+      EXPECT_EQ(topology_diameter(topo), diameter(graph)) << topo.family;
   };
   for (const std::uint32_t dim : {2u, 5u}) {
     TopologySpec topo;

@@ -1,6 +1,7 @@
 // Streaming traffic engine: arrival generators, the event loop, the
 // Erlang-B analytic cross-check, the dynamic-RWA blocking shape ([34],
-// E14) on a ring and a torus, determinism, and memory bounds.
+// E14) on a ring and a torus, determinism, memory bounds, and the
+// route-table bound.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -195,6 +196,18 @@ TEST(Engine, MemoryBoundedByActiveConnections) {
   EXPECT_GT(result.admitted, 10000u);
   // ~16 circuits in flight on average; orders of magnitude below 50k.
   EXPECT_LT(result.peak_active, 500u);
+}
+
+TEST(Engine, RouteTableBoundStopsOversizedGraphs) {
+  // n(n-1) pairs x routes of up to n/2 hops: ring-203 is the largest ring
+  // inside kMaxRouteTableHops, and the constructor refuses a far larger
+  // one before routing a single pair.
+  EXPECT_TRUE(route_table_fits(203, 101));
+  EXPECT_FALSE(route_table_fits(204, 102));
+  EXPECT_TRUE(route_table_fits(2, 1));
+  auto ring = std::make_shared<Graph>(make_ring(4096));
+  EXPECT_DEATH(Engine(ring, ring_config(1.0, 1, 100), 1),
+               "engine route table exceeds kMaxRouteTableHops");
 }
 
 std::shared_ptr<const Graph> torus_4x4() {

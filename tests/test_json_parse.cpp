@@ -25,6 +25,17 @@ TEST(JsonParse, Scalars) {
   EXPECT_EQ(parse_json("\"hi\"")->as_string(), "hi");
 }
 
+TEST(JsonParse, NumbersKeepTheirSourceSpelling) {
+  // 2^53 + 1 has no double; the spelling keeps it for integer readers.
+  const auto value = parse_json(R"([9007199254740993, -1.50e2, 7])");
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(value->items[0].text, "9007199254740993");
+  EXPECT_DOUBLE_EQ(value->items[0].number, 9007199254740992.0);
+  EXPECT_EQ(value->items[1].text, "-1.50e2");
+  EXPECT_EQ(value->items[2].text, "7");
+  EXPECT_EQ(rewrite("[7]"), "[7]");
+}
+
 TEST(JsonParse, ObjectAndArrayAccessors) {
   const auto value = parse_json(
       R"({"name":"mesh","n":64,"tags":["a","b"],"nested":{"x":1.5}})");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,27 @@ TEST(Cli, CheckRangeAcceptsOnlyTheClosedRange) {
     ASSERT_TRUE(cli.parse(2, argv));
     EXPECT_EQ(cli.check_range("n", 3, 9), inside) << text;
   }
+}
+
+TEST(Cli, UsageShowsDefaultsAfterParse) {
+  CliParser cli("prog", "test");
+  cli.add_int("size", 16, "nodes");
+  cli.add_double("rate", 0.5, "rate");
+  cli.add_string("topology", "ring", "family");
+  cli.add_flag("csv", "emit CSV");
+  const char* argv[] = {"prog", "--size", "40", "--rate=2",
+                        "--topology", "hypercube", "--csv"};
+  ASSERT_TRUE(cli.parse(7, argv));
+  testing::internal::CaptureStderr();
+  cli.print_usage();
+  const std::string usage = testing::internal::GetCapturedStderr();
+  EXPECT_NE(usage.find("nodes (default: 16)"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("rate (default: 0.500000)"), std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("family (default: ring)"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("emit CSV (default: false)"), std::string::npos)
+      << usage;
+  EXPECT_EQ(usage.find("hypercube"), std::string::npos) << usage;
 }
 
 TEST(Cli, UnknownFlagFails) {

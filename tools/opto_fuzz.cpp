@@ -13,8 +13,9 @@
 //                      determinism test)
 //   --dsl              fuzz the scenario grammar: --cases generated
 //                      programs must parse + canonical-round-trip, and
-//                      the same count of mutated programs must fail with
-//                      diagnostics instead of crashing
+//                      the same count of mutated programs, and of mutated
+//                      canonical JSON documents, must round-trip or fail
+//                      with diagnostics instead of crashing
 //   --distill KIND     search the stream for a case exhibiting KIND
 //                      (kill | truncate | retune | fault | corrupt | rwa),
 //                      shrink it while preserving the behavior, write it
@@ -254,18 +255,20 @@ std::string sanitize_component(std::string text) {
 
 /// Grammar fuzzing (--dsl): per case, one *generated* program that must
 /// parse, validate, and canonical-dump to a fixed point, plus one
-/// *mutated* program that must terminate in either a clean parse (then
-/// also a fixed point) or a file:line:col diagnostic — never a crash,
-/// hang, or leak (the sanitizer legs enforce the last part).
+/// *mutated* program and one mutated copy of the program's canonical
+/// JSON, each of which must terminate in either a clean load (then also a
+/// fixed point) or a diagnostic — never a crash, hang, or leak (the
+/// sanitizer legs enforce the last part).
 int dsl_fuzz(std::uint64_t seed, std::uint64_t cases, const std::string& out,
              long long progress_every, bool quiet) {
   std::uint64_t mutants_accepted = 0, mutants_rejected = 0, failures = 0;
 
   const auto save_repro = [&](std::uint64_t index, const std::string& text,
-                              const std::string& why) {
+                              const std::string& why,
+                              const char* extension = ".opto") {
     ++failures;
     const std::string path = out + "/dsl_repro_seed" + std::to_string(seed) +
-                             "_case" + std::to_string(index) + ".opto";
+                             "_case" + std::to_string(index) + extension;
     std::printf("DSL FAILURE at seed %" PRIu64 " case %" PRIu64 ": %s\n",
                 seed, index, why.c_str());
     if (!write_file(path, text))
@@ -301,6 +304,18 @@ int dsl_fuzz(std::uint64_t seed, std::uint64_t cases, const std::string& out,
       save_repro(i, program, "generated program rejected: " + error.format());
     } else if (!fixed_point(spec, why)) {
       save_repro(i, program, why);
+    } else {
+      const std::string json = opto::testlib::mutate_text(
+          opto::dsl::canonical_text(spec), seed, i);
+      opto::dsl::ScenarioSpec lowered;
+      if (opto::dsl::load_scenario_text(json, "<mutated.json>", lowered,
+                                        error)) {
+        if (!fixed_point(lowered, why))
+          save_repro(i, json, "mutated JSON loaded but " + why, ".json");
+      } else if (error.message.empty()) {
+        save_repro(i, json, "JSON rejection carried an empty diagnostic",
+                   ".json");
+      }
     }
 
     const std::string mutant = opto::testlib::mutate_program(seed, i);
