@@ -2,9 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <string>
 
 #include "opto/benchsupport/experiment.hpp"
 #include "opto/core/schedule.hpp"
+#include "opto/dsl/validate.hpp"
 #include "opto/paths/path_collection.hpp"
 
 namespace opto::bench {
@@ -32,6 +36,23 @@ inline ScheduleFactory no_delay_schedule_factory() {
   return [](const PathCollection&) {
     return std::unique_ptr<DeltaSchedule>(new NoDelaySchedule());
   };
+}
+
+/// The committed scenario examples/<stem>.opto: the operating point an
+/// anchor bench sweeps around, each cell a copy with the swept fields
+/// overridden and built by the dsl/runner.hpp builders. A missing or
+/// invalid file ends the bench with exit code 2 and the file's located
+/// diagnostic.
+inline dsl::ScenarioSpec load_example(const std::string& stem) {
+  const std::string path =
+      std::string(OPTO_EXAMPLES_DIR) + "/" + stem + ".opto";
+  dsl::ScenarioSpec spec;
+  dsl::DslError error;
+  if (dsl::load_scenario_file(path, spec, error) != dsl::LoadStatus::Ok) {
+    std::cerr << error.format() << '\n';
+    std::exit(2);
+  }
+  return spec;
 }
 
 }  // namespace opto::bench

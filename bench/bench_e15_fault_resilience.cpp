@@ -14,40 +14,41 @@
 // pattern re-keys every round (epoch = round number), so faults are
 // memoryless across retries and waiting longer buys nothing here —
 // backoff is insurance against *correlated* outages, priced in Δ_t.
+//
+// Every cell is examples/e15_fault_resilience.opto (butterfly dim 6,
+// B=2, L=4, 16 rounds, link outages 0.4 down 32 of every 64 steps) with
+// the swept fields overridden: the link-fault rate, the fault mix, an
+// 8x8 mesh of random functions in place of the butterfly, 32 rounds for
+// the ablations, and the RetryPolicy cap, which the DSL does not spell.
 #include <iostream>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "opto/graph/butterfly.hpp"
-#include "opto/graph/mesh.hpp"
-#include "opto/paths/butterfly_paths.hpp"
-#include "opto/paths/workloads.hpp"
+#include "opto/dsl/runner.hpp"
 #include "opto/util/table.hpp"
 
 namespace {
 
 using namespace opto;
 
-/// Leveled workload: random permutations input->output on a butterfly.
-CollectionFactory butterfly_factory(std::uint32_t dim) {
-  return [dim](std::uint64_t seed) {
-    auto topo = std::make_shared<ButterflyTopology>(make_butterfly(dim));
-    Rng rng(seed);
-    const auto perm = random_permutation(topo->rows(), rng);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> requests;
-    for (std::uint32_t r = 0; r < topo->rows(); ++r)
-      requests.emplace_back(r, perm[r]);
-    return butterfly_io_collection(topo, requests);
-  };
+/// The cell moved to random functions on an 8x8 mesh (dimension-order
+/// routes).
+dsl::ScenarioSpec on_mesh(dsl::ScenarioSpec cell) {
+  cell.topology = dsl::TopologySpec{};
+  cell.topology.family = "mesh";
+  cell.topology.side = 8;
+  cell.paths.system = "mesh_dimension_order";
+  cell.paths.workload = "random_function";
+  return cell;
 }
 
-CollectionFactory mesh_factory(std::uint32_t side) {
-  return [side](std::uint64_t seed) {
-    auto topo = std::make_shared<MeshTopology>(make_mesh({side, side}));
-    Rng rng(seed);
-    return mesh_random_function(topo, rng);
-  };
+/// The cell's trials under `config`: make_protocol(cell), possibly with
+/// one field the DSL does not spell.
+TrialAggregate run_cell(const dsl::ScenarioSpec& cell,
+                        const ProtocolConfig& config) {
+  return run_trials(dsl::make_factory(cell), dsl::make_schedule(cell), config,
+                    scaled_trials(cell.trials), cell.seed);
 }
 
 /// Rounds samples are success-only, so they can be empty when every trial
@@ -56,32 +57,16 @@ double p95_or_zero(const SampleSet& samples) {
   return samples.count() == 0 ? 0.0 : samples.quantile(0.95);
 }
 
-/// Shared knobs: bounded rounds so heavy-fault trials *fail* instead of
-/// retrying forever — the success-rate axis of the resilience curve.
-ProtocolConfig base_config() {
-  ProtocolConfig config;
-  config.bandwidth = 2;
-  config.worm_length = 4;
-  config.max_rounds = 16;
-  return config;
-}
-
-void resilience_curve(const std::string& title,
-                      const CollectionFactory& factory,
-                      std::uint64_t base_seed) {
+/// Bounded rounds (the anchor's 16) make heavy-fault trials *fail*
+/// instead of retrying forever — the success-rate axis of the curve.
+void resilience_curve(const std::string& title, dsl::ScenarioSpec cell) {
   Table table(title);
   table.set_header({"link fault rate", "success rate", "rounds mean",
                     "rounds p95", "charged mean", "fault losses",
                     "contention losses"});
   for (const double rate : {0.0, 0.1, 0.2, 0.4, 0.6, 0.8}) {
-    ProtocolConfig config = base_config();
-    config.faults.link_outage_rate = rate;
-    config.faults.outage_period = 64;
-    config.faults.outage_duration = 32;
-    const auto aggregate =
-        run_trials(factory, paper_schedule_factory(config.worm_length,
-                                                   config.bandwidth),
-                   config, scaled_trials(30), base_seed);
+    cell.faults.link_outage_rate = rate;
+    const auto aggregate = run_cell(cell, dsl::make_protocol(cell));
     table.row()
         .cell(rate)
         .cell(aggregate.success_rate())
@@ -99,6 +84,7 @@ void resilience_curve(const std::string& title,
 int main() {
   using namespace opto;
 
+  const dsl::ScenarioSpec anchor = bench::load_example("e15_fault_resilience");
   print_experiment_banner(
       "E15: fault resilience (link/coupler outages, stuck lambdas, "
       "corruption, lossy acks)",
@@ -106,44 +92,45 @@ int main() {
       "transient faults at bounded round cost");
 
   resilience_curve("leveled (butterfly dim 6 permutations) vs link-fault rate",
-                   butterfly_factory(6), 151);
-  resilience_curve("8x8 mesh random functions vs link-fault rate",
-                   mesh_factory(8), 152);
+                   anchor);
+  dsl::ScenarioSpec mesh = on_mesh(anchor);
+  mesh.seed = 152;
+  resilience_curve("8x8 mesh random functions vs link-fault rate", mesh);
 
   // One fault dimension at a time, at representative severities.
   struct Mix {
     const char* name;
-    FaultConfig faults;
+    dsl::FaultSpec faults;
   };
   std::vector<Mix> mixes;
   mixes.push_back({"none", {}});
   {
-    FaultConfig f;
+    dsl::FaultSpec f;
     f.link_outage_rate = 0.3;
     mixes.push_back({"link outages 0.3", f});
   }
   {
-    FaultConfig f;
+    dsl::FaultSpec f;
     f.coupler_outage_rate = 0.2;
     mixes.push_back({"coupler outages 0.2", f});
   }
   {
-    FaultConfig f;
+    dsl::FaultSpec f;
     f.stuck_wavelength_rate = 0.15;
     mixes.push_back({"stuck lambdas 0.15", f});
   }
   {
-    FaultConfig f;
+    dsl::FaultSpec f;
     f.corruption_rate = 0.05;
     mixes.push_back({"corruption 0.05", f});
   }
   {
-    FaultConfig f;
+    dsl::FaultSpec f;
     f.ack_drop_rate = 0.25;
     mixes.push_back({"ack drops 0.25", f});
   }
   {
-    FaultConfig f;
+    dsl::FaultSpec f;
     f.link_outage_rate = 0.2;
     f.coupler_outage_rate = 0.1;
     f.stuck_wavelength_rate = 0.1;
@@ -154,14 +141,13 @@ int main() {
   Table kinds("fault-kind ablation, 8x8 mesh");
   kinds.set_header({"faults", "success rate", "rounds mean", "charged mean",
                     "fault losses", "contention losses", "ack drops/trial"});
+  dsl::ScenarioSpec ablation = on_mesh(anchor);
+  ablation.protocol.max_rounds = 32;
+  ablation.seed = 153;
   for (const Mix& mix : mixes) {
-    ProtocolConfig config = base_config();
-    config.max_rounds = 32;
-    config.faults = mix.faults;
-    const auto aggregate =
-        run_trials(mesh_factory(8), paper_schedule_factory(config.worm_length,
-                                                           config.bandwidth),
-                   config, scaled_trials(30), 153);
+    ablation.faults = mix.faults;
+    ablation.faults.declared = true;
+    const auto aggregate = run_cell(ablation, dsl::make_protocol(ablation));
     kinds.row()
         .cell(mix.name)
         .cell(aggregate.success_rate())
@@ -175,21 +161,18 @@ int main() {
   print_experiment_table(kinds);
 
   // RetryPolicy: does widening Δ_t after fault losses help? max_backoff=1
-  // disables the policy without touching anything else.
+  // disables the policy without touching anything else. The faults are
+  // the anchor's: link outages 0.4, down 32 of every 64 steps.
   Table retry("RetryPolicy ablation, 8x8 mesh, link outages 0.4");
   retry.set_header({"policy", "success rate", "rounds mean", "charged mean",
                     "fault losses"});
+  dsl::ScenarioSpec policy = on_mesh(anchor);
+  policy.protocol.max_rounds = 32;
+  policy.seed = 154;
   for (const bool backoff_on : {false, true}) {
-    ProtocolConfig config = base_config();
-    config.max_rounds = 32;
-    config.faults.link_outage_rate = 0.4;
-    config.faults.outage_period = 64;
-    config.faults.outage_duration = 32;
+    ProtocolConfig config = dsl::make_protocol(policy);
     if (!backoff_on) config.retry.max_backoff = 1.0;
-    const auto aggregate =
-        run_trials(mesh_factory(8), paper_schedule_factory(config.worm_length,
-                                                           config.bandwidth),
-                   config, scaled_trials(30), 154);
+    const auto aggregate = run_cell(policy, config);
     retry.row()
         .cell(backoff_on ? "backoff x2 capped 16" : "no backoff")
         .cell(aggregate.success_rate())

@@ -12,13 +12,17 @@
 //     (the open-workload counterpart of E9/E14),
 //   * setup-latency quantiles (in rounds) grow with load as contention
 //     forces retries.
+//
+// Every cell is examples/e17_streaming_engine.opto (ring-8, B=4, rate 32,
+// rounds every 0.02, 60000 arrivals, seed 99) with the swept fields
+// overridden: the rate and the conversion mode on the ring, and for the
+// Erlang-B check a single link at B=8 with finer rounds, more arrivals
+// and seed 42.
 #include <cmath>
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
-#include "opto/engine/engine.hpp"
-#include "opto/graph/ring.hpp"
+#include "opto/dsl/runner.hpp"
 #include "opto/util/table.hpp"
 
 namespace {
@@ -37,6 +41,7 @@ int main() {
   using namespace opto;
   using namespace opto::bench;
 
+  const dsl::ScenarioSpec anchor = load_example("e17_streaming_engine");
   print_experiment_banner(
       "E17: streaming traffic engine (open arrivals, rolling batches)",
       "Erlang-B cross-check; blocking vs load with and without conversion");
@@ -44,22 +49,21 @@ int main() {
   {
     // Two nodes, one fiber: each direction is an independent M/M/B/B
     // system at half the total arrival rate.
-    auto graph =
-        std::make_shared<Graph>(make_graph(2, {{0, 1}}, "single-link"));
+    dsl::ScenarioSpec cell = anchor;
+    cell.topology = dsl::TopologySpec{};
+    cell.topology.family = "single_link";
+    cell.protocol.bandwidth = 8;
+    cell.engine.round_interval = 0.01;  // decision delay << holding time
+    cell.engine.arrivals = 200000;
+    cell.engine.record = false;
+    cell.seed = 42;
+    const auto graph = dsl::build_graph(cell.topology);
 
     Table table("single link, Erlang-B cross-check, B=8");
     table.set_header({"offered rho", "measured", "Erlang B", "rel err"});
     for (const double rho : {2.0, 4.0, 6.0}) {
-      EngineConfig config;
-      config.protocol.bandwidth = 8;
-      config.traffic.process = ArrivalProcess::Poisson;
-      config.traffic.rate = 2.0 * rho;
-      config.mean_holding_time = 1.0;
-      config.round_interval = 0.01;  // decision delay << holding time
-      config.arrivals = scaled_trials(200000);
-      config.warmup = config.arrivals / 10;
-
-      Engine engine(graph, config, 42);
+      cell.engine.rate = 2.0 * rho;
+      Engine engine(graph, dsl::make_engine_config(cell), cell.seed);
       const auto result = engine.run();
       const double analytic = erlang_b(rho, 8);
       auto row = table.row();
@@ -72,29 +76,24 @@ int main() {
   }
 
   {
-    auto ring = std::make_shared<Graph>(make_ring(8));
+    dsl::ScenarioSpec cell = anchor;
+    const auto ring = dsl::build_graph(cell.topology);
     Table table("ring-8, B=4, Poisson arrivals");
     table.set_header({"rate", "blocking (no conv)", "blocking (conv)",
                       "p50 rounds", "p99 rounds", "peak active"});
     for (const double rate : {8.0, 16.0, 32.0, 64.0}) {
-      EngineConfig config;
-      config.protocol.bandwidth = 4;
-      config.traffic.rate = rate;
-      config.round_interval = 0.02;
-      config.arrivals = scaled_trials(60000);
-      config.warmup = config.arrivals / 10;
+      cell.engine.rate = rate;
       // One representative operating point publishes its gauges into the
       // BenchRecord (set_metric is last-write-wins, so exactly one row
       // records).
-      config.record = rate == 32.0;
-
-      Engine plain(ring, config, 99);
+      cell.engine.record = rate == 32.0;
+      Engine plain(ring, dsl::make_engine_config(cell), cell.seed);
       const auto base = plain.run();
 
-      EngineConfig converting = config;
-      converting.record = false;
-      converting.protocol.conversion = ConversionMode::Full;
-      Engine conv(ring, converting, 99);
+      dsl::ScenarioSpec converting = cell;
+      converting.engine.record = false;
+      converting.protocol.conversion = "full";
+      Engine conv(ring, dsl::make_engine_config(converting), cell.seed);
       const auto with = conv.run();
 
       auto row = table.row();

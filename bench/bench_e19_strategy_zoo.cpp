@@ -15,67 +15,57 @@
 // diversity (least_used, multipath) block less than first_fit at equal
 // B; Valiant trades longer routes for load spreading; Trial-and-Failure
 // needs no global view but pays rounds for it.
+//
+// Every cell is examples/e19_strategy_zoo.opto (radix-4 fat tree, bfs
+// permutations, B=2, L=4, k=3, 64 rounds) with the swept fields
+// overridden: BCube(4, 2) as the second arena, seed 191 (the example
+// file runs seed 19), the strategy kind, and 2000 rounds under the
+// paper's Δ-schedule for Trial-and-Failure.
 #include <iostream>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "opto/graph/bcube.hpp"
-#include "opto/graph/fattree.hpp"
+#include "opto/dsl/runner.hpp"
 #include "opto/obs/obs.hpp"
-#include "opto/paths/bfs_shortest.hpp"
-#include "opto/paths/workloads.hpp"
-#include "opto/rwa/schedule.hpp"
 #include "opto/util/table.hpp"
 
 int main() {
   using namespace opto;
   using namespace opto::bench;
 
+  const dsl::ScenarioSpec anchor = load_example("e19_strategy_zoo");
   print_experiment_banner(
       "E19: strategy zoo vs trial-and-failure",
       "static RWA strategies (KSP + FF/LU/RF, multipath, Valiant) vs the "
       "online protocol on fat-tree and BCube");
 
-  const std::uint16_t B = 2;
-  const std::uint32_t L = 4;
-  const std::uint32_t kCandidates = 3;
-  const std::uint64_t kSeed = 191;
-  const std::size_t trials = scaled_trials(30);
-
   struct Arena {
     std::string name;
     std::string slug;
-    std::shared_ptr<const Graph> graph;
+    dsl::TopologySpec topology;
   };
+  dsl::TopologySpec bcube;
+  bcube.family = "bcube";
+  bcube.ports = 4;
+  bcube.levels = 2;
   const std::vector<Arena> arenas{
-      {"fat tree radix 4", "fattree4",
-       std::make_shared<Graph>(std::move(make_fat_tree(4).graph))},
-      {"BCube(4, 2)", "bcube42",
-       std::make_shared<Graph>(std::move(make_bcube(4, 2).graph))},
+      {"fat tree radix 4", "fattree4", anchor.topology},
+      {"BCube(4, 2)", "bcube42", bcube},
   };
 
   for (const Arena& arena : arenas) {
-    const auto graph = arena.graph;
-    const std::uint32_t n = graph->node_count();
+    dsl::ScenarioSpec cell = anchor;
+    cell.topology = arena.topology;
+    cell.seed = 191;
+    const std::uint16_t B = static_cast<std::uint16_t>(cell.protocol.bandwidth);
+    const std::uint32_t L = cell.protocol.worm_length;
+    const std::size_t trials = scaled_trials(cell.trials);
 
-    // Shared per-trial instance: a random node permutation (the same
-    // Rng draw the DSL bfs/permutation factory makes).
-    const rwa::InstanceFactory instances = [graph, n](std::uint64_t seed) {
-      Rng rng(seed);
-      const auto perm = random_permutation(n, rng);
-      std::vector<rwa::RwaRequest> requests;
-      requests.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i)
-        requests.push_back(rwa::RwaRequest{i, perm[i]});
-      return std::make_pair(graph, std::move(requests));
-    };
-    const CollectionFactory paths_factory = [graph](std::uint64_t seed) {
-      Rng rng(seed);
-      return bfs_random_permutation(graph, rng);
-    };
+    // Shared per-trial instance: a random node permutation, drawn alike
+    // by the strategies' instance factory and the protocol's path factory.
+    const rwa::InstanceFactory instances = dsl::make_instance_factory(cell);
+    const CollectionFactory paths_factory = dsl::make_factory(cell);
 
     Table table(arena.name + " — permutation, B=" + std::to_string(B) +
                 ", L=" + std::to_string(L));
@@ -102,12 +92,12 @@ int main() {
     metric("greedy_static", "makespan", static_cast<double>(wdm.total_time));
 
     // Trial-and-Failure over the same instances (BFS routes, paper Δ).
-    ProtocolConfig config;
-    config.bandwidth = B;
-    config.worm_length = L;
-    config.max_rounds = 2000;
-    const auto taf = run_trials(paths_factory, paper_schedule_factory(L, B),
-                                config, trials, kSeed);
+    dsl::ScenarioSpec protocol_cell = cell;
+    protocol_cell.protocol.max_rounds = 2000;
+    const auto taf = run_trials(paths_factory,
+                                dsl::make_schedule(protocol_cell),
+                                dsl::make_protocol(protocol_cell), trials,
+                                cell.seed);
     table.row()
         .cell("trial & failure")
         .cell(taf.success_rate())
@@ -119,15 +109,10 @@ int main() {
     metric("trial_and_failure", "makespan", taf.actual_time.mean());
 
     // The zoo.
-    rwa::StrategyScheduleConfig zoo;
-    zoo.rwa.bandwidth = B;
-    zoo.rwa.candidates = kCandidates;
-    zoo.rwa.split_ways = 2;
-    zoo.worm_length = L;
-    zoo.max_rounds = 64;
     for (const rwa::StrategyKind kind : rwa::all_strategy_kinds()) {
-      const auto agg =
-          rwa::run_strategy_trials(instances, kind, zoo, trials, kSeed);
+      cell.strategy.kind = rwa::to_string(kind);
+      const auto agg = rwa::run_strategy_trials(
+          instances, kind, dsl::make_strategy_config(cell), trials, cell.seed);
       table.row()
           .cell(rwa::to_string(kind))
           .cell(agg.success_rate())

@@ -8,21 +8,20 @@
 // dimension (the canonical leveled system) and report measured rounds and
 // charged time next to the closed-form shapes. The expected signature:
 // rounds grow extremely slowly with n and time stays within a constant
-// factor of the bound.
+// factor of the bound. Every cell is examples/e1_leveled_upper.opto with
+// dim, B and L swept (and 10 trials from dim 8 on).
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
 #include "opto/analysis/bounds.hpp"
-#include "opto/graph/butterfly.hpp"
-#include "opto/paths/butterfly_paths.hpp"
-#include "opto/paths/workloads.hpp"
+#include "opto/dsl/runner.hpp"
 #include "opto/util/table.hpp"
 
 int main() {
   using namespace opto;
   using namespace opto::bench;
 
+  const dsl::ScenarioSpec anchor = load_example("e1_leveled_upper");
   print_experiment_banner(
       "E1: Main Thm 1.1 upper bound (leveled, serve-first)",
       "rounds ~ sqrt(log_a n) + loglog_b n; time ~ LC/B + T(D+L+Llog n/B)");
@@ -35,24 +34,14 @@ int main() {
                         "T bound", "charged mean", "time bound",
                         "time/bound"});
       for (const std::uint32_t dim : {4u, 5u, 6u, 7u, 8u, 9u}) {
-        CollectionFactory factory = [dim](std::uint64_t seed) {
-          auto topo =
-              std::make_shared<ButterflyTopology>(make_butterfly(dim));
-          Rng rng(seed);
-          const auto perm = random_permutation(topo->rows(), rng);
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> requests;
-          for (std::uint32_t r = 0; r < topo->rows(); ++r)
-            requests.emplace_back(r, perm[r]);
-          return butterfly_io_collection(topo, requests);
-        };
-        ProtocolConfig config;
-        config.bandwidth = bandwidth;
-        config.worm_length = L;
-        config.max_rounds = 2000;
-
-        const std::size_t trials = scaled_trials(dim >= 8 ? 10 : 30);
+        dsl::ScenarioSpec cell = anchor;
+        cell.topology.dim = dim;
+        cell.protocol.bandwidth = bandwidth;
+        cell.protocol.worm_length = L;
+        if (dim >= 8) cell.trials = 10;
         const auto aggregate = run_trials(
-            factory, paper_schedule_factory(L, bandwidth), config, trials, 11);
+            dsl::make_factory(cell), dsl::make_schedule(cell),
+            dsl::make_protocol(cell), scaled_trials(cell.trials), cell.seed);
 
         ProblemShape shape;
         shape.size = 1u << dim;

@@ -7,13 +7,11 @@
 #     named diff. Then dumps every golden itself, which must reproduce
 #     its own bytes: the JSON loader's gate, as the .opto dump is the
 #     grammar's.
-#  2. Runs the four equivalence scenarios (E1 leveled-upper, E15 fault
-#     plan, E17 streaming engine, E19 strategy zoo) at REPRO_SCALE=0.1
-#     through BOTH the
-#     DSL front-end (opto_run --run) and the hand-coded C++ path
-#     (opto_run --builtin), byte-compares the model-result JSON, and
-#     diffs the captured BenchRecords with bench_compare --warn-only
-#     (counters must agree; wall-clock gauges may differ).
+#  2. Runs the four anchor scenarios (E1 leveled-upper, E15 fault plan,
+#     E17 streaming engine, E19 strategy zoo) through opto_run --run, and
+#     the four benches that sweep around them (bench_<stem>, which load
+#     examples/<stem>.opto), at REPRO_SCALE=0.1. Each must exit 0, so a
+#     broken anchor fails here.
 #
 #   scripts/run_scenario_smoke.sh [--build-dir DIR] [--out DIR]
 set -euo pipefail
@@ -30,11 +28,12 @@ while [ $# -gt 0 ]; do
   esac
 done
 
+ANCHORS="e1_leveled_upper e15_fault_resilience e17_streaming_engine
+         e19_strategy_zoo"
 RUN="$BUILD/tools/opto_run"
-COMPARE="$BUILD/tools/bench_compare"
-for tool in "$RUN" "$COMPARE"; do
+for tool in "$RUN" $(printf "$BUILD/bench/bench_%s " $ANCHORS); do
   if [ ! -x "$tool" ]; then
-    echo "$tool not built (cmake --build $BUILD --target opto_run bench_compare)" >&2
+    echo "$tool not built (cmake --build $BUILD --target opto_run$(printf ' bench_%s' $ANCHORS))" >&2
     exit 2
   fi
 done
@@ -64,19 +63,11 @@ for golden in examples/golden/*.json; do
 done
 echo "$count goldens reload to their own bytes"
 
-echo "== DSL vs hand-coded equivalence (REPRO_SCALE=0.1) =="
+echo "== anchors: opto_run --run and their benches (REPRO_SCALE=0.1) =="
 export REPRO_SCALE=0.1
-for stem in e1_leveled_upper e15_fault_resilience e17_streaming_engine \
-            e19_strategy_zoo; do
-  name="${stem//_/-}"
-  mkdir -p "$OUT/$name/dsl" "$OUT/$name/native"
-  OPTO_RESULTS_DIR="$OUT/$name/dsl" \
-    "$RUN" --run "examples/$stem.opto" --out "$OUT/$name/dsl.json"
-  OPTO_RESULTS_DIR="$OUT/$name/native" \
-    "$RUN" --builtin "$name" --out "$OUT/$name/native.json"
-  cmp "$OUT/$name/dsl.json" "$OUT/$name/native.json"
-  echo "MATCH $name (model-result JSON byte-identical)"
-  "$COMPARE" "$OUT/$name/native/benchrecord_$name.json" \
-    "$OUT/$name/dsl/benchrecord_$name.json" --warn-only
+for stem in $ANCHORS; do
+  "$RUN" --run "examples/$stem.opto" --out "$OUT/run_$stem.json"
+  "$BUILD/bench/bench_$stem" > "$OUT/bench_$stem.txt"
+  echo "ok $stem (opto_run --run and bench_$stem)"
 done
 echo "scenario smoke: all gates green"

@@ -1,11 +1,9 @@
-// Shared run core behind both scenario front-ends.
+// Run core behind `opto_run --run`.
 //
 // The DSL runner (runner.cpp) builds factories/configs from a
-// ScenarioSpec; the hand-coded builtins (builtins.cpp) construct the
-// same objects in plain C++, mirroring the bench binaries line for
-// line. Both feed these three functions, so a byte-compare of the
-// returned model-result JSON proves the DSL front-end equivalent to the
-// hand-coded path — the run core cannot diverge with itself.
+// ScenarioSpec with the same builders the anchor benches use, and feeds
+// them to these four functions, which run them and write the
+// model-result JSON.
 //
 // The result document ("opto.scenario.result/1") contains only
 // deterministic model-level values: no wall-clock fields, no engine
@@ -43,8 +41,7 @@ JsonValue run_strategy_closed(const rwa::InstanceFactory& factory,
                               const std::string& label);
 
 /// Streaming engine run; `config.arrivals`/`warmup` must already be
-/// scaled by the caller (both front-ends call scaled_trials the same
-/// way the E17 bench does).
+/// scaled by the caller (make_engine_config does, like the E17 bench).
 JsonValue run_engine(std::shared_ptr<const Graph> graph,
                      const EngineConfig& config, std::uint64_t seed,
                      const std::string& label);

@@ -1,9 +1,9 @@
 // DSL front-end of the shared run core: ScenarioSpec → native objects.
 //
-// The factory lambdas here deliberately mirror the bench binaries'
-// hand-written factories call for call (same topology construction, same
-// Rng draw order) — that is what makes the byte-equivalence against the
-// hand-coded builtins a meaningful proof rather than a tautology.
+// Each builder turns one part of a validated spec into the object a
+// bench would build by hand (same topology construction, same Rng draw
+// order), so the anchor benches build their cells here and a scenario
+// file runs exactly what its bench cell runs.
 #include "opto/dsl/runner.hpp"
 
 #include <memory>
@@ -21,11 +21,38 @@
 #include "opto/paths/bfs_shortest.hpp"
 #include "opto/paths/butterfly_paths.hpp"
 #include "opto/paths/workloads.hpp"
-#include "opto/rwa/schedule.hpp"
 
 namespace opto::dsl {
 
 namespace {
+
+/// Request list for the declared workload, drawing from `rng` once
+/// (permutation: one random_permutation call; random_function: one
+/// random_function call).
+std::vector<std::pair<NodeId, NodeId>> workload_requests(
+    const std::string& workload, std::uint32_t n, Rng& rng) {
+  if (workload == "permutation") {
+    const auto perm = random_permutation(n, rng);
+    std::vector<std::pair<NodeId, NodeId>> requests;
+    for (std::uint32_t i = 0; i < n; ++i) requests.emplace_back(i, perm[i]);
+    return requests;
+  }
+  return function_requests(random_function(n, rng));
+}
+
+FaultConfig make_faults(const FaultSpec& spec) {
+  FaultConfig config;
+  config.link_outage_rate = spec.link_outage_rate;
+  config.coupler_outage_rate = spec.coupler_outage_rate;
+  config.outage_period = static_cast<SimTime>(spec.outage_period);
+  config.outage_duration = static_cast<SimTime>(spec.outage_duration);
+  config.stuck_wavelength_rate = spec.stuck_wavelength_rate;
+  config.corruption_rate = spec.corruption_rate;
+  config.ack_drop_rate = spec.ack_drop_rate;
+  return config;
+}
+
+}  // namespace
 
 std::shared_ptr<const Graph> build_graph(const TopologySpec& topo) {
   if (topo.family == "butterfly")
@@ -49,20 +76,6 @@ std::shared_ptr<const Graph> build_graph(const TopologySpec& topo) {
         std::move(make_bcube(topo.ports, topo.levels).graph));
   return std::make_shared<Graph>(
       make_graph(topo.nodes, topo.edges, "explicit"));
-}
-
-/// Request list for the declared workload, drawing from `rng` exactly
-/// like the bench factories do (permutation: one random_permutation
-/// call; random_function: one random_function call).
-std::vector<std::pair<NodeId, NodeId>> workload_requests(
-    const std::string& workload, std::uint32_t n, Rng& rng) {
-  if (workload == "permutation") {
-    const auto perm = random_permutation(n, rng);
-    std::vector<std::pair<NodeId, NodeId>> requests;
-    for (std::uint32_t i = 0; i < n; ++i) requests.emplace_back(i, perm[i]);
-    return requests;
-  }
-  return function_requests(random_function(n, rng));
 }
 
 CollectionFactory make_factory(const ScenarioSpec& spec) {
@@ -109,10 +122,6 @@ CollectionFactory make_factory(const ScenarioSpec& spec) {
   };
 }
 
-/// Strategy-mode instance factory: the graph is fixed, the request list
-/// redraws per trial from the declared workload with the same Rng
-/// sequence the bfs path factory uses — trial t of a strategy run and
-/// trial t of a Trial-and-Failure run see the same request multiset.
 rwa::InstanceFactory make_instance_factory(const ScenarioSpec& spec) {
   auto graph = build_graph(spec.topology);
   const std::string workload = spec.paths.workload;
@@ -156,18 +165,6 @@ ScheduleFactory make_schedule(const ScenarioSpec& spec) {
   };
 }
 
-FaultConfig make_faults(const FaultSpec& spec) {
-  FaultConfig config;
-  config.link_outage_rate = spec.link_outage_rate;
-  config.coupler_outage_rate = spec.coupler_outage_rate;
-  config.outage_period = static_cast<SimTime>(spec.outage_period);
-  config.outage_duration = static_cast<SimTime>(spec.outage_duration);
-  config.stuck_wavelength_rate = spec.stuck_wavelength_rate;
-  config.corruption_rate = spec.corruption_rate;
-  config.ack_drop_rate = spec.ack_drop_rate;
-  return config;
-}
-
 ProtocolConfig make_protocol(const ScenarioSpec& spec) {
   const ProtocolSpec& proto = spec.protocol;
   ProtocolConfig config;
@@ -186,6 +183,16 @@ ProtocolConfig make_protocol(const ScenarioSpec& spec) {
                                                      : ConversionMode::None;
   config.converters.assign(proto.converters.begin(), proto.converters.end());
   if (spec.faults.declared) config.faults = make_faults(spec.faults);
+  return config;
+}
+
+rwa::StrategyScheduleConfig make_strategy_config(const ScenarioSpec& spec) {
+  rwa::StrategyScheduleConfig config;
+  config.rwa.bandwidth = static_cast<std::uint16_t>(spec.protocol.bandwidth);
+  config.rwa.candidates = spec.strategy.candidates;
+  config.rwa.split_ways = spec.strategy.split_ways;
+  config.worm_length = spec.protocol.worm_length;
+  config.max_rounds = spec.protocol.max_rounds;
   return config;
 }
 
@@ -212,8 +219,6 @@ EngineConfig make_engine_config(const ScenarioSpec& spec) {
   config.record = eng.record;
   return config;
 }
-
-}  // namespace
 
 testlib::FuzzCase to_fuzz_case(const ScenarioSpec& spec) {
   testlib::FuzzCase fuzz;
@@ -324,14 +329,8 @@ bool run_scenario(const ScenarioSpec& spec, JsonValue& result,
       error = "unknown strategy kind '" + spec.strategy.kind + "'";
       return false;
     }
-    rwa::StrategyScheduleConfig config;
-    config.rwa.bandwidth = static_cast<std::uint16_t>(spec.protocol.bandwidth);
-    config.rwa.candidates = spec.strategy.candidates;
-    config.rwa.split_ways = spec.strategy.split_ways;
-    config.worm_length = spec.protocol.worm_length;
-    config.max_rounds = spec.protocol.max_rounds;
     result = detail::run_strategy_closed(
-        make_instance_factory(spec), *kind, config,
+        make_instance_factory(spec), *kind, make_strategy_config(spec),
         static_cast<std::size_t>(spec.trials), spec.seed, spec.label);
     return true;
   }

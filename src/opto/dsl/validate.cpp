@@ -3,7 +3,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <vector>
 
 #include "opto/dsl/canonical.hpp"
 #include "opto/util/json_parse.hpp"
@@ -20,6 +23,21 @@ const char* to_string(ScenarioMode mode) {
 }
 
 namespace {
+
+/// The lowest node an explicit topology's edges do not connect to node
+/// 0, or 0 when the graph is connected.
+std::uint32_t unreachable_node(const TopologySpec& topo) {
+  std::vector<std::uint32_t> parent(topo.nodes);
+  for (std::uint32_t v = 0; v < topo.nodes; ++v) parent[v] = v;
+  const auto root = [&parent](std::uint32_t v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const auto& [u, v] : topo.edges) parent[root(u)] = root(v);
+  for (std::uint32_t v = 1; v < topo.nodes; ++v)
+    if (root(v) != root(0)) return v;
+  return 0;
+}
 
 std::string value_desc(const Value& value) {
   switch (value.kind) {
@@ -899,6 +917,24 @@ class Validator {
                         " hops, the cap is " +
                         std::to_string(kMaxRouteTableHops));
     }
+    // The engine routes every node pair and the bfs path system (which
+    // strategies require) routes random ones, so both need every node
+    // reachable; explicit paths name their own routes and may not.
+    const bool routes_all_pairs =
+        spec_.mode == ScenarioMode::Engine ||
+        (spec_.mode == ScenarioMode::Trials && system == "bfs");
+    if (spec_.topology.family == "explicit" && routes_all_pairs) {
+      if (const std::uint32_t node = unreachable_node(spec_.topology);
+          node != 0)
+        return fail(topology_loc_,
+                    "explicit topology is disconnected: node " +
+                        std::to_string(node) +
+                        " is unreachable from node 0, and " +
+                        (spec_.mode == ScenarioMode::Engine
+                             ? std::string("engine mode")
+                             : std::string("path system 'bfs'")) +
+                        " routes between any two nodes");
+    }
     return true;
   }
 
@@ -952,6 +988,20 @@ bool load_scenario_text(std::string_view source, const std::string& file,
     return from_scenario_json(*doc, file, spec, error);
   }
   return load_opto_text(source, file, spec, error);
+}
+
+LoadStatus load_scenario_file(const std::string& path, ScenarioSpec& spec,
+                              DslError& error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    error = DslError{path, SourceLoc{}, "cannot read file"};
+    return LoadStatus::Unreadable;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return load_scenario_text(text.str(), path, spec, error)
+             ? LoadStatus::Ok
+             : LoadStatus::Invalid;
 }
 
 }  // namespace opto::dsl

@@ -1,4 +1,4 @@
-// AST → ScenarioSpec validation, and the one-call text loaders.
+// AST → ScenarioSpec validation, and the one-call text and file loaders.
 //
 // Validation is where meaning lives: section/setting names, enum
 // spellings, numeric ranges, mode compatibility and resource budgets are
@@ -10,6 +10,7 @@
 // text as API.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -63,5 +64,15 @@ bool load_opto_text(std::string_view source, const std::string& file,
 /// reports byte offsets in its message instead).
 bool load_scenario_text(std::string_view source, const std::string& file,
                         ScenarioSpec& spec, DslError& error);
+
+/// How load_scenario_file ended.
+enum class LoadStatus : std::uint8_t { Ok, Unreadable, Invalid };
+
+/// Reads the file at `path` and loads it with load_scenario_text. A file
+/// that cannot be read is Unreadable, with `error` = "cannot read file"
+/// at `path`:1:1; a parse or validation failure is Invalid, with its
+/// located diagnostic.
+LoadStatus load_scenario_file(const std::string& path, ScenarioSpec& spec,
+                              DslError& error);
 
 }  // namespace opto::dsl

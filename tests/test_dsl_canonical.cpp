@@ -376,6 +376,20 @@ TEST(DslCanonical, JsonAndOptoLoadersAgree) {
               R"("paths":{"system":"bfs","workload":"permutation"},)"
               R"("protocol":{"conversion":"sparse","converters":[1,0]}})"},
       pass_twin("a launch start past 2^53", "START", "9007199254740993"),
+      {"a disconnected explicit topology under bfs paths",
+       "scenario \"twin\" { mode trials;\n"
+       "  topology explicit { nodes 4; edges [[0, 1], [2, 3]]; }\n"
+       "  paths bfs { workload permutation; } }\n",
+       head + R"("topology":{"family":"explicit","nodes":4,)"
+              R"("edges":[[0,1],[2,3]]},)"
+              R"("paths":{"system":"bfs","workload":"permutation"}})"},
+      {"a disconnected explicit topology in engine mode",
+       "scenario \"twin\" { mode engine;\n"
+       "  topology explicit { nodes 4; edges [[0, 1], [2, 3]]; } }\n",
+       R"({"schema":"opto.scenario","schema_version":1,"name":"twin",)"
+       R"("label":"twin","mode":"engine",)"
+       R"("topology":{"family":"explicit","nodes":4,)"
+       R"("edges":[[0,1],[2,3]]}})"},
       {"a duplicate key",
        "scenario \"twin\" { mode trials; topology ring { nodes 4; }\n"
        "  paths bfs { workload permutation; }\n"

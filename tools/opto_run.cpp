@@ -8,21 +8,17 @@
 //   --run FILE       run the scenario (simulator / streaming engine /
 //                    single pass per its mode), write the model-result
 //                    JSON ("opto.scenario.result/1") to stdout or --out
-//   --builtin NAME   run the hand-coded C++ equivalent of a committed
-//                    example through the same run core (the other half
-//                    of the scenario-smoke equivalence gate)
-//   --list-builtins  print the builtin names, one per line
 //
 // FILE may be a .opto program or its canonical JSON dump — the loader
-// auto-detects (first non-space byte '{' = JSON). A run also installs
-// the standard BenchRecord-at-exit hook under the scenario label, so
-// OPTO_RESULTS_DIR captures counters/phases exactly like the benches.
+// (dsl::load_scenario_file) auto-detects (first non-space byte '{' =
+// JSON). A run builds its objects with the same dsl/runner.hpp builders
+// the anchor benches use, and installs the standard BenchRecord-at-exit
+// hook under the scenario label, so OPTO_RESULTS_DIR captures
+// counters/phases exactly like the benches.
 //
 // Exit codes: 0 ok, 1 parse/validation/run failure, 2 usage / IO errors.
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 
 #include "opto/dsl/canonical.hpp"
@@ -32,15 +28,6 @@
 #include "opto/util/cli.hpp"
 
 namespace {
-
-bool read_file(const std::string& path, std::string& text) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream os;
-  os << in.rdbuf();
-  text = os.str();
-  return true;
-}
 
 int write_output(const std::string& out, const std::string& text) {
   if (out.empty()) {
@@ -59,17 +46,16 @@ int write_output(const std::string& out, const std::string& text) {
 /// Loads FILE (.opto text or canonical JSON) into a validated spec.
 /// Returns 0/1/2 like main; on success `spec` is filled.
 int load(const std::string& path, opto::dsl::ScenarioSpec& spec) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::fprintf(stderr, "opto_run: cannot read %s\n", path.c_str());
-    return 2;
-  }
   opto::dsl::DslError error;
-  if (!opto::dsl::load_scenario_text(text, path, spec, error)) {
-    std::fprintf(stderr, "%s\n", error.format().c_str());
-    return 1;
+  switch (opto::dsl::load_scenario_file(path, spec, error)) {
+    case opto::dsl::LoadStatus::Ok: return 0;
+    case opto::dsl::LoadStatus::Unreadable:
+      std::fprintf(stderr, "opto_run: cannot read %s\n", path.c_str());
+      return 2;
+    case opto::dsl::LoadStatus::Invalid: break;
   }
-  return 0;
+  std::fprintf(stderr, "%s\n", error.format().c_str());
+  return 1;
 }
 
 }  // namespace
@@ -85,10 +71,6 @@ int main(int argc, char** argv) {
       cli.add_string("dump", "", "print FILE's canonical JSON normal form");
   const std::string* run =
       cli.add_string("run", "", "run FILE, print the model-result JSON");
-  const std::string* builtin = cli.add_string(
-      "builtin", "", "run a hand-coded scenario equivalent by name");
-  const bool* list_builtins =
-      cli.add_flag("list-builtins", "print builtin names, one per line");
   const std::string* out =
       cli.add_string("out", "", "write the JSON output here instead of stdout");
   if (!cli.parse(argc, argv)) return 2;
@@ -122,28 +104,8 @@ int main(int argc, char** argv) {
     return write_output(*out, opto::dsl::result_text(result));
   }
 
-  if (!builtin->empty()) {
-    // Same label as the DSL run of the twin scenario (not a "-native"
-    // variant): bench_compare pairs records by label, and the
-    // scenario-smoke job diffs the two captures against each other.
-    opto::obs::install_bench_record_at_exit(*builtin);
-    opto::JsonValue result;
-    std::string error;
-    if (!opto::dsl::run_builtin(*builtin, result, error)) {
-      std::fprintf(stderr, "opto_run: %s\n", error.c_str());
-      return 2;
-    }
-    return write_output(*out, opto::dsl::result_text(result));
-  }
-
-  if (*list_builtins) {
-    for (const std::string& name : opto::dsl::builtin_names())
-      std::printf("%s\n", name.c_str());
-    return 0;
-  }
-
   std::fprintf(stderr,
                "opto_run: pick a mode: --check FILE | --dump FILE | --run "
-               "FILE | --builtin NAME | --list-builtins\n");
+               "FILE\n");
   return 2;
 }
