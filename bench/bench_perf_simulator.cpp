@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "opto/obs/bench_record.hpp"
 #include "opto/graph/butterfly.hpp"
@@ -112,17 +114,34 @@ void BM_SimulatorBundleContention(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorBundleContention)->Arg(64)->Arg(512)->Arg(4096);
 
+/// C̃ of one instance, computed afresh every iteration: path_congestion_of
+/// over every id is not memoized, where path_congestion() would only read
+/// its memo after the first. The instance is a q = 4 function on the
+/// dimension-`size` butterfly (mesh 0) or a random function on the
+/// size×size mesh (mesh 1; E7's instance at size 32).
 void BM_PathCongestionMetric(benchmark::State& state) {
-  const auto dim = static_cast<std::uint32_t>(state.range(0));
-  auto topo = std::make_shared<ButterflyTopology>(make_butterfly(dim));
+  const auto size = static_cast<std::uint32_t>(state.range(1));
   Rng rng(4);
-  const auto collection = butterfly_random_q_function(topo, 4, rng);
+  const PathCollection collection =
+      state.range(0) == 0
+          ? butterfly_random_q_function(
+                std::make_shared<ButterflyTopology>(make_butterfly(size)), 4,
+                rng)
+          : mesh_random_function(
+                std::make_shared<MeshTopology>(make_mesh({size, size})), rng);
+  std::vector<PathId> ids(collection.size());
+  std::iota(ids.begin(), ids.end(), PathId{0});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collection.path_congestion());
+    benchmark::DoNotOptimize(collection.path_congestion_of(ids));
   }
   state.counters["paths"] = static_cast<double>(collection.size());
 }
-BENCHMARK(BM_PathCongestionMetric)->Arg(5)->Arg(7)->Arg(9);
+BENCHMARK(BM_PathCongestionMetric)
+    ->ArgNames({"mesh", "size"})
+    ->Args({0, 5})
+    ->Args({0, 7})
+    ->Args({0, 9})
+    ->Args({1, 32});
 
 void BM_StaircaseConstruction(benchmark::State& state) {
   const auto structures = static_cast<std::uint32_t>(state.range(0));

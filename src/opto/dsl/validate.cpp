@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -992,8 +993,13 @@ bool load_scenario_text(std::string_view source, const std::string& file,
 
 LoadStatus load_scenario_file(const std::string& path, ScenarioSpec& spec,
                               DslError& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  // std::ifstream opens a directory on Linux and reads it as empty. A
+  // path that cannot be examined is left to fail the open.
+  std::error_code ignored;
+  std::ifstream in;
+  if (!std::filesystem::is_directory(path, ignored))
+    in.open(path, std::ios::binary);
+  if (!in.is_open()) {
     error = DslError{path, SourceLoc{}, "cannot read file"};
     return LoadStatus::Unreadable;
   }

@@ -97,21 +97,28 @@ class PathCollection {
   std::uint32_t edge_congestion() const;
 
   /// Exact path congestion C̃ (counts *other* paths; a path sharing a link
-  /// with k identical copies of itself counts those copies). Memoized: a
-  /// schedule factory and the experiment harness asking for C̃ of one
-  /// trial's collection pay for it once. C̃ is a pure function of the
-  /// arena, so concurrent first reads compute and store the same value;
-  /// the memo needs no lock. Copies and moves carry it; appending, and
-  /// being moved from, forget it.
+  /// with k identical copies of itself counts those copies), counting
+  /// exactly only the members whose path_congestion_bounds() value beats
+  /// the best count so far. Memoized: a schedule factory and the
+  /// experiment harness asking for C̃ of one trial's collection pay for it
+  /// once. C̃ is a pure function of the arena, so concurrent first reads
+  /// compute and store the same value; the memo needs no lock. Copies and
+  /// moves carry it; appending, and being moved from, forget it.
   std::uint32_t path_congestion() const;
 
   /// Per-path congestion values (same definition as above).
   std::vector<std::uint32_t> path_congestions() const;
 
+  /// Per-path bounds U(p) ≥ path_congestions()[p]: the other members,
+  /// each counted once per maximal run of links it shares with p (turns
+  /// into a node's ninth out-link or later are not followed, which only
+  /// raises U).
+  std::vector<std::uint32_t> path_congestion_bounds() const;
+
   /// C̃ of the sub-multiset `ids` — sharing counted among those paths only,
-  /// as a collection holding copies of them would report — without copying
-  /// any path. Not memoized (the protocol asks once per round, for a
-  /// different active set each time).
+  /// as a collection holding copies of them would report (a repeated id
+  /// is one more copy) — without copying any path. Not memoized (the
+  /// protocol asks once per round, for a different active set each time).
   std::uint32_t path_congestion_of(std::span<const PathId> ids) const;
 
   CollectionStats stats() const;

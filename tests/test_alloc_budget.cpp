@@ -44,9 +44,13 @@ constexpr std::uint64_t kAllocsPerMeshBuild = 5;
 // One E7 trial: make_mesh (5), the collection, the schedule, and a
 // protocol run; measured 151 and 153 at seeds 2 and 3.
 constexpr std::uint64_t kAllocsPerMeshTrial = 160;
-// One C̃ computation: the exact kernel's five arrays — independent of the
-// collection's size.
-constexpr std::uint64_t kAllocsPerCongestion = 5;
+// One C̃ computation, independent of the collection's size: the
+// bound-and-verify kernel's three arrays (out-row positions, loads and
+// turns reused as stamps, the bounds), or path_congestions()'s four (the
+// result, a stamp per member, each link's first user, the users).
+// Measured 3, 4 and 3 for path_congestion(), path_congestions() and
+// path_congestion_of() at sides 8 and 32.
+constexpr std::uint64_t kAllocsPerCongestion = 4;
 // k=3 shortest routes between two radix-8 fat-tree hosts in different
 // pods: the three routes and the result vector's growth (6), and nothing
 // else — the destination row lives in the graph's hop table, filled in

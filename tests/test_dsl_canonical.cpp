@@ -198,6 +198,18 @@ TEST(DslCanonical, LoaderRejectsGarbageAndForeignSchemas) {
       << error.format();
 }
 
+TEST(DslCanonical, FileLoaderReportsDirectoriesAndMissingFilesUnreadable) {
+  const std::string missing = std::string(OPTO_EXAMPLES_DIR) + "/no_such.opto";
+  for (const std::string& path : {std::string(OPTO_EXAMPLES_DIR), missing}) {
+    SCOPED_TRACE(path);
+    ScenarioSpec spec;
+    DslError error;
+    EXPECT_EQ(load_scenario_file(path, spec, error), LoadStatus::Unreadable);
+    EXPECT_EQ(error.file, path);
+    EXPECT_EQ(error.message, "cannot read file");
+  }
+}
+
 /// `text` with every `{KEY}` replaced by its value in `fields`.
 std::string fill(std::string text,
                  const std::vector<std::pair<std::string, std::string>>& fields) {

@@ -1,12 +1,15 @@
 // Collection metrics — in particular the paper's path congestion C̃
 // (paths sharing a directed link), which differs from edge congestion —
-// checked against a brute-force pairwise oracle, plus the lifetime of the
-// collection's C̃ memo (what construction does to it is checked by
+// checked against a brute-force pairwise oracle, and the bound U that the
+// exact search prunes with (U ≥ C̃ per member, U = the shared-run count,
+// and a case where the U-leader is not the C̃-leader), plus the lifetime
+// of the collection's C̃ memo (what construction does to it is checked by
 // allocation count in test_alloc_budget), the link arena and its append
 // checks, and builder output against node-list construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,10 +18,13 @@
 #include <vector>
 
 #include "opto/graph/butterfly.hpp"
+#include "opto/graph/expander.hpp"
+#include "opto/graph/hypercube.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/random_regular.hpp"
 #include "opto/par/parallel_for.hpp"
 #include "opto/paths/bfs_shortest.hpp"
+#include "opto/paths/butterfly_paths.hpp"
 #include "opto/paths/lightpath_layout.hpp"
 #include "opto/paths/lowerbound_structures.hpp"
 #include "opto/paths/path_collection.hpp"
@@ -411,6 +417,159 @@ TEST(PathCongestionOracle, ExactAcrossBlockEdges) {
                 max_value(pairwise_congestions(c, ids)));
     }
   }
+}
+
+// --- the pruning bound U ----------------------------------------------------
+
+/// Each member's maximal runs of consecutive links shared with every other
+/// member, summed over the others: the value path_congestion_bounds()
+/// reports when every turn is followed (graphs of degree ≤ 8).
+std::vector<std::uint32_t> shared_runs(const PathCollection& c) {
+  std::vector<std::map<EdgeId, std::uint32_t>> position(c.size());
+  for (PathId q = 0; q < c.size(); ++q)
+    for (std::uint32_t i = 0; i < c.path(q).length(); ++i)
+      position[q][c.path(q).link(i)] = i;
+  std::vector<std::uint32_t> runs(c.size(), 0);
+  for (PathId p = 0; p < c.size(); ++p)
+    for (PathId q = 0; q < c.size(); ++q) {
+      if (q == p) continue;
+      bool was_on = false;
+      std::uint32_t at = 0;
+      for (const EdgeId link : c.path(p).links()) {
+        const auto it = position[q].find(link);
+        const bool on = it != position[q].end();
+        if (on && !(was_on && it->second == at + 1)) ++runs[p];
+        if (on) at = it->second;
+        was_on = on;
+      }
+    }
+  return runs;
+}
+
+/// For every member, U ≥ its exact count (and U is the shared-run count
+/// where every turn is followed); and every C̃ entry point agrees with
+/// the brute-force maximum.
+void expect_bound_holds(const PathCollection& c) {
+  const std::vector<std::uint32_t> exact = pairwise_congestions(c, all_ids(c));
+  const std::vector<std::uint32_t> bounds = c.path_congestion_bounds();
+  const std::vector<std::uint32_t> runs = shared_runs(c);
+  ASSERT_EQ(bounds.size(), c.size());
+  const bool every_turn = c.empty() || c.graph().max_degree() <= 8;
+  for (PathId p = 0; p < c.size(); ++p) {
+    EXPECT_GE(bounds[p], exact[p]) << "member " << p;
+    if (every_turn)
+      EXPECT_EQ(bounds[p], runs[p]) << "member " << p;
+    else
+      EXPECT_GE(bounds[p], runs[p]) << "member " << p;
+  }
+  EXPECT_EQ(c.path_congestions(), exact);
+  EXPECT_EQ(c.path_congestion_of(all_ids(c)), max_value(exact));
+  EXPECT_EQ(c.path_congestion(), max_value(exact));
+}
+
+/// A random function on `graph` along BFS shortest paths.
+PathCollection bfs_case(Graph graph, std::uint64_t seed) {
+  Rng rng(seed);
+  return bfs_random_function(std::make_shared<const Graph>(std::move(graph)),
+                             rng);
+}
+
+TEST(PathCongestionBound, HoldsOnGeneratedCollections) {
+  for (std::uint32_t index = 0; index < 200; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    expect_bound_holds(oracle_case(index));
+  }
+}
+
+TEST(PathCongestionBound, HoldsOnExperimentInstances) {
+  std::vector<std::pair<std::string, PathCollection>> cases;
+  Rng rng(7);
+  {  // E1: a butterfly input→output permutation
+    auto topo = std::make_shared<const ButterflyTopology>(make_butterfly(6));
+    const std::vector<std::uint32_t> perm = rng.permutation(topo->rows());
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;
+    for (std::uint32_t r = 0; r < perm.size(); ++r) rows.emplace_back(r, perm[r]);
+    cases.emplace_back("E1 butterfly-6 permutation",
+                       butterfly_io_collection(topo, rows));
+  }
+  cases.emplace_back("E2 staircase", make_staircase_collection(3, 6, 14, 4));
+  {  // E3: triangles and bundles in one graph
+    StructureBuilder builder;
+    for (int s = 0; s < 3; ++s) {
+      builder.add_triangle(10, 4);
+      builder.add_bundle(4, 6);
+    }
+    cases.emplace_back("E3 triangles+bundles", std::move(builder).build());
+  }
+  cases.emplace_back("E4/E5 triangles", make_triangle_collection(4, 10, 4));
+  cases.emplace_back("E6 torus-8", bfs_case(make_torus({8, 8}).graph, 61));
+  cases.emplace_back("E6 hypercube-6", bfs_case(make_hypercube(6), 62));
+  cases.emplace_back("E6 wrap-butterfly-4",
+                     bfs_case(make_wrap_butterfly(4).graph, 63));
+  cases.emplace_back("E6 circulant-64", bfs_case(make_circulant(64, {1, 8}), 64));
+  cases.emplace_back("E6 margulis-8", bfs_case(make_margulis_expander(8), 65));
+  // Degree 9: turns into a node's ninth out-link are not followed.
+  cases.emplace_back("hypercube-9", bfs_case(make_hypercube(9), 66));
+  cases.emplace_back("E7 mesh-16",
+                     mesh_random_function(std::make_shared<const MeshTopology>(
+                                              make_mesh({16, 16})),
+                                          rng));
+  cases.emplace_back(
+      "E8 butterfly-6 q=4",
+      butterfly_random_q_function(
+          std::make_shared<const ButterflyTopology>(make_butterfly(6)), 4, rng));
+  for (const auto& [name, c] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_GT(c.size(), 0u);
+    expect_bound_holds(c);
+  }
+}
+
+TEST(PathCongestionBound, ExactOnTheLowerBoundStructures) {
+  // The Fig. 5/6 structures and the bundle: no member shares two separate
+  // runs with another, so U is every member's exact count.
+  const std::vector<PathCollection> structures = {
+      make_staircase_collection(4, 6, 14, 4),
+      make_staircase_collection(1, 8, 26, 8),
+      make_triangle_collection(8, 18, 8), make_triangle_collection(1, 10, 4),
+      make_bundle_collection(4, 5, 10)};
+  for (std::size_t i = 0; i < structures.size(); ++i) {
+    SCOPED_TRACE("structure " + std::to_string(i));
+    expect_bound_holds(structures[i]);
+    EXPECT_EQ(structures[i].path_congestion_bounds(),
+              structures[i].path_congestions());
+  }
+}
+
+TEST(PathCongestionBound, LeaderByBoundIsNotTheLeaderByCount) {
+  // P = a→b→c→d→e meets each of two copies of Q = a→b→x→d→e in two
+  // separate runs, so U(P) = 4 while C̃(P) = 2. Four copies of s→t each
+  // have U = C̃ = 3: the search must verify past its first member.
+  enum : NodeId { a, b, c, d, e, x, s, t };
+  GraphBuilder builder(8);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {a, b}, {b, c}, {c, d}, {d, e}, {b, x}, {x, d}, {s, t}})
+    builder.add_edge(u, v);
+  const auto graph = std::make_shared<const Graph>(std::move(builder).build());
+  const std::vector<std::vector<NodeId>> routes = {
+      {a, b, c, d, e}, {a, b, x, d, e}, {a, b, x, d, e},
+      {s, t},          {s, t},          {s, t},
+      {s, t}};
+  const PathCollection paths = collection_from_node_lists(graph, routes);
+  EXPECT_EQ(paths.path_congestion_bounds(),
+            (std::vector<std::uint32_t>{4, 3, 3, 3, 3, 3, 3}));
+  EXPECT_EQ(paths.path_congestions(),
+            (std::vector<std::uint32_t>{2, 2, 2, 3, 3, 3, 3}));
+  expect_bound_holds(paths);
+  EXPECT_EQ(paths.path_congestion(), 3u);
+  EXPECT_EQ(paths.path_congestion_of(std::vector<PathId>{0, 1, 2, 3, 4, 5, 6}),
+            3u);
+  // Sub-multisets: a repeated id is one more copy; only its own position
+  // is skipped.
+  EXPECT_EQ(paths.path_congestion_of(std::vector<PathId>{0, 1, 3, 4}), 1u);
+  EXPECT_EQ(paths.path_congestion_of(std::vector<PathId>{0, 0}), 1u);
+  EXPECT_EQ(paths.path_congestion_of(std::vector<PathId>{3, 3, 3}), 2u);
+  EXPECT_EQ(paths.path_congestion_of(std::vector<PathId>{0, 1, 1, 0, 3}), 3u);
 }
 
 // --- builders write the arena node-list construction would --------------
