@@ -8,10 +8,12 @@
 
 #include "opto/obs/bench_record.hpp"
 #include "opto/graph/butterfly.hpp"
+#include "opto/graph/fattree.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/paths/lowerbound_structures.hpp"
 #include "opto/paths/workloads.hpp"
 #include "opto/rng/rng.hpp"
+#include "opto/rwa/ksp.hpp"
 #include "opto/sim/simulator.hpp"
 
 namespace {
@@ -142,6 +144,43 @@ BENCHMARK(BM_PathCongestionMetric)
     ->Args({0, 7})
     ->Args({0, 9})
     ->Args({1, 32});
+
+/// k = 3 shortest routes for every ordered node pair of the radix-8 fat
+/// tree (dc_rwa's graph and k), into one reused route list. Warm (cold
+/// 0): one hop table, every row filled before timing. Cold (cold 1): a
+/// fresh table per iteration, so each destination's first search also
+/// fills its row.
+void BM_KShortestRoutes(benchmark::State& state) {
+  const bool cold = state.range(0) != 0;
+  const Graph graph = make_fat_tree(8).graph;
+  const NodeId nodes = graph.node_count();
+  rwa::RouteList routes;
+  const auto search_all = [&](const rwa::HopTable& table) {
+    std::uint64_t found = 0;
+    for (NodeId s = 0; s < nodes; ++s)
+      for (NodeId d = 0; d < nodes; ++d) {
+        routes.clear();
+        found += rwa::k_shortest_routes(table, s, d, 3, routes);
+      }
+    return found;
+  };
+  const rwa::HopTable warm(graph);
+  (void)search_all(warm);
+  std::uint64_t found = 0;
+  for (auto _ : state) {
+    if (cold) {
+      const rwa::HopTable table(graph);
+      found += search_all(table);
+    } else {
+      found += search_all(warm);
+    }
+  }
+  benchmark::DoNotOptimize(found);
+  state.counters["routes/s"] = benchmark::Counter(
+      static_cast<double>(found), benchmark::Counter::kIsRate);
+  state.counters["pairs"] = static_cast<double>(nodes) * nodes;
+}
+BENCHMARK(BM_KShortestRoutes)->ArgName("cold")->Arg(0)->Arg(1);
 
 void BM_StaircaseConstruction(benchmark::State& state) {
   const auto structures = static_cast<std::uint32_t>(state.range(0));

@@ -176,9 +176,12 @@ double process_wall_seconds() {
 #if OPTO_OBS_ENABLED
 
 // Global allocation-count hook. Lives in this translation unit (which
-// every obs user pulls in) so linking any opto binary installs it. The
-// counter is one relaxed increment behind the runtime flag; allocation
-// itself follows the standard malloc + new_handler contract, which keeps
+// every obs user pulls in) so linking any opto binary installs it. Both
+// families are replaced, the plain overloads and the std::align_val_t ones
+// that over-aligned types (`alignas` beyond the default new alignment)
+// call, so neither escapes the count. The counter is one relaxed
+// increment behind the runtime flag; allocation itself follows the
+// standard malloc (aligned_alloc) + new_handler contract, which keeps
 // ASan/TSan interception (they hook malloc/free) working.
 namespace {
 
@@ -188,6 +191,23 @@ void* counted_alloc(std::size_t size) {
   if (size == 0) size = 1;
   while (true) {
     if (void* p = std::malloc(size)) return p;
+    if (std::new_handler handler = std::get_new_handler())
+      handler();
+    else
+      throw std::bad_alloc();
+  }
+}
+
+/// counted_alloc for over-aligned types (`alignas` beyond the default new
+/// alignment): aligned_alloc wants a size that is a multiple of the
+/// alignment, and the block is returned through free like any other.
+void* counted_aligned_alloc(std::size_t size, std::align_val_t alignment) {
+  if (opto::obs::enabled())
+    opto::obs::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(alignment);
+  size = size == 0 ? align : (size + align - 1) / align * align;
+  while (true) {
+    if (void* p = std::aligned_alloc(align, size)) return p;
     if (std::new_handler handler = std::get_new_handler())
       handler();
     else
@@ -222,6 +242,48 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return counted_aligned_alloc(size, alignment);
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return counted_aligned_alloc(size, alignment);
+}
+
+void* operator new(std::size_t size, std::align_val_t alignment,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return counted_aligned_alloc(size, alignment);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new[](std::size_t size, std::align_val_t alignment,
+                     const std::nothrow_t&) noexcept {
+  try {
+    return counted_aligned_alloc(size, alignment);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -128,9 +128,17 @@ void PathCollection::add_nodes(std::span<const NodeId> nodes) {
 }
 
 void PathCollection::add(PathView path) {
-  const EdgeId link_count = checked_graph().link_count();
-  for (EdgeId link : path.links())
-    OPTO_ASSERT_MSG(link < link_count, "link outside graph");
+  const Graph& graph = checked_graph();
+  OPTO_ASSERT_MSG(path.empty() || path.link(0) >= graph.link_count() ||
+                      graph.source(path.link(0)) == path.source(),
+                  "path does not start at its source");
+  detail::SimpleWalk walk(graph, path.source());
+  for (EdgeId link : path.links()) {
+    OPTO_ASSERT_MSG(link < graph.link_count(), "link outside graph");
+    walk.along(link);
+  }
+  OPTO_ASSERT_MSG(walk.at() == path.destination(),
+                  "path does not end at its destination");
   const auto offset = static_cast<std::uint32_t>(links_.size());
   const std::size_t end = std::size_t{offset} + path.length();
   if (end > links_.capacity()) {

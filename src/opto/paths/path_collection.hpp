@@ -60,8 +60,11 @@ class PathCollection {
   /// Appends the member through `nodes` (Path::from_nodes's checks).
   void add_nodes(std::span<const NodeId> nodes);
 
-  /// Copies `path` (it may be a member) into the arena; its links must be
-  /// links of the graph.
+  /// Copies `path` (it may be a member) into the arena. Path::from_links's
+  /// checks apply, hop by hop: each link is a link of the graph leaving
+  /// the node the one before it entered (the first leaving source()), no
+  /// node is entered twice, and the last enters destination() (a
+  /// zero-length path has source() == destination()).
   void add(PathView path);
 
   void reserve(std::size_t n) { members_.reserve(n); }

@@ -2,17 +2,24 @@
 //
 // Routes are enumerated in the canonical total order
 //   (length, lexicographic node sequence)
-// exactly: every spur search returns the lexicographically smallest
-// shortest path under the active node/link bans, and the next route is
-// always the least of Yen's candidate list in that order, so the
-// enumeration is a faithful walk of it (the brute-force oracle in
-// tests/test_rwa_oracle.cpp checks this sequence-for-sequence). Determinism is load-bearing — every RWA
+// exactly (the brute-force oracle in tests/test_rwa_oracle.cpp checks
+// this sequence-for-sequence). Determinism is load-bearing — every RWA
 // strategy derives its candidate routes from this enumeration, so two
 // runs of a strategy see identical candidates on any thread count.
 //
-// Searches read the unbanned hop counts to their destination from a
+// A search reads the unbanned hop counts to its destination from a
 // HopTable: one per graph, filled a destination row at a time on first
 // use and shared by every thread that searches the graph (DESIGN.md §11).
+// The shortest routes come first in the order, and they are exactly the
+// routes of the row's shortest-route DAG (every step lowers the hop count
+// by one), so a search first reads them off the DAG depth-first, next
+// nodes in ascending order: that is their lexicographic order. Only when
+// the DAG holds fewer than k routes does Yen's algorithm (Lawler's rule,
+// a length cap) run, continuing from all of them.
+//
+// Routes come out as link ids, back to back in a RouteList, so callers
+// read them as link spans with no node-to-link lookup; the node-sequence
+// overloads are for tests and the fuzzer's reference comparison.
 #pragma once
 
 #include <atomic>
@@ -25,6 +32,28 @@
 #include "opto/graph/graph.hpp"
 
 namespace opto::rwa {
+
+/// Routes as link sequences, back to back: route r is
+/// links[begin(r), ends[r]). Searches append to a list, so one list can
+/// hold the routes of many searches; clear() keeps the capacity.
+struct RouteList {
+  std::vector<EdgeId> links;
+  std::vector<std::uint32_t> ends;
+
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(ends.size());
+  }
+  std::uint32_t begin(std::uint32_t r) const {
+    return r == 0 ? 0 : ends[r - 1];
+  }
+  std::span<const EdgeId> operator[](std::uint32_t r) const {
+    return {links.data() + begin(r), links.data() + ends[r]};
+  }
+  void clear() {
+    links.clear();
+    ends.clear();
+  }
+};
 
 namespace detail {
 
@@ -90,20 +119,32 @@ class HopTable {
 std::shared_ptr<const HopTable> shared_hop_table(
     const std::shared_ptr<const Graph>& graph);
 
-/// Up to `k` shortest loopless routes from `source` to `destination` of
-/// the table's graph as node sequences, in (length, lexicographic)
-/// order. Fewer are returned when fewer exist; an unreachable
-/// destination yields none. A source == destination request yields the
-/// single zero-length route.
+/// Appends to `out` up to `k` shortest loopless routes from `source` to
+/// `destination` of the table's graph, in (length, lexicographic) order,
+/// and returns how many it appended. Fewer are appended when fewer exist;
+/// an unreachable destination yields none. A source == destination
+/// request yields the single zero-length route. Once the destination's
+/// row is filled the call allocates nothing but `out`'s growth.
+std::uint32_t k_shortest_routes(const HopTable& table, NodeId source,
+                                NodeId destination, std::uint32_t k,
+                                RouteList& out);
+
+/// The same routes as node sequences.
 std::vector<std::vector<NodeId>> k_shortest_routes(const HopTable& table,
                                                    NodeId source,
                                                    NodeId destination,
                                                    std::uint32_t k);
 
-/// The first route of that order, exactly
-/// `k_shortest_routes(table, source, destination, k).front()` for any
-/// k >= 1, or an empty route when `destination` is unreachable. Once
-/// the destination's row is filled it allocates only the returned route.
+/// Appends the links of the first route of that order to `out`, exactly
+/// route 0 of `k_shortest_routes(table, source, destination, k, …)` for
+/// any k >= 1; returns false, appending nothing, when `destination` is
+/// unreachable. Once the row is filled it allocates only `out`'s growth.
+bool shortest_route(const HopTable& table, NodeId source, NodeId destination,
+                    std::vector<EdgeId>& out);
+
+/// The first route as a node sequence, or an empty route when
+/// `destination` is unreachable. Allocates only the returned route once
+/// the row is filled.
 std::vector<NodeId> shortest_route(const HopTable& table, NodeId source,
                                    NodeId destination);
 

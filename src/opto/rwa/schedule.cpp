@@ -33,7 +33,7 @@ StrategyRunResult run_strategy_schedule(std::shared_ptr<const Graph> graph,
     std::vector<LaunchSpec> specs;
     std::vector<std::uint32_t> still_pending;
     for (const std::uint32_t uid : pending) {
-      RwaDecision decision = strategy.assign(requests[uid], uid);
+      const RwaDecision decision = strategy.assign(requests[uid], uid);
       if (!decision.accepted) {
         still_pending.push_back(uid);
         continue;
@@ -43,7 +43,7 @@ StrategyRunResult run_strategy_schedule(std::shared_ptr<const Graph> graph,
       for (std::size_t i = 0; i < decision.routes.size(); ++i) {
         LaunchSpec spec;
         spec.path = collection.size();
-        collection.add(std::move(decision.routes[i]));
+        collection.add(decision.routes[i]);
         spec.start_time = 0;
         spec.wavelength = decision.lambdas[i];
         spec.priority = uid;
@@ -106,13 +106,8 @@ class FixedRouteFirstFit final : public Strategy {
     const PathView route = collection_.path(order_[uid]);
     const auto lambda = first_fit(route);
     if (!lambda) return {};
-    claim(route, *lambda);
     top_lambda_ = std::max(top_lambda_, *lambda);
-    RwaDecision decision;
-    decision.accepted = true;
-    decision.routes.emplace_back(route);
-    decision.lambdas.push_back(*lambda);
-    return decision;
+    return accept(route, *lambda);
   }
 
   Wavelength top_lambda() const { return top_lambda_; }
@@ -178,7 +173,7 @@ StrategyAggregate run_strategy_trials(const InstanceFactory& factory,
 
   parallel_for_workers(0, trials, [&](IndexClaims& claims) {
     // One strategy per worker: begin() re-binds it each round, so reuse
-    // across trials exercises the re-entrancy contract (the KSP cache
+    // across trials exercises the re-entrancy contract (the candidate memo
     // restarts cold at each trial's round 1 — trial graphs are
     // independently allocated, so address reuse must not alias them).
     // The hop table is not per worker: run_strategy_schedule takes the

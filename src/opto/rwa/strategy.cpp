@@ -49,13 +49,16 @@ void Strategy::begin(const HopTable& routes, const RwaConfig& config,
                      std::uint32_t round) {
   OPTO_ASSERT(config.bandwidth >= 1 && config.candidates >= 1 &&
               config.split_ways >= 1);
-  // The cache is only trustworthy while the bound table provably hasn't
+  // The memo is only trustworthy while the bound table provably hasn't
   // changed. Pointer identity alone is not enough across runs: a freed
   // table's address can be reused by a different topology's (the
   // strategy does not own the table), so every new run (round 1) starts
-  // cold and the cache stays warm only across the rounds of one schedule
+  // cold and the memo stays warm only across the rounds of one schedule
   // run.
-  if (round <= 1 || routes_ != &routes) route_cache_.clear();
+  if (round <= 1 || routes_ != &routes) {
+    memo_.clear();
+    memo_routes_.clear();
+  }
   routes_ = &routes;
   const Graph& graph = routes.graph();
   graph_ = &graph;
@@ -67,17 +70,21 @@ void Strategy::begin(const HopTable& routes, const RwaConfig& config,
   usage_.assign(config.bandwidth, 0);
 }
 
-const std::vector<std::vector<NodeId>>& Strategy::candidates(
-    NodeId source, NodeId destination) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(source) << 32) | destination;
-  auto it = route_cache_.find(key);
-  if (it == route_cache_.end())
-    it = route_cache_
-             .emplace(key, k_shortest_routes(*routes_, source, destination,
-                                             config_.candidates))
-             .first;
-  return it->second;
+Strategy::Candidates Strategy::candidates(const RwaRequest& request,
+                                          std::uint32_t uid) {
+  if (uid >= memo_.size()) memo_.resize(std::size_t{uid} + 1);
+  Memo& memo = memo_[uid];
+  if (memo.count == kUnsearched || memo.source != request.source ||
+      memo.destination != request.destination) {
+    memo.source = request.source;
+    memo.destination = request.destination;
+    memo.first = memo_routes_.size();
+    memo.count = k_shortest_routes(*routes_, request.source,
+                                   request.destination, config_.candidates,
+                                   memo_routes_);
+  }
+  return {&memo_routes_, memo.source, memo.destination, memo.first,
+          memo.count};
 }
 
 bool Strategy::channel_free(PathView route, Wavelength lambda) const {
@@ -102,14 +109,12 @@ std::optional<Wavelength> Strategy::first_fit(PathView route) const {
   return std::nullopt;
 }
 
-RwaDecision Strategy::accept(const Graph& graph,
-                             const std::vector<NodeId>& route,
-                             Wavelength lambda) {
+RwaDecision Strategy::accept(PathView route, Wavelength lambda) {
   RwaDecision decision;
   decision.accepted = true;
-  decision.routes.push_back(Path::from_nodes(graph, route));
+  decision.routes.push_back(route);
   decision.lambdas.push_back(lambda);
-  claim(decision.routes.back(), lambda);
+  claim(route, lambda);
   return decision;
 }
 
@@ -121,25 +126,17 @@ namespace {
 class SingleRouteStrategy : public Strategy {
  public:
   RwaDecision assign(const RwaRequest& request, std::uint32_t uid) override {
-    for (const auto& route_nodes :
-         candidates(request.source, request.destination)) {
-      if (route_nodes.size() == 1)  // source == destination: free ride
-        return accept(*graph_, route_nodes, 0);
-      const Path route = Path::from_nodes(*graph_, route_nodes);
-      const auto lambda = pick(route, uid);
-      if (!lambda) continue;
-      RwaDecision decision;
-      decision.accepted = true;
-      decision.routes.push_back(route);
-      decision.lambdas.push_back(*lambda);
-      claim(decision.routes.back(), *lambda);
-      return decision;
+    const Candidates routes = candidates(request, uid);
+    for (std::uint32_t i = 0; i < routes.size(); ++i) {
+      const PathView route = routes[i];
+      if (route.empty()) return accept(route, 0);  // source == destination
+      if (const auto lambda = pick(route, uid)) return accept(route, *lambda);
     }
     return {};
   }
 
  protected:
-  virtual std::optional<Wavelength> pick(const Path& route,
+  virtual std::optional<Wavelength> pick(PathView route,
                                          std::uint32_t uid) = 0;
 };
 
@@ -148,7 +145,7 @@ class FirstFitStrategy final : public SingleRouteStrategy {
   StrategyKind kind() const override { return StrategyKind::FirstFit; }
 
  protected:
-  std::optional<Wavelength> pick(const Path& route, std::uint32_t) override {
+  std::optional<Wavelength> pick(PathView route, std::uint32_t) override {
     return first_fit(route);
   }
 };
@@ -163,7 +160,7 @@ class LeastUsedStrategy final : public SingleRouteStrategy {
   /// fresh wavelength is opened only when no in-service one is free on
   /// the route, so Least-Used opens the band exactly as reluctantly as
   /// First-Fit does.
-  std::optional<Wavelength> pick(const Path& route, std::uint32_t) override {
+  std::optional<Wavelength> pick(PathView route, std::uint32_t) override {
     std::optional<Wavelength> best;
     for (Wavelength lambda = 0; lambda < config_.bandwidth; ++lambda) {
       if (usage_[lambda] == 0 || !channel_free(route, lambda)) continue;
@@ -182,7 +179,7 @@ class RandomFitStrategy final : public SingleRouteStrategy {
   /// Uniform keyed draw over the free set: the rank comes from
   /// Philox(seed, round) addressed by (uid, slot), so the value is
   /// independent of assignment order, thread count, and batch shape.
-  std::optional<Wavelength> pick(const Path& route,
+  std::optional<Wavelength> pick(PathView route,
                                  std::uint32_t uid) override {
     std::uint64_t free = 0;
     for (Wavelength lambda = 0; lambda < config_.bandwidth; ++lambda)
@@ -203,15 +200,14 @@ class MultipathStrategy final : public Strategy {
   /// routes (greedy scan in canonical order), each on its own first-fit
   /// wavelength; the request is served when at least one stripe lands
   /// (arXiv:1405.0822's multi-path RWA, worm-model rendition).
-  RwaDecision assign(const RwaRequest& request, std::uint32_t) override {
-    const auto& routes = candidates(request.source, request.destination);
-    if (!routes.empty() && routes.front().size() == 1)
-      return accept(*graph_, routes.front(), 0);
+  RwaDecision assign(const RwaRequest& request, std::uint32_t uid) override {
+    const Candidates routes = candidates(request, uid);
+    if (routes.size() != 0 && routes[0].empty()) return accept(routes[0], 0);
 
     RwaDecision decision;
-    for (const auto& route_nodes : routes) {
+    for (std::uint32_t i = 0; i < routes.size(); ++i) {
       if (decision.routes.size() >= config_.split_ways) break;
-      const Path route = Path::from_nodes(*graph_, route_nodes);
+      const PathView route = routes[i];
       if (!disjoint_from_stripes(route, decision.routes)) continue;
       const auto lambda = first_fit(route);
       if (!lambda) continue;
@@ -226,12 +222,11 @@ class MultipathStrategy final : public Strategy {
  private:
   /// True when `route` shares no link with any stripe already placed;
   /// there are at most split_ways of them, each a handful of links.
-  static bool disjoint_from_stripes(const Path& route,
-                                    const std::vector<Path>& stripes) {
-    for (const Path& stripe : stripes)
+  static bool disjoint_from_stripes(PathView route,
+                                    const std::vector<PathView>& stripes) {
+    for (const PathView stripe : stripes)
       for (EdgeId link : route.links())
-        if (std::find(stripe.links().begin(), stripe.links().end(), link) !=
-            stripe.links().end())
+        if (std::ranges::find(stripe.links(), link) != stripe.links().end())
           return false;
     return true;
   }
@@ -248,49 +243,52 @@ class ValiantStrategy final : public Strategy {
   /// fallback. Waypoint choice never depends on occupancy: the route is
   /// oblivious, only the wavelength reacts to load.
   RwaDecision assign(const RwaRequest& request, std::uint32_t uid) override {
-    std::vector<NodeId> direct =
-        shortest_route(*routes_, request.source, request.destination);
-    if (direct.empty()) return {};
-    if (direct.size() == 1) return accept(*graph_, direct, 0);
+    const NodeId source = request.source, destination = request.destination;
+    // links_[0, direct) is the direct route; each attempt writes its two
+    // legs after it. The route taken is links_[start, end).
+    links_.clear();
+    if (!shortest_route(*routes_, source, destination, links_)) return {};
+    const std::size_t direct = links_.size();
+    if (direct == 0) return accept(PathView(source, destination, {}), 0);
 
+    std::size_t start = 0, end = direct;
     const CounterRng rng(config_.seed, round_);
-    std::vector<NodeId> route_nodes;
     for (std::uint32_t attempt = 0; attempt < kValiantAttempts; ++attempt) {
       const NodeId mid = static_cast<NodeId>(rng.below(
           graph_->node_count(), uid, kSlotRwaWaypoint + attempt));
-      if (mid == request.source || mid == request.destination) continue;
-      std::vector<NodeId> leg1 =
-          shortest_route(*routes_, request.source, mid);
-      if (leg1.empty()) continue;
-      const std::vector<NodeId> leg2 =
-          shortest_route(*routes_, mid, request.destination);
-      if (leg2.empty() || !disjoint_legs(leg1, leg2)) continue;
-      leg1.insert(leg1.end(), leg2.begin() + 1, leg2.end());
-      route_nodes = std::move(leg1);
+      if (mid == source || mid == destination) continue;
+      links_.resize(direct);
+      if (!shortest_route(*routes_, source, mid, links_)) continue;
+      const std::size_t waypoint = links_.size();
+      if (!shortest_route(*routes_, mid, destination, links_)) continue;
+      const std::span<const EdgeId> legs(links_);
+      if (!disjoint_legs(legs.subspan(direct, waypoint - direct),
+                         legs.subspan(waypoint)))
+        continue;
+      start = direct;
+      end = links_.size();
       break;
     }
-    if (route_nodes.empty()) route_nodes = std::move(direct);
+    const PathView route(
+        source, destination,
+        std::span<const EdgeId>(links_).subspan(start, end - start));
 
-    const Path route = Path::from_nodes(*graph_, route_nodes);
     const auto lambda = first_fit(route);
     if (!lambda) return {};
-    RwaDecision decision;
-    decision.accepted = true;
-    decision.routes.push_back(route);
-    decision.lambdas.push_back(*lambda);
-    claim(decision.routes.back(), *lambda);
-    return decision;
+    return accept(route, *lambda);
   }
 
  private:
   /// The two legs may share only the waypoint (leg1's last node).
-  static bool disjoint_legs(const std::vector<NodeId>& leg1,
-                            const std::vector<NodeId>& leg2) {
-    for (std::size_t i = 0; i + 1 < leg1.size(); ++i)
-      for (std::size_t j = 1; j < leg2.size(); ++j)
-        if (leg1[i] == leg2[j]) return false;
+  bool disjoint_legs(std::span<const EdgeId> leg1,
+                     std::span<const EdgeId> leg2) const {
+    for (EdgeId a : leg1)
+      for (EdgeId b : leg2)
+        if (graph_->source(a) == graph_->target(b)) return false;
     return true;
   }
+
+  std::vector<EdgeId> links_;  ///< the direct route, then an attempt's legs
 };
 
 }  // namespace

@@ -227,7 +227,7 @@ std::optional<std::uint64_t> replay_strategy(
         continue;
       }
       for (std::size_t i = 0; i < decision.routes.size(); ++i) {
-        const Path& route = decision.routes[i];
+        const PathView route = decision.routes[i];
         const Wavelength lambda = decision.lambdas[i];
         if (route.source() != requests[uid].source ||
             route.destination() != requests[uid].destination) {

@@ -1,18 +1,19 @@
 // Allocation budgets for the per-trial instance pipeline (building a
 // mesh and a random function on it, measuring its C̃, one whole E7
-// trial), for RWA route search, and for a steady-state protocol round.
-// Counted with the obs allocation hook, so a per-node vector in graph/,
-// a per-path or per-link vector, or a per-search BFS buffer creeping
-// back into paths/ or rwa/ fails here rather than only in a benchmark
-// profile. The same count
-// shows whether a collection's C̃ is memoized: a memo hit allocates
-// nothing, a computation allocates its arrays.
+// trial), for RWA route search and the strategy round driver, and for a
+// steady-state protocol round. Counted with the obs allocation hook, so
+// a per-node vector in graph/, a per-path or per-link vector, or a
+// per-search BFS buffer creeping back into paths/ or rwa/ fails here
+// rather than only in a benchmark profile. The same count shows whether
+// a collection's C̃ is memoized: a memo hit allocates nothing, a
+// computation allocates its arrays.
 // Skipped when observation is compiled out (OPTO_OBS_ENABLED=0), where
 // the hook counts nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,8 @@
 #include "opto/paths/workloads.hpp"
 #include "opto/rng/rng.hpp"
 #include "opto/rwa/ksp.hpp"
+#include "opto/rwa/schedule.hpp"
+#include "opto/rwa/strategy.hpp"
 
 namespace opto {
 namespace {
@@ -52,14 +55,20 @@ constexpr std::uint64_t kAllocsPerMeshTrial = 160;
 // path_congestion_of() at sides 8 and 32.
 constexpr std::uint64_t kAllocsPerCongestion = 4;
 // k=3 shortest routes between two radix-8 fat-tree hosts in different
-// pods: the three routes and the result vector's growth (6), and nothing
-// else — the destination row lives in the graph's hop table, filled in
-// place, and the fallback BFS and the flat candidate list in the
-// thread's search workspace. A BFS buffer or a candidate vector
-// allocated per spur search would add one per spur. Re-measured with the
-// shared table and the length cap: still 6, whether or not the call
-// fills the row.
-constexpr std::uint64_t kAllocsPerKsp = 6;
+// pods into a new route list: its link and route-end arrays, each grown
+// once, and nothing else — the routes are read off the destination's
+// row, which lives in the graph's hop table, filled in place, and the
+// fallback BFS and the candidate list live in the thread's search
+// workspace. Into a list that has grown before, a search allocates
+// nothing.
+constexpr std::uint64_t kAllocsPerKsp = 2;
+// run_strategy_schedule, per request, once its strategy, the search
+// workspace and the hop rows are warm: each accepted decision's route and
+// wavelength vectors (2), plus each round's collection, launch specs and
+// simulated pass over the radix-4 fat tree's 36 requests. Measured 4.1–4.7
+// for the single-route kinds and multipath, 5.4–6.1 for Valiant (2–4
+// rounds).
+constexpr std::uint64_t kAllocsPerRwaRequest = 7;
 
 class AllocBudget : public ::testing::Test {
  protected:
@@ -200,28 +209,116 @@ TEST_F(AllocBudget, RouteSearchAllocatesOnlyItsResults) {
   const FatTreeTopology topo = make_fat_tree(8);
   const NodeId source = topo.hosts.front(), destination = topo.hosts.back();
   const rwa::HopTable table(topo.graph);
-  // The first call grows the thread's search workspace and fills the
-  // destination's row.
-  (void)rwa::k_shortest_routes(table, source, destination, 3);
-  std::size_t found = 0;
-  const std::uint64_t ksp = allocations([&] {
-    found = rwa::k_shortest_routes(table, source, destination, 3).size();
-  });
-  const std::uint64_t one = allocations([&] {
-    EXPECT_EQ(rwa::shortest_route(table, source, destination).size(), 7u);
-  });
-  ASSERT_EQ(found, 3u);
-  EXPECT_LE(ksp, kAllocsPerKsp);
-  EXPECT_EQ(one, 1u) << "shortest_route allocates more than its route";
-
-  // A fresh table: filling the destination's row allocates nothing.
-  const rwa::HopTable cold(topo.graph);
-  EXPECT_LE(allocations([&] {
-              EXPECT_EQ(
-                  rwa::k_shortest_routes(cold, source, destination, 3).size(),
-                  3u);
+  // The first calls grow the thread's search workspace and fill the
+  // destination's row; k = 20 passes the pair's 16 shortest routes, so
+  // Yen's candidate arena grows too.
+  rwa::RouteList routes;
+  (void)rwa::k_shortest_routes(table, source, destination, 20, routes);
+  for (const std::uint32_t k : {3u, 20u}) {
+    routes.clear();
+    std::uint32_t found = 0;
+    EXPECT_EQ(allocations([&] {
+                found = rwa::k_shortest_routes(table, source, destination, k,
+                                               routes);
+              }),
+              0u)
+        << "k=" << k << ": a search into a grown list allocates";
+    EXPECT_EQ(found, k);
+  }
+  std::vector<EdgeId> links;
+  (void)rwa::shortest_route(table, source, destination, links);
+  (void)rwa::shortest_route(table, source, destination);
+  links.clear();
+  EXPECT_EQ(allocations([&] {
+              EXPECT_TRUE(
+                  rwa::shortest_route(table, source, destination, links));
             }),
-            kAllocsPerKsp);
+            0u);
+  EXPECT_EQ(links.size(), 6u);
+  EXPECT_EQ(allocations([&] {
+              EXPECT_EQ(rwa::shortest_route(table, source, destination).size(),
+                        7u);
+            }),
+            1u)
+      << "shortest_route allocates more than its route";
+
+  // Into a new list, with and without filling the destination's row.
+  for (const bool cold : {false, true}) {
+    const rwa::HopTable fresh(topo.graph);
+    const rwa::HopTable& searched = cold ? fresh : table;
+    EXPECT_LE(allocations([&] {
+                rwa::RouteList fresh_routes;
+                EXPECT_EQ(rwa::k_shortest_routes(searched, source,
+                                                 destination, 3, fresh_routes),
+                          3u);
+              }),
+              kAllocsPerKsp)
+        << (cold ? "cold" : "warm") << " table";
+  }
+}
+
+TEST_F(AllocBudget, StrategyScheduleIsBoundedPerRequest) {
+  // Every strategy kind over permutations of the radix-4 fat tree's 36
+  // nodes, as dc_rwa runs them at 208: the first run grows the
+  // strategy's memo and the search workspace and fills the hop rows, so
+  // the measured runs pay only for the rounds' collections, passes and
+  // decisions.
+  const auto graph =
+      std::make_shared<const Graph>(make_fat_tree(4).graph);
+  rwa::StrategyScheduleConfig config;
+  config.rwa.bandwidth = 2;
+  config.rwa.candidates = 3;
+  config.rwa.split_ways = 2;
+  config.worm_length = 4;
+  const auto requests = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    const std::vector<NodeId> perm =
+        random_permutation(graph->node_count(), rng);
+    std::vector<rwa::RwaRequest> out;
+    for (NodeId i = 0; i < perm.size(); ++i) out.push_back({i, perm[i]});
+    return out;
+  };
+  for (const rwa::StrategyKind kind : rwa::all_strategy_kinds()) {
+    const auto strategy = rwa::make_strategy(kind);
+    (void)rwa::run_strategy_schedule(graph, requests(1), *strategy, config);
+    for (std::uint64_t seed = 2; seed < 5; ++seed) {
+      const std::vector<rwa::RwaRequest> batch = requests(seed);
+      rwa::StrategyRunResult run;
+      const std::uint64_t allocs = allocations([&] {
+        run = rwa::run_strategy_schedule(graph, batch, *strategy, config);
+      });
+      ASSERT_TRUE(run.success) << rwa::to_string(kind);
+      EXPECT_LE(allocs, kAllocsPerRwaRequest * batch.size())
+          << rwa::to_string(kind) << " seed " << seed << ": " << allocs
+          << " allocations over " << run.rounds << " rounds";
+    }
+  }
+}
+
+/// A type whose alignment passes the default new alignment, so `new`
+/// takes the std::align_val_t overloads.
+struct alignas(64) CacheLine {
+  unsigned char bytes[64];
+};
+
+TEST_F(AllocBudget, OverAlignedNewIsCounted) {
+  static_assert(alignof(CacheLine) > __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  CacheLine* volatile one = nullptr;
+  CacheLine* volatile many = nullptr;
+  CacheLine* volatile quiet = nullptr;
+  EXPECT_EQ(allocations([&] { one = new CacheLine(); }), 1u);
+  EXPECT_EQ(allocations([&] { many = new CacheLine[3](); }), 1u);
+  EXPECT_EQ(allocations([&] { quiet = new (std::nothrow) CacheLine(); }), 1u);
+  for (const CacheLine* p : {one, many, quiet}) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % alignof(CacheLine), 0u);
+  }
+  EXPECT_EQ(allocations([&] {
+              delete one;
+              delete[] many;
+              delete quiet;
+            }),
+            0u);
 }
 
 TEST_F(AllocBudget, ProtocolRoundAllocatesNothing) {

@@ -179,7 +179,17 @@ TEST(PathArenaDeath, AppendKeepsEveryCheck) {
   EXPECT_DEATH(Path::from_links(*graph, {0, 4}), "links are not consecutive");
   const EdgeId outside[] = {graph->link_count()};
   EXPECT_DEATH(c.add(PathView(0, 1, outside)), "link outside graph");
-  EXPECT_TRUE(c.empty());
+  // A view is walked link by link, like Path::from_links. Chain links:
+  // 0 is 0→1, 1 is 1→0, 2 is 1→2, 4 is 2→3.
+  const EdgeId gap[] = {0, 4}, back[] = {0, 1}, one[] = {0}, two[] = {0, 2};
+  EXPECT_DEATH(c.add(PathView(0, 3, gap)), "links are not consecutive");
+  EXPECT_DEATH(c.add(PathView(0, 0, back)), "path revisits a node");
+  EXPECT_DEATH(c.add(PathView(1, 2, two)), "does not start at its source");
+  EXPECT_DEATH(c.add(PathView(0, 2, one)), "does not end at its destination");
+  EXPECT_DEATH(c.add(PathView(0, 1, {})), "does not end at its destination");
+  c.add(PathView(0, 2, two));
+  c.add(PathView(3, 3, {}));
+  EXPECT_EQ(c.size(), 2u);
 }
 
 // --- C̃ oracle -------------------------------------------------------------
@@ -483,6 +493,7 @@ TEST(PathCongestionBound, HoldsOnGeneratedCollections) {
 
 TEST(PathCongestionBound, HoldsOnExperimentInstances) {
   std::vector<std::pair<std::string, PathCollection>> cases;
+  cases.reserve(16);
   Rng rng(7);
   {  // E1: a butterfly input→output permutation
     auto topo = std::make_shared<const ButterflyTopology>(make_butterfly(6));

@@ -13,16 +13,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "opto/graph/bcube.hpp"
+#include "opto/graph/butterfly.hpp"
 #include "opto/graph/fattree.hpp"
 #include "opto/graph/graph.hpp"
 #include "opto/graph/graph_algo.hpp"
 #include "opto/graph/hypercube.hpp"
 #include "opto/graph/mesh.hpp"
+#include "opto/graph/random_regular.hpp"
 #include "opto/graph/ring.hpp"
 #include "opto/obs/obs.hpp"
 #include "opto/par/thread_pool.hpp"
@@ -30,6 +34,7 @@
 #include "opto/rng/rng.hpp"
 #include "opto/rwa/ksp.hpp"
 #include "opto/rwa/strategy.hpp"
+#include "opto/testlib/reference_ksp.hpp"
 
 namespace opto::rwa {
 namespace {
@@ -370,6 +375,114 @@ TEST(RwaOracle, YenMatchesBruteForceOnStructuredGraphs) {
     EXPECT_GE(pinned, probes * 3 / 4) << band.name;
     EXPECT_EQ(fewer > 0, band.runs_out) << band.name;
   }
+}
+
+/// Every node's number of shortest routes to `destination`, capped at
+/// `cap` (0 when it cannot reach it): counted up the BFS layers.
+std::vector<std::uint32_t> shortest_route_counts(const Graph& graph,
+                                                 NodeId destination,
+                                                 std::uint32_t cap) {
+  const auto dist = bfs_distances(graph, destination);
+  std::vector<NodeId> order(graph.node_count());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
+  std::vector<std::uint32_t> count(graph.node_count(), 0);
+  count[destination] = 1;
+  for (const NodeId v : order) {
+    if (dist[v] == kUnreachable || v == destination) continue;
+    for (const EdgeId e : graph.out_links(v)) {
+      const NodeId u = graph.target(e);
+      if (dist[u] + 1 == dist[v]) count[v] = std::min(cap, count[v] + count[u]);
+    }
+  }
+  return count;
+}
+
+/// Probes on both sides of the DAG's route count.
+struct BoundaryTally {
+  std::uint64_t dag = 0;  ///< k <= the pair's shortest-route count
+  std::uint64_t yen = 0;  ///< k one past it: Yen continues from the DAG
+};
+
+/// k_shortest_routes(s, d, k) for k = 1 up to one past the pair's
+/// `shortest` routes, at most 8, against the first k routes of one
+/// reference search (the order is canonical, so the first k routes do not
+/// depend on the k asked for).
+void probe_boundary(const HopTable& table, NodeId source, NodeId destination,
+                    std::uint32_t shortest, BoundaryTally& tally,
+                    const char* name) {
+  const std::uint32_t top = std::min(8u, std::max(shortest, 1u) + 1);
+  const auto reference = testlib::reference_k_shortest_routes(
+      table.graph(), source, destination, top);
+  for (std::uint32_t k = 1; k <= top; ++k) {
+    const std::vector<std::vector<NodeId>> expected(
+        reference.begin(),
+        reference.begin() + std::min<std::size_t>(k, reference.size()));
+    ASSERT_EQ(k_shortest_routes(table, source, destination, k), expected)
+        << name << " (" << source << "→" << destination << ", k=" << k
+        << ", " << shortest << " shortest)";
+    if (shortest == 0) continue;
+    ++(k <= shortest ? tally.dag : tally.yen);
+  }
+}
+
+TEST(RwaOracle, DagAndYenAgreeWithTheReferenceAtTheirBoundary) {
+  // Every ordered pair of eight graphs, at every k from 1 to one past the
+  // pair's number of shortest routes (at most 8): up to that count the
+  // DAG serves every route, one past it Yen continues from all of them.
+  // Both must give the plain reference Yen's routes.
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("fat-tree-4", make_fat_tree(4).graph);
+  graphs.emplace_back("fat-tree-8", make_fat_tree(8).graph);
+  graphs.emplace_back("mesh-6x6", make_mesh({6, 6}).graph);
+  graphs.emplace_back("torus-6x6", make_torus({6, 6}).graph);
+  graphs.emplace_back("hypercube-4", make_hypercube(4));
+  graphs.emplace_back("butterfly-3", make_butterfly(3).graph);
+  graphs.emplace_back("bcube-3-2", make_bcube(3, 2).graph);
+  graphs.emplace_back("random-regular-40-3", make_random_regular(40, 3, 5));
+  for (const auto& [name, graph] : graphs) {
+    const HopTable table(graph);
+    BoundaryTally tally;
+    for (NodeId d = 0; d < graph.node_count(); ++d) {
+      const auto shortest = shortest_route_counts(graph, d, 8);
+      for (NodeId s = 0; s < graph.node_count(); ++s) {
+        probe_boundary(table, s, d, shortest[s], tally, name);
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(tally.dag, 0u) << name;
+    EXPECT_GT(tally.yen, 0u) << name;
+  }
+}
+
+TEST(RwaOracle, DagAndYenAgreeWithTheReferenceOnLazyRows) {
+  // A 33×33 mesh passes HopTable::kMaxNodes, so its searches read the
+  // lazily extended row of their own reverse BFS. Random pairs mostly
+  // have more than 8 shortest routes (the DAG serves every k); pairs at
+  // most three hops apart have one to three, so Yen runs past them.
+  const Graph graph = make_mesh({33, 33}).graph;
+  const HopTable table(graph);
+  ASSERT_FALSE(table.keeps_rows());
+  Rng rng(0x1a2e);
+  BoundaryTally tally;
+  for (int probe = 0; probe < 60; ++probe) {
+    const auto source = static_cast<NodeId>(rng.next_below(graph.node_count()));
+    auto destination = static_cast<NodeId>(rng.next_below(graph.node_count()));
+    if (probe % 2 != 0) {
+      const auto dist = bfs_distances(graph, source);
+      std::vector<NodeId> near;
+      for (NodeId v = 0; v < graph.node_count(); ++v)
+        if (dist[v] >= 1 && dist[v] <= 3) near.push_back(v);
+      destination = near[rng.next_below(near.size())];
+    }
+    const auto shortest = shortest_route_counts(graph, destination, 8);
+    probe_boundary(table, source, destination, shortest[source], tally,
+                   "mesh-33x33");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.dag, 0u);
+  EXPECT_GT(tally.yen, 0u);
 }
 
 TEST(RwaOracle, FatTreeSpursByHand) {
@@ -777,11 +890,13 @@ TEST(HopTable, SearchCountersTallySpursFallbacksCapsAndRowFills) {
   const auto counters = [] {
     return std::vector<std::uint64_t>{
         counter_value("rwa.ksp.spurs"), counter_value("rwa.ksp.fallbacks"),
-        counter_value("rwa.ksp.capped"), counter_value("rwa.rows.filled")};
+        counter_value("rwa.ksp.capped"), counter_value("rwa.rows.filled"),
+        counter_value("rwa.ksp.dag_routes")};
   };
-  // The fallback case above at k = 2: three spurs (at 0, 1 and 2), of
-  // which 0 and 1 run the banned BFS and 2 is a dead spur node; nothing
-  // is capped; one row filled. A second search fills nothing.
+  // The fallback case above at k = 2: one shortest route, so the DAG
+  // serves nothing past it; three spurs (at 0, 1 and 2), of which 0 and 1
+  // run the banned BFS and 2 is a dead spur node; nothing is capped; one
+  // row filled. A second search fills nothing.
   const Graph graph = make_cap_fallback();
   const HopTable table(graph);
   auto before = counters();
@@ -791,20 +906,37 @@ TEST(HopTable, SearchCountersTallySpursFallbacksCapsAndRowFills) {
   EXPECT_EQ(after[1] - before[1], 2u);
   EXPECT_EQ(after[2] - before[2], 0u);
   EXPECT_EQ(after[3] - before[3], 1u);
+  EXPECT_EQ(after[4] - before[4], 0u);
   before = after;
   (void)shortest_route(table, 3, 5);
   after = counters();
   EXPECT_EQ(after, before);
 
-  // The radix-4 fat tree, all host pairs at k = 3: one row per host,
-  // and the cap ends some spurs.
+  // The radix-4 fat tree. A cross-pod host pair has four shortest
+  // routes, so at k = 3 the DAG serves routes 2 and 3 and nothing spurs.
   const FatTreeTopology topo = make_fat_tree(4);
   const HopTable fat(topo.graph);
+  before = counters();
+  EXPECT_EQ(k_shortest_routes(fat, topo.hosts[0], topo.hosts[4], 3).size(),
+            3u);
+  after = counters();
+  EXPECT_EQ(after[4] - before[4], 2u);
+  EXPECT_EQ(after[0] - before[0], 0u);
+
+  // All host pairs at k = 3: one row per host, and the DAG serves routes.
+  // At k = 5, above every pair's shortest-route count, Yen runs: spurs
+  // fall back to the banned BFS and the cap ends some of them.
   before = counters();
   for (const NodeId s : topo.hosts)
     for (const NodeId d : topo.hosts) (void)k_shortest_routes(fat, s, d, 3);
   after = counters();
-  EXPECT_EQ(after[3] - before[3], topo.hosts.size());
+  EXPECT_EQ(after[3] - before[3], topo.hosts.size() - 1);
+  EXPECT_GT(after[4] - before[4], 0u);
+  before = counters();
+  for (const NodeId s : topo.hosts)
+    for (const NodeId d : topo.hosts) (void)k_shortest_routes(fat, s, d, 5);
+  after = counters();
+  EXPECT_EQ(after[3] - before[3], 0u);
   EXPECT_GT(after[1] - before[1], 0u);
   EXPECT_GT(after[2] - before[2], 0u);
   EXPECT_GE(after[0] - before[0],

@@ -72,7 +72,7 @@ TEST(RwaProperties, AcceptedRoutesNeverShareAChannel) {
           ASSERT_EQ(decision.routes.size(), decision.lambdas.size());
           ASSERT_FALSE(decision.routes.empty());
           for (std::size_t i = 0; i < decision.routes.size(); ++i) {
-            const Path& route = decision.routes[i];
+            const PathView route = decision.routes[i];
             EXPECT_EQ(route.source(), requests[uid].source);
             EXPECT_EQ(route.destination(), requests[uid].destination);
             EXPECT_LT(decision.lambdas[i], config.bandwidth);
@@ -165,6 +165,10 @@ TEST(RwaProperties, RandomFitDrawIgnoresTheRestOfTheBatch) {
   strategy->begin(routes, config, 1);
   const RwaDecision alone = strategy->assign(probe, probe_uid);
   ASSERT_TRUE(alone.accepted);
+  // A decision's routes are views into the strategy: keep a copy past
+  // the next begin().
+  const std::vector<Path> alone_routes(alone.routes.begin(),
+                                       alone.routes.end());
 
   strategy->begin(routes, config, 1);
   // Different pod entirely: no shared directed link with the probe.
@@ -175,7 +179,8 @@ TEST(RwaProperties, RandomFitDrawIgnoresTheRestOfTheBatch) {
   ASSERT_TRUE(crowded.accepted);
 
   EXPECT_EQ(alone.lambdas, crowded.lambdas);
-  EXPECT_EQ(alone.routes, crowded.routes);
+  EXPECT_EQ(alone_routes, std::vector<Path>(crowded.routes.begin(),
+                                            crowded.routes.end()));
 }
 
 TEST(RwaProperties, TrialAggregatesAreByteStableAndMatchASequentialFold) {
