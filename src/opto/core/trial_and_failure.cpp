@@ -147,10 +147,6 @@ const RoundReport& ProtocolSession::step() {
   if (config_.track_congestion)
     report_.active_congestion = collection_.path_congestion_of(active_);
 
-  const std::span<const std::uint32_t> ranks = assign_priorities(
-      config_.priorities, active_,
-      static_cast<std::uint32_t>(collection_.size()), rng, uids_, priority_);
-
   // Launch every member with a fresh random delay; the wavelength comes
   // from the chooser when one is installed (nullopt = sit this round
   // out), else from the protocol's uniform draw.
@@ -158,9 +154,6 @@ const RoundReport& ProtocolSession::step() {
   launcher_.clear();
   member_spec_.assign(active_.size(), kNoSpec);
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    const auto start = static_cast<SimTime>(
-        rng.below(static_cast<std::uint64_t>(delta), uids_[i],
-                  CounterRng::kSlotStartDelay));
     std::optional<Wavelength> wavelength;
     if (chooser_)
       wavelength = chooser_(active_[i], tags_[i]);
@@ -172,13 +165,25 @@ const RoundReport& ProtocolSession::step() {
     if (!wavelength.has_value()) continue;
     LaunchSpec spec;
     spec.path = active_[i];
-    spec.start_time = start;
+    spec.start_time = static_cast<SimTime>(
+        rng.below(static_cast<std::uint64_t>(delta), uids_[i],
+                  CounterRng::kSlotStartDelay));
     spec.wavelength = *wavelength;
-    spec.priority = ranks[i];
     spec.length = config_.worm_length;
     member_spec_[i] = static_cast<std::uint32_t>(specs_.size());
     launcher_.push_back(static_cast<std::uint32_t>(i));
     specs_.push_back(spec);
+  }
+  // Ranks order worms that meet. A lone forward worm meets none, and its
+  // rank draw is stateless (no other draw moves without it), so it goes
+  // unranked unless simulated acks need ranks of their own.
+  std::span<const std::uint32_t> ranks;
+  if (specs_.size() >= 2 || config_.ack_mode == AckMode::Simulated) {
+    ranks = assign_priorities(config_.priorities, active_,
+                              static_cast<std::uint32_t>(collection_.size()),
+                              rng, uids_, priority_);
+    for (std::size_t j = 0; j < specs_.size(); ++j)
+      specs_[j].priority = ranks[launcher_[j]];
   }
 
   forward_sim_.run(specs_, forward_);
@@ -243,17 +248,10 @@ const RoundReport& ProtocolSession::step() {
   }
 
   // Bookkeeping + retirement of acknowledged members (order-preserving
-  // compaction, recycling the previous round's buffers).
+  // compaction in place).
   completed_.clear();
   completed_history_.clear();
-  still_active_.clear();
-  still_tags_.clear();
-  still_attempts_.clear();
-  still_uids_.clear();
-  still_active_.reserve(active_.size());
-  still_tags_.reserve(active_.size());
-  still_attempts_.reserve(active_.size());
-  still_uids_.reserve(active_.size());
+  std::size_t keep = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const std::uint32_t j = member_spec_[i];
     const bool delivered =
@@ -280,17 +278,18 @@ const RoundReport& ProtocolSession::step() {
       completed_.push_back(done);
     } else {
       if (delivered) ++report_.duplicates;  // re-sent next round
-      still_active_.push_back(active_[i]);
-      still_tags_.push_back(tags_[i]);
-      still_attempts_.push_back(attempts_[i]);
-      still_uids_.push_back(uids_[i]);
+      active_[keep] = active_[i];
+      tags_[keep] = tags_[i];
+      attempts_[keep] = attempts_[i];
+      uids_[keep] = uids_[i];
+      ++keep;
     }
   }
   duplicates_ += report_.duplicates;
-  std::swap(active_, still_active_);
-  std::swap(tags_, still_tags_);
-  std::swap(attempts_, still_attempts_);
-  std::swap(uids_, still_uids_);
+  active_.resize(keep);
+  tags_.resize(keep);
+  attempts_.resize(keep);
+  uids_.resize(keep);
 
   schedule_.observe(report_.active_before, report_.acknowledged);
   // RetryPolicy: widen the next window after fault-caused losses (lost
@@ -309,32 +308,6 @@ const std::vector<ProtocolSession::Completion>& ProtocolSession::expire(
   return remove_if([max_attempts](std::uint64_t, std::uint32_t attempts) {
     return attempts >= max_attempts;
   });
-}
-
-const std::vector<ProtocolSession::Completion>& ProtocolSession::remove_if(
-    const RemovePredicate& pred) {
-  expired_.clear();
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (pred(tags_[i], attempts_[i])) {
-      Completion gone;
-      gone.tag = tags_[i];
-      gone.path = active_[i];
-      gone.attempts = attempts_[i];
-      expired_.push_back(gone);
-      continue;
-    }
-    active_[keep] = active_[i];
-    tags_[keep] = tags_[i];
-    attempts_[keep] = attempts_[i];
-    uids_[keep] = uids_[i];
-    ++keep;
-  }
-  active_.resize(keep);
-  tags_.resize(keep);
-  attempts_.resize(keep);
-  uids_.resize(keep);
-  return expired_;
 }
 
 // --- TrialAndFailure ----------------------------------------------------

@@ -205,9 +205,8 @@ class ProtocolSession {
   /// are removed (order-preserving compaction) and returned, valid until
   /// the next expire/remove_if. The engine's loss-call-cleared admission
   /// drops requests that found every wavelength busy at decision time.
-  using RemovePredicate =
-      std::function<bool(std::uint64_t tag, std::uint32_t attempts)>;
-  const std::vector<Completion>& remove_if(const RemovePredicate& pred);
+  template <typename Pred>
+  const std::vector<Completion>& remove_if(Pred pred);
 
   std::size_t active_count() const { return active_.size(); }
   std::uint32_t rounds_run() const { return round_; }
@@ -250,14 +249,37 @@ class ProtocolSession {
   std::vector<char> acked_;
   std::vector<LaunchSpec> ack_specs_;
   std::vector<std::size_t> ack_owner_;  ///< ack spec → member index
-  std::vector<PathId> still_active_;
-  std::vector<std::uint64_t> still_tags_;
-  std::vector<std::uint32_t> still_attempts_;
-  std::vector<std::uint32_t> still_uids_;
   std::vector<Completion> completed_;
   std::vector<Wavelength> completed_history_;
   std::vector<Completion> expired_;
 };
+
+template <typename Pred>
+const std::vector<ProtocolSession::Completion>& ProtocolSession::remove_if(
+    Pred pred) {
+  expired_.clear();
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (pred(tags_[i], attempts_[i])) {
+      Completion gone;
+      gone.tag = tags_[i];
+      gone.path = active_[i];
+      gone.attempts = attempts_[i];
+      expired_.push_back(gone);
+      continue;
+    }
+    active_[keep] = active_[i];
+    tags_[keep] = tags_[i];
+    attempts_[keep] = attempts_[i];
+    uids_[keep] = uids_[i];
+    ++keep;
+  }
+  active_.resize(keep);
+  tags_.resize(keep);
+  attempts_.resize(keep);
+  uids_.resize(keep);
+  return expired_;
+}
 
 class TrialAndFailure {
  public:

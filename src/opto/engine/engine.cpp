@@ -140,6 +140,13 @@ Engine::Engine(std::shared_ptr<const Graph> graph, EngineConfig config,
   channel_busy_.assign(static_cast<std::size_t>(graph_->link_count()) *
                            config_.protocol.bandwidth,
                        0);
+  const std::size_t words = (config_.protocol.bandwidth + 63u) / 64u;
+  held_words_.assign(static_cast<std::size_t>(graph_->link_count()) * words,
+                     0);
+  free_words_.assign(words, 0);
+  const unsigned tail = config_.protocol.bandwidth % 64u;
+  last_word_mask_ =
+      tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
   session_.emplace(routes_, config_.protocol, schedule_, seed);
   session_->set_wavelength_chooser(
       [this](PathId path, std::uint64_t tag) {
@@ -197,9 +204,12 @@ std::uint64_t Engine::measured_in_flight() const {
 std::optional<Wavelength> Engine::choose_wavelength(PathId path,
                                                     std::uint64_t tag) {
   const auto links = routes_.path(path).links();
-  const std::uint16_t bandwidth = config_.protocol.bandwidth;
-  const auto busy = [&](EdgeId link, Wavelength w) {
-    return channel_busy_[static_cast<std::size_t>(link) * bandwidth + w] != 0;
+  const std::size_t words = free_words_.size();
+  const auto held = [&](EdgeId link, std::size_t word) {
+    return held_words_[static_cast<std::size_t>(link) * words + word];
+  };
+  const auto valid = [&](std::size_t word) {
+    return word + 1 < words ? ~std::uint64_t{0} : last_word_mask_;
   };
 
   if (config_.protocol.conversion != ConversionMode::None) {
@@ -207,54 +217,45 @@ std::optional<Wavelength> Engine::choose_wavelength(PathId path,
     // pass retunes. Launch on a free wavelength of the first link.
     for (const EdgeId link : links) {
       bool any = false;
-      for (Wavelength w = 0; w < bandwidth && !any; ++w)
-        any = !busy(link, w);
+      for (std::size_t word = 0; word < words && !any; ++word)
+        any = (~held(link, word) & valid(word)) != 0;
       if (!any) {
         no_capacity_.push_back(tag);
         return std::nullopt;
       }
     }
-    std::uint32_t free_count = 0;
-    Wavelength first = 0;
-    for (Wavelength w = bandwidth; w-- > 0;)
-      if (!busy(links[0], w)) {
-        ++free_count;
-        first = w;
-      }
-    if (config_.fit == WavelengthFit::FirstFit) return first;
-    std::uint64_t pick = fit_.next_below(free_count);
-    for (Wavelength w = first;; ++w)
-      if (!busy(links[0], w) && pick-- == 0) return w;
+    for (std::size_t word = 0; word < words; ++word)
+      free_words_[word] = ~held(links[0], word) & valid(word);
+  } else {
+    // Wavelength continuity: one wavelength free on EVERY link.
+    for (std::size_t word = 0; word < words; ++word) {
+      std::uint64_t busy = 0;
+      for (const EdgeId link : links) busy |= held(link, word);
+      free_words_[word] = ~busy & valid(word);
+    }
   }
-
-  // Wavelength continuity: one wavelength free on EVERY link.
-  std::uint32_t free_count = 0;
-  Wavelength first = 0;  // overwritten on the first free hit
-  for (Wavelength w = 0; w < bandwidth; ++w) {
-    bool free = true;
-    for (const EdgeId link : links)
-      if (busy(link, w)) {
-        free = false;
-        break;
-      }
-    if (!free) continue;
-    if (free_count == 0) first = w;
-    ++free_count;
-    if (config_.fit == WavelengthFit::FirstFit) return w;
-  }
+  std::uint64_t free_count = 0;
+  for (const std::uint64_t bits : free_words_)
+    free_count += static_cast<std::uint64_t>(std::popcount(bits));
   if (free_count == 0) {
     no_capacity_.push_back(tag);
     return std::nullopt;
   }
-  std::uint64_t pick = fit_.next_below(free_count);
-  for (Wavelength w = first;; ++w) {
-    bool free = true;
-    for (const EdgeId link : links)
-      if (busy(link, w)) {
-        free = false;
-        break;
-      }
-    if (free && pick-- == 0) return w;
+  // First-fit takes the lowest free λ; random-fit the pick-th lowest.
+  std::uint64_t pick = config_.fit == WavelengthFit::FirstFit
+                           ? 0
+                           : fit_.next_below(free_count);
+  for (std::size_t word = 0;; ++word) {
+    std::uint64_t bits = free_words_[word];
+    const auto here = static_cast<std::uint64_t>(std::popcount(bits));
+    if (pick >= here) {
+      pick -= here;
+      continue;
+    }
+    for (; pick > 0; --pick) bits &= bits - 1;
+    return static_cast<Wavelength>(word * 64 +
+                                   static_cast<std::size_t>(
+                                       std::countr_zero(bits)));
   }
 }
 
@@ -263,16 +264,25 @@ void Engine::claim_channel(std::uint32_t id, EdgeId link,
   const auto channel = static_cast<std::uint32_t>(
       static_cast<std::size_t>(link) * config_.protocol.bandwidth +
       wavelength);
-  OPTO_DASSERT(channel_busy_[channel] == 0);
+  std::uint64_t& word = held_word(link, wavelength);
+  const std::uint64_t bit = std::uint64_t{1} << (wavelength % 64);
+  OPTO_DASSERT(channel_busy_[channel] == 0 && (word & bit) == 0);
   channel_busy_[channel] = 1;
+  word |= bit;
   connections_[id].slots.push_back(channel);
 }
 
 void Engine::release_channels(std::uint32_t id) {
   Connection& connection = connections_[id];
+  const std::uint16_t bandwidth = config_.protocol.bandwidth;
   for (const std::uint32_t channel : connection.slots) {
-    OPTO_DASSERT(channel_busy_[channel] == 1);
+    const auto link = static_cast<EdgeId>(channel / bandwidth);
+    const auto wavelength = static_cast<Wavelength>(channel % bandwidth);
+    std::uint64_t& word = held_word(link, wavelength);
+    const std::uint64_t bit = std::uint64_t{1} << (wavelength % 64);
+    OPTO_DASSERT(channel_busy_[channel] == 1 && (word & bit) != 0);
     channel_busy_[channel] = 0;
+    word &= ~bit;
   }
   connection.slots.clear();
 }

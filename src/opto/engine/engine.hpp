@@ -152,10 +152,22 @@ class Engine {
   Rng fit_;            ///< RandomFit draws (decision order)
   ArrivalGenerator arrivals_;
 
-  // Held circuits: byte link·B + λ is 1 while a circuit holds that
-  // channel. The only record of holds — the session's forward passes
-  // borrow it in place (set_held, installed once; never resized).
+  // Held circuits, kept twice and updated together by claim_channel and
+  // release_channels (debug builds assert they agree). Byte link·B + λ of
+  // channel_busy_ is 1 while a circuit holds that channel: the session's
+  // forward passes borrow it in place (set_held, installed once; never
+  // resized). held_words_ packs the same holds ⌈B/64⌉ words per link (bit
+  // λ % 64 of word link·⌈B/64⌉ + λ / 64) for choose_wavelength, which ORs
+  // a route's words instead of scanning bytes.
   std::vector<std::uint8_t> channel_busy_;
+  std::vector<std::uint64_t> held_words_;
+  std::uint64_t last_word_mask_ = 0;  ///< the band's bits of a last word
+  std::vector<std::uint64_t> free_words_;  ///< chooser scratch, ⌈B/64⌉
+
+  std::uint64_t& held_word(EdgeId link, Wavelength wavelength) {
+    return held_words_[static_cast<std::size_t>(link) * free_words_.size() +
+                       wavelength / 64];
+  }
 
   // Connection table, ids recycled through a free list so its size is
   // the peak number of concurrent connections, not total arrivals.

@@ -419,6 +419,17 @@ PassResult reference_run(const PathCollection& collection,
     result.metrics.makespan =
         std::max(result.metrics.makespan, outcome.finish_time);
   }
+  // Per-link wavelength histories, published under conversion only, as
+  // the fast engine publishes them.
+  if (config.conversion != ConversionMode::None) {
+    result.wavelength_offsets.push_back(0);
+    for (const RefWorm& worm : worms) {
+      result.wavelengths.insert(result.wavelengths.end(),
+                                worm.history.begin(), worm.history.end());
+      result.wavelength_offsets.push_back(
+          static_cast<std::uint32_t>(result.wavelengths.size()));
+    }
+  }
   return result;
 }
 

@@ -22,7 +22,8 @@
 namespace opto {
 
 /// Runs the reference engine; the result is field-for-field comparable
-/// with Simulator::run (statuses, finish times, blockers, metrics).
+/// with Simulator::run (statuses, finish times, blockers, metrics, and
+/// under conversion the per-link wavelength histories).
 /// `pinned` lists the held (link, wavelength) channels that
 /// Simulator::set_held takes as a mask; each eliminates every entrant as
 /// a pinned loss. The reference builds its own map from the list.

@@ -255,6 +255,66 @@ void Simulator::apply_truncation(WormId victim, std::uint32_t cut_link_index,
   }
 }
 
+inline SimTime Simulator::settle(const LaunchSpec& spec,
+                                 std::uint32_t first, std::uint32_t end,
+                                 PassMetrics& metrics) const {
+  // The head enters link i at s + i and the tail leaves the last link at
+  // s + n − 1 + L − 1. Each hop would have been one registry miss, or B
+  // lookups at a converting router, a hit for each held λ there.
+  const std::uint32_t n = end - first;
+  metrics.worm_steps += n;
+  metrics.link_busy_steps += static_cast<std::uint64_t>(n) * spec.length;
+  if (config_.conversion == ConversionMode::None) {
+    metrics.registry_probes += n;
+  } else {
+    const std::uint16_t bandwidth = config_.bandwidth;
+    for (std::uint32_t j = first; j < end; ++j) {
+      const EdgeId link = flat_links_[j];
+      if (link_converts_[link] == 0) {
+        ++metrics.registry_probes;
+        continue;
+      }
+      metrics.registry_probes += bandwidth;
+      if (!held_.empty())
+        for (Wavelength w = 0; w < bandwidth; ++w)
+          metrics.registry_hits += held(link, w) ? 1 : 0;
+    }
+  }
+  return n == 0 ? spec.start_time
+                : spec.start_time + static_cast<SimTime>(n) + spec.length - 2;
+}
+
+bool Simulator::settle_lone(const LaunchSpec& spec, PassResult& result) {
+  OPTO_ASSERT(spec.path < collection_.size());
+  OPTO_ASSERT(spec.length >= 1);
+  OPTO_ASSERT(spec.wavelength < config_.bandwidth);
+  const std::uint32_t first = collection_.offset(spec.path);
+  const std::uint32_t end = first + collection_.path(spec.path).length();
+  if (!held_.empty())
+    for (std::uint32_t j = first; j < end; ++j)
+      if (held(flat_links_[j], spec.wavelength)) return false;
+  // Alone and off every hold of its λ, the worm meets nothing: the screen
+  // would settle it, and the iteration count is its own [s, finish].
+  PassMetrics& metrics = result.metrics;
+  const SimTime finish = settle(spec, first, end, metrics);
+  WormOutcome& outcome = result.worms.front();
+  outcome.status = WormStatus::Delivered;
+  outcome.finish_time = finish;
+  metrics.launched = 1;
+  metrics.delivered = 1;
+  metrics.makespan = std::max(metrics.makespan, finish);
+  metrics.steps = static_cast<std::uint64_t>(finish - spec.start_time) + 1;
+  metrics.peak_inflight = end > first ? 1 : 0;
+  result.wavelength_offsets.clear();
+  result.wavelengths.clear();
+  if (config_.conversion != ConversionMode::None) {
+    result.wavelength_offsets.push_back(0);
+    result.wavelength_offsets.push_back(end - first);
+    result.wavelengths.assign(end - first, spec.wavelength);
+  }
+  return true;
+}
+
 std::uint32_t Simulator::screen(std::span<const LaunchSpec> specs,
                                 PassMetrics& metrics) {
   const auto count = static_cast<WormId>(specs.size());
@@ -353,40 +413,17 @@ std::uint32_t Simulator::screen(std::span<const LaunchSpec> specs,
     }
   }
 
-  // Settle the unmarked: the head enters link i at s + i and the tail
-  // leaves the last link at s + n − 1 + L − 1. Each hop would have been
-  // one registry miss, or B lookups at a converting router, a hit for
-  // each held λ there.
+  // Settle the unmarked in closed form.
   std::uint32_t settled = 0;
   for (WormId id = 0; id < count; ++id) {
     if (contended_[id] != 0) continue;
-    const LaunchSpec& spec = specs[id];
-    const std::uint32_t n = cursor_end_[id] - cursor_[id];
     Worm& worm = worms_[id];
     worm.status = WormStatus::Delivered;
     status_[id] = WormStatus::Delivered;
     worm.finish_time =
-        n == 0 ? spec.start_time
-               : spec.start_time + static_cast<SimTime>(n) + spec.length - 2;
+        settle(specs[id], cursor_[id], cursor_end_[id], metrics);
     retire_[id] = worm.finish_time;
     ++settled;
-    metrics.worm_steps += n;
-    metrics.link_busy_steps += static_cast<std::uint64_t>(n) * spec.length;
-    if (!convert) {
-      metrics.registry_probes += n;
-    } else {
-      for (std::uint32_t j = cursor_[id]; j < cursor_end_[id]; ++j) {
-        const EdgeId link = flat_links_[j];
-        if (link_converts_[link] == 0) {
-          ++metrics.registry_probes;
-          continue;
-        }
-        metrics.registry_probes += bandwidth;
-        if (!held_.empty())
-          for (Wavelength w = 0; w < bandwidth; ++w)
-            metrics.registry_hits += held(link, w) ? 1 : 0;
-      }
-    }
   }
   metrics.launched += settled;
   metrics.delivered += settled;
@@ -460,24 +497,37 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   const auto count = static_cast<WormId>(specs.size());
   result.worms.assign(count, WormOutcome{});
   const bool convert = config_.conversion != ConversionMode::None;
+  // Fault injection (sim/faults.hpp). A null or zero-fault plan keeps
+  // every branch below dead, so the fault-free engine is untouched.
+  const FaultPlan* plan = config_.faults;
+  const bool faults_on = plan != nullptr && plan->enabled();
+  // Every exit publishes the wall time (only when profiling) and the
+  // pass's obs counters, `screened` and `contended` as the screen split.
+  const auto publish = [&](std::uint64_t screened, std::uint64_t contended) {
+    if (profile)
+      result.metrics.wall_ns =
+          static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
+    if (obs::enabled())
+      record_pass_observation(result.metrics, screened, contended);
+  };
   if (count == 0) {
     // Nothing to inject: every metric stays 0, and no state below carries
     // into the next pass (each pass clears the registry first).
     result.wavelength_offsets.clear();
     result.wavelengths.clear();
     if (convert) result.wavelength_offsets.push_back(0);
-    if (profile)
-      result.metrics.wall_ns =
-          static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
-    if (obs::enabled()) record_pass_observation(result.metrics, 0, 0);
+    publish(0, 0);
+    return;
+  }
+  // A lone worm that no hold of its λ meets is settled before any worm
+  // state is built: the screen would settle it too (DESIGN.md §12).
+  if (count == 1 && !config_.record_trace && !faults_on &&
+      settle_lone(specs.front(), result)) {
+    publish(1, 0);
     return;
   }
   registry_.clear();
   registry_.reset_stats();
-  // Fault injection (sim/faults.hpp). A null or zero-fault plan keeps
-  // every branch below dead, so the fault-free engine is untouched.
-  const FaultPlan* plan = config_.faults;
-  const bool faults_on = plan != nullptr && plan->enabled();
   if (faults_on && plan->has_stuck_wavelengths()) {
     // A stuck wavelength is modelled as a permanent occupant: a sentinel
     // claim (worm = kInvalidWorm, top priority, never released) that the
@@ -1045,14 +1095,8 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   result.metrics.registry_probes += registry_.stats().probes;
   result.metrics.registry_hits += registry_.stats().hits;
   if (settled > 0) account_iterations(result.metrics);
-  if (profile)
-    result.metrics.wall_ns =
-        static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
-  if (obs::enabled()) {
-    const bool screened = !config_.record_trace && !faults_on;
-    record_pass_observation(result.metrics, settled,
-                            screened ? count - settled : 0);
-  }
+  const bool screened = !config_.record_trace && !faults_on;
+  publish(settled, screened ? count - settled : 0);
 }
 
 }  // namespace opto

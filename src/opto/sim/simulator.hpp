@@ -29,7 +29,9 @@
 // as above; it never sees a settled worm's claims, since those are
 // expired at every step a contended worm probes them, so its outcomes
 // are unchanged. Every PassMetrics field, engine counters included, is
-// byte-identical to a fully stepped pass.
+// byte-identical to a fully stepped pass. A pass of one worm whose λ is
+// held on no link of its route is settled the same way before any worm
+// state is built (settle_lone).
 //
 // An empty batch returns before any of this: every metric is 0, the
 // trace is empty, and under conversion wavelength_offsets is {0}. It
@@ -190,6 +192,20 @@ class Simulator {
   /// settled. `injection_order_` must be built.
   std::uint32_t screen(std::span<const LaunchSpec> specs,
                        PassMetrics& metrics);
+
+  /// The closed form of a worm that meets no other window and no hold of
+  /// its own λ on positions [first, end) of the flat link arena: adds its
+  /// worm steps, link-busy steps, probes, and held-λ hits at converting
+  /// hops to `metrics`, and returns its delivery time. The screen's settle
+  /// loop and the lone-worm pass share it.
+  SimTime settle(const LaunchSpec& spec, std::uint32_t first,
+                 std::uint32_t end, PassMetrics& metrics) const;
+
+  /// The pass of one untraced, fault-free worm: if its λ is held on no
+  /// link of its route, fills `result` (freshly reset) as the screened
+  /// pass would and returns true; otherwise touches nothing and returns
+  /// false, and the pass runs as usual.
+  bool settle_lone(const LaunchSpec& spec, PassResult& result);
 
   /// `steps` and `peak_inflight` of a pass the screen thinned, from every
   /// worm's [start, retire_] interval: the step loop iterates at t exactly

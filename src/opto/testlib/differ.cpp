@@ -40,6 +40,12 @@ void report_metric(std::vector<std::string>* issues, const char* source,
 /// probes, steps, peak_inflight — have no reference analogue).
 void compare_to_reference(const PassResult& fast, const PassResult& ref,
                           std::vector<std::string>* issues, const char* src) {
+  if (fast.wavelength_offsets != ref.wavelength_offsets ||
+      fast.wavelengths != ref.wavelengths) {
+    std::ostringstream os;
+    os << "[" << src << "] per-link wavelength histories differ";
+    issues->push_back(os.str());
+  }
   for (WormId id = 0; id < fast.worms.size(); ++id) {
     const WormOutcome& a = fast.worms[id];
     const WormOutcome& b = ref.worms[id];

@@ -9,7 +9,8 @@
 //  3. the validate.hpp invariant checkers (conservation, finish-time
 //     windows, witnesses, trace-based occupancy disjointness);
 //  4. when the case carries no *enabled* fault plan: a field-for-field
-//     comparison against the first-principles reference engine
+//     comparison against the first-principles reference engine, per-link
+//     wavelength histories included under conversion
 //     (reference_run models no faults, so faulty cases stop at 2–3 —
 //     a case whose fault plan has all-zero rates still reaches 4,
 //     which pins the "disabled plan is bit-identical to no plan"

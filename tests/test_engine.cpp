@@ -1,7 +1,7 @@
 // Streaming traffic engine: arrival generators, the event loop, the
 // Erlang-B analytic cross-check, the dynamic-RWA blocking shape ([34],
-// E14) on a ring and a torus, determinism, memory bounds, and the
-// route-table bound.
+// E14) on a ring and a torus, determinism, memory bounds, the
+// route-table bound, and agreement with the naive reference engine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +11,7 @@
 #include "opto/engine/traffic.hpp"
 #include "opto/graph/mesh.hpp"
 #include "opto/graph/ring.hpp"
+#include "opto/testlib/reference_engine.hpp"
 
 namespace opto {
 namespace {
@@ -320,6 +321,60 @@ TEST(Engine, TraceDrivenRunIsExact) {
   EXPECT_EQ(result.blocked, 0u);
   EXPECT_EQ(result.admitted, result.offered);
   EXPECT_LE(result.peak_active, 4u);
+}
+
+// --- reference engine ----------------------------------------------------
+
+TEST(EngineReference, EveryDeterministicFieldMatchesTheNaiveEngine) {
+  // The naive engine of testlib/reference_engine.hpp draws every rank,
+  // scans held bytes for a wavelength and runs each pass through the
+  // reference simulator. B = 70 puts wavelengths past the first word of
+  // the engine's held words; the rates load each network to blocking.
+  const struct {
+    std::shared_ptr<const Graph> graph;
+    double rate_per_wavelength;
+  } networks[] = {{std::make_shared<Graph>(make_ring(8)), 8.0},
+                  {std::make_shared<Graph>(make_mesh({4, 4}).graph), 16.0}};
+  std::uint64_t blocked = 0;
+  std::uint64_t readmits = 0;
+  for (const auto& network : networks)
+    for (const ConversionMode conversion :
+         {ConversionMode::None, ConversionMode::Full})
+      for (const WavelengthFit fit :
+           {WavelengthFit::FirstFit, WavelengthFit::RandomFit})
+        for (const std::uint16_t bandwidth : {1, 4, 70})
+          for (const std::uint64_t seed : {3, 4}) {
+            SCOPED_TRACE(network.graph->name() + " " + to_string(conversion) +
+                         " " + to_string(fit) + " B=" +
+                         std::to_string(bandwidth) + " seed " +
+                         std::to_string(seed));
+            EngineConfig config = ring_config(
+                network.rate_per_wavelength * bandwidth, bandwidth, 1500);
+            config.protocol.conversion = conversion;
+            config.fit = fit;
+            Engine engine(network.graph, config, seed);
+            const EngineResult a = engine.run();
+            const EngineResult b =
+                testlib::reference_engine(network.graph, config, seed);
+            EXPECT_EQ(a.offered, b.offered);
+            EXPECT_EQ(a.admitted, b.admitted);
+            EXPECT_EQ(a.blocked, b.blocked);
+            EXPECT_EQ(a.expired, b.expired);
+            EXPECT_EQ(a.conflict_readmits, b.conflict_readmits);
+            EXPECT_EQ(a.duplicate_deliveries, b.duplicate_deliveries);
+            EXPECT_EQ(a.rounds, b.rounds);
+            EXPECT_EQ(a.peak_active, b.peak_active);
+            EXPECT_EQ(a.blocking_probability, b.blocking_probability);
+            EXPECT_EQ(a.mean_setup_rounds, b.mean_setup_rounds);
+            EXPECT_EQ(a.p50_setup_rounds, b.p50_setup_rounds);
+            EXPECT_EQ(a.p99_setup_rounds, b.p99_setup_rounds);
+            EXPECT_EQ(a.sim_duration, b.sim_duration);
+            blocked += a.blocked;
+            readmits += a.conflict_readmits;
+          }
+  // The sweep reaches loss-call-cleared blocking and conflict re-admits.
+  EXPECT_GT(blocked, 0u);
+  EXPECT_GT(readmits, 0u);
 }
 
 }  // namespace
